@@ -8,7 +8,7 @@ below the modulus, with p + q congruent to the product.
 
 __version__ = "0.1.0"
 
-from .bitcore import BitVec, band, bnot, bor, bxor, csa, maj2of3, top_up
+from .bitcore import BitVec, csa, maj2of3, top_up
 from .errors import ContractViolation, InvariantViolation, WidthError
 from .harness import (
     SweepConfig,
@@ -24,13 +24,7 @@ from .modparams import (
     shift_left_operand,
     shift_right_result,
 )
-from .oracle import (
-    OracleInstance,
-    fold_pair,
-    ref_mulmod,
-    ref_mulmod_by_addition,
-    replay_step_wide,
-)
+from .oracle import fold_pair, ref_mulmod, ref_mulmod_by_addition, replay_step_wide
 from .pipeline import MulResult, RunTrace, mulmod, mulmod_checked
 from .shrink import (
     HUNT_CYCLE_CAP,
@@ -52,7 +46,6 @@ __all__ = [
     "ModulusParams",
     "MulResult",
     "NORMAL_CYCLE_CAP",
-    "OracleInstance",
     "RunTrace",
     "ShrinkCycle",
     "ShrinkReport",
@@ -61,10 +54,6 @@ __all__ = [
     "SweepConfig",
     "SweepReport",
     "WidthError",
-    "band",
-    "bnot",
-    "bor",
-    "bxor",
     "csa",
     "exhaustive_sweep",
     "fold_pair",

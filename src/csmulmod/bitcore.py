@@ -1,23 +1,23 @@
-"""Fixed-width bit vectors and the carry-save primitives built on them.
+"""The carry-save primitives on plain-int registers, and a checked bit vector.
 
-Everything in this module is pure value arithmetic on (width, value) pairs.
-Widths never change implicitly: combining unequal widths raises, widening
-and truncation are explicit calls, and the only lossy operation is
-``trunc`` (plus the single documented bit a carry-save adder erases).
+The kernel keeps each register as a non-negative Python int. A register's
+width lives in the mask ``(1 << width) - 1`` (``ModulusParams.mask``,
+computed once per modulus), which the caller passes to the one operation
+that can grow a value, the carry-save adder. Its truncation is the only
+lossy step (it can erase the single documented top majority bit). Top-up
+takes a mask too: the positions it treats.
+
+``BitVec`` is a separate, validated (width, value) type for code outside
+the kernel: combining unequal widths raises, and widening and truncation
+are explicit calls.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .errors import WidthError
 
 __all__ = [
     "BitVec",
-    "band",
-    "bnot",
-    "bor",
-    "bxor",
     "csa",
     "maj2of3",
     "top_up",
@@ -109,76 +109,37 @@ class BitVec:
         return f"BitVec({self.width}, 0b{self.value:0{self.width}b})"
 
 
-def bxor(x: BitVec, y: BitVec) -> BitVec:
-    """Bitwise XOR of two equal-width vectors."""
-    return x ^ y
-
-
-def band(x: BitVec, y: BitVec) -> BitVec:
-    """Bitwise AND of two equal-width vectors."""
-    return x & y
-
-
-def bor(x: BitVec, y: BitVec) -> BitVec:
-    """Bitwise OR of two equal-width vectors."""
-    return x | y
-
-
-def bnot(x: BitVec) -> BitVec:
-    """Bitwise complement within the vector's width."""
-    return ~x
-
-
-def maj2of3(x: BitVec, y: BitVec, z: BitVec) -> BitVec:
+def maj2of3(x: int, y: int, z: int) -> int:
     """Bitwise two-out-of-three majority, the carry generator of a CSA.
 
     Symmetric in all three arguments: each output bit is 1 exactly when
-    at least two of the corresponding input bits are 1.
+    at least two of the corresponding input bits are 1. It sets no bit
+    that none of its operands has, so it needs no mask.
     """
-    x._check_width(y)
-    x._check_width(z)
-    a, b, c = x.value, y.value, z.value
-    return BitVec(x.width, (a & b) | (c & (a | b)))
+    return (x & y) | (z & (x | y))
 
 
-def csa(x: BitVec, y: BitVec, z: BitVec, m: int) -> tuple[BitVec, BitVec]:
-    """Carry-save addition of three ``m``-bit vectors into a sum/carry pair.
+def csa(x: int, y: int, z: int, mask: int) -> tuple[int, int]:
+    """Carry-save addition of three registers into a sum/carry pair.
 
-    Returns ``(s, c)`` with ``s = x ^ y ^ z`` and ``c`` the majority shifted
-    left one position then truncated back to ``m`` bits. The truncation can
-    erase exactly one bit (the top majority bit), so the integer identity is
+    ``mask`` is ``2**m - 1`` for registers of ``m`` bits, and the operands
+    must fit in it. Returns ``(s, c)`` with ``s = x ^ y ^ z`` and ``c`` the
+    majority shifted left one position then masked back to ``m`` bits. The
+    masking can erase exactly one bit (the top majority bit), so
 
-        value(x) + value(y) + value(z) - (value(s) + value(c)) in {0, 2**m}
+        x + y + z - (s + c) in {0, 2**m}
 
     and the loss, when it happens, is exactly ``2**m``.
     """
-    if not (x.width == y.width == z.width == m):
-        raise WidthError(
-            f"csa operands must all have width {m}, "
-            f"got {x.width}/{y.width}/{z.width}"
-        )
-    a, b, c = x.value, y.value, z.value
-    mask = (1 << m) - 1
-    s = a ^ b ^ c
-    carry = (((a & b) | (c & (a | b))) << 1) & mask
-    return BitVec(m, s), BitVec(m, carry)
+    return x ^ y ^ z, (maj2of3(x, y, z) << 1) & mask
 
 
-def top_up(p: BitVec, q: BitVec, positions: Iterable[int]) -> tuple[BitVec, BitVec]:
-    """Migrate set bits from ``q`` into ``p`` at the given positions.
+def top_up(p: int, q: int, mask: int) -> tuple[int, int]:
+    """Migrate set bits from ``q`` into ``p`` at the positions set in ``mask``.
 
     At each treated position i the pair (p_i, q_i) becomes
     (p_i OR q_i, p_i AND q_i): a lone 1 in q moves over to p, all other
-    combinations stay put. The sum value(p) + value(q) never changes, and
-    afterwards q_i = 1 implies p_i = 1 at every treated position.
+    combinations stay put. The sum p + q never changes, and afterwards
+    q_i = 1 implies p_i = 1 at every treated position.
     """
-    p._check_width(q)
-    mask = 0
-    for i in positions:
-        if i < 0 or i >= p.width:
-            raise ValueError(f"top-up position {i} out of range for width {p.width}")
-        mask |= 1 << i
-    pv, qv = p.value, q.value
-    new_p = pv | (qv & mask)
-    new_q = (qv & ~mask) | (pv & qv & mask)
-    return BitVec(p.width, new_p), BitVec(p.width, new_q)
+    return p | (q & mask), q & (p | ~mask)

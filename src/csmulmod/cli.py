@@ -3,12 +3,13 @@ constant-set inspection, and the sweep family.
 
 All numeric I/O is big-endian hexadecimal without a prefix. Exit codes:
 0 success, 1 rejected input, 2 verification failure, 3 internal
-invariant breach.
+invariant breach or any other unexpected error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -243,6 +244,7 @@ def _cmd_random(args) -> int:
     return _emit_report(random_sweep(config), args)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="csmulmod",
@@ -300,6 +302,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONTRACT
     except InvariantViolation as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as exc:
+        # A fault of the program, never of the input: keep it off exit 1.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

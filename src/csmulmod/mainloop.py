@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BitVec, csa
+from .bitcore import csa
 from .errors import ContractViolation
-from .modparams import ModulusParams
+from .modparams import ModulusParams, check_int
 
 __all__ = [
     "Accumulator",
@@ -31,10 +31,12 @@ class Accumulator:
 
     The residue class of p + q modulo the shifted modulus is the meaning;
     the split between the two registers is free to change at any time.
+    ``n`` is the working width, so bit n is each register's top bit.
     """
 
-    p: BitVec
-    q: BitVec
+    p: int
+    q: int
+    n: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,63 +94,52 @@ def lcu(
 def loop_step(
     acc: Accumulator,
     a_i: int,
-    b_shifted: BitVec,
+    b_shifted: int,
     params: ModulusParams,
     i: int = -1,
-) -> tuple[Accumulator, StepTrace]:
+    trace: bool = False,
+) -> tuple[Accumulator, StepTrace | None]:
     """Run one iteration: double, add the partial product, reduce.
 
-    ``b_shifted`` may be the n-bit register from shift_left_operand or the
-    same value already zero-extended to n+1 bits. The first addition sums
-    the doubled registers (explicitly truncated back to n+1 bits) with the
+    ``b_shifted`` is the n-bit register from shift_left_operand. The first
+    addition sums the doubled registers (masked back to n+1 bits) with the
     partial product; the second adds the reduction constant selected by
-    the predicted overflow count. ``i`` only labels the returned trace.
+    the predicted overflow count. The step's record is built only when
+    ``trace`` is set; ``i`` only labels it.
     """
     n = params.n
-    m = n + 1
+    mask = params.mask
     p, q = acc.p, acc.q
-    if b_shifted.width == n:
-        b_ext = b_shifted.zext(m)
-    elif b_shifted.width == m:
-        b_ext = b_shifted
-    else:
-        raise ContractViolation(
-            f"b_shifted width must be {n} or {m}, got {b_shifted.width}"
-        )
-
     f = lcu(
-        (p.bit(n), p.bit(n - 1), p.bit(n - 2)),
-        (q.bit(n), q.bit(n - 1), q.bit(n - 2)),
-        a_i & b_ext.bit(n - 1),
+        ((p >> n) & 1, (p >> (n - 1)) & 1, (p >> (n - 2)) & 1),
+        ((q >> n) & 1, (q >> (n - 1)) & 1, (q >> (n - 2)) & 1),
+        a_i & (b_shifted >> (n - 1)),
     )
-
-    x = p.shl(1).trunc(m)
-    y = q.shl(1).trunc(m)
-    z = b_ext if a_i else BitVec(m, 0)
-    s, c = csa(x, y, z, m)
-    ry = BitVec(m, params.rx[f])
-    p2, q2 = csa(s, c, ry, m)
-
-    zv = b_ext.value if a_i else 0
-    trace = StepTrace(
+    z = b_shifted if a_i else 0
+    s, c = csa((p << 1) & mask, (q << 1) & mask, z, mask)
+    ry = params.rx[f]
+    p2, q2 = csa(s, c, ry, mask)
+    out = Accumulator(p2, q2, n)
+    if not trace:
+        return out, None
+    return out, StepTrace(
         i=i,
         a_i=a_i,
-        p_in=p.value,
-        q_in=q.value,
-        s=s.value,
-        c=c.value,
+        p_in=p,
+        q_in=q,
+        s=s,
+        c=c,
         f=f,
-        ry=ry.value,
-        p_out=p2.value,
-        q_out=q2.value,
-        discarded=2 * (p.value + q.value) + zv + ry.value - (p2.value + q2.value),
+        ry=ry,
+        p_out=p2,
+        q_out=q2,
+        discarded=2 * (p + q) + z + ry - (p2 + q2),
     )
-    return Accumulator(p2, q2), trace
 
 
 def run_loop(
     A: int,
-    B_shifted: BitVec,
+    B_shifted: int,
     params: ModulusParams,
     trace: bool = False,
 ) -> tuple[Accumulator, list[StepTrace] | None]:
@@ -157,25 +148,17 @@ def run_loop(
     The iteration count is k, the original modulus length, regardless of
     leading zeros in A; starting from the zero pair this realizes the
     doubling expansion of A * B. On exit p + q is congruent to
-    A * value(B_shifted) modulo the shifted modulus.
+    A * B_shifted modulo the shifted modulus.
     """
+    check_int("A", A)
     if A < 0:
         raise ContractViolation(f"A >= 0 violated (A={A})")
     if A >= params.modulus:
         raise ContractViolation(f"A < R violated (A={A}, R={params.modulus})")
-    m = params.n + 1
-    if B_shifted.width == m:
-        b_ext = B_shifted
-    elif B_shifted.width == params.n:
-        b_ext = B_shifted.zext(m)
-    else:
-        raise ContractViolation(
-            f"B_shifted width must be {params.n} or {m}, got {B_shifted.width}"
-        )
-    acc = Accumulator(BitVec(m, 0), BitVec(m, 0))
+    acc = Accumulator(0, 0, params.n)
     traces: list[StepTrace] | None = [] if trace else None
     for i in range(params.k - 1, -1, -1):
-        acc, st = loop_step(acc, (A >> i) & 1, b_ext, params, i=i)
+        acc, st = loop_step(acc, (A >> i) & 1, B_shifted, params, i, trace)
         if traces is not None:
             traces.append(st)
     return acc, traces

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BitVec
 from .errors import ContractViolation, InvariantViolation
 
 __all__ = [
     "ModulusParams",
+    "check_int",
+    "check_low_bits",
     "precompute",
     "shift_left_operand",
     "shift_right_result",
@@ -35,6 +36,7 @@ class ModulusParams:
         modulus: the original reduction modulus R.
         modulus_shifted: R * 2**shift; top bit at position n-1.
         beta: 2**n, the power-of-two span the shifted pipeline works against.
+        mask: 2**(n+1) - 1, the mask of the (n+1)-bit registers.
         rn: (2**k mod R) * 2**shift, the one-span reduction constant.
         rm: ((3 * 2**k / 4) mod R) * 2**shift, the three-quarter-span constant.
         rx: four constants ((2**k * 2f) mod R) * 2**shift for f = 0..3,
@@ -50,10 +52,37 @@ class ModulusParams:
     modulus: int
     modulus_shifted: int
     beta: int
+    mask: int
     rn: int
     rm: int
     rx: tuple[int, int, int, int]
     r_bit: int
+
+
+def check_int(name: str, value: object) -> None:
+    """Reject, by name, a value that is not an int.
+
+    ``bool`` is rejected although it subclasses int, and so are integer
+    types that do not subclass it (numpy's among them): convert with int().
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ContractViolation(
+            f"{name} must be an int (got {type(value).__name__} {value!r})"
+        )
+
+
+def check_low_bits(p: int, q: int, params: ModulusParams, stage: str) -> None:
+    """Raise unless the low ``shift`` bits of both registers are clear.
+
+    Every stage promises to keep those positions clear, so that the final
+    division by 2**shift is exact; a set bit there is an internal
+    invariant breach rather than a user error.
+    """
+    if (p | q) & ((1 << params.shift) - 1):
+        raise InvariantViolation(
+            f"nonzero low bits after {stage} "
+            f"(p={p:#x}, q={q:#x}, shift={params.shift})"
+        )
 
 
 def precompute(R: int, n: int) -> ModulusParams:
@@ -64,6 +93,8 @@ def precompute(R: int, n: int) -> ModulusParams:
     scaled by 2**(n-k). They are deliberately outside the carry-save
     computational model: this runs once per modulus, not per step.
     """
+    check_int("R", R)
+    check_int("n", n)
     if n <= 2:
         raise ContractViolation(f"n > 2 violated (n={n})")
     if R < 4:
@@ -83,8 +114,7 @@ def precompute(R: int, n: int) -> ModulusParams:
         ((4 * beta_k) % R) << shift,
         ((6 * beta_k) % R) << shift,
     )
-    r_bit = (R >> (k - 2)) - 2
-    assert r_bit in (0, 1)
+    r_bit = (R >> (k - 2)) & 1
     return ModulusParams(
         n=n,
         k=k,
@@ -92,6 +122,7 @@ def precompute(R: int, n: int) -> ModulusParams:
         modulus=R,
         modulus_shifted=R << shift,
         beta=1 << n,
+        mask=(2 << n) - 1,
         rn=rn,
         rm=rm,
         rx=rx,
@@ -99,26 +130,20 @@ def precompute(R: int, n: int) -> ModulusParams:
     )
 
 
-def shift_left_operand(B: int, params: ModulusParams) -> BitVec:
+def shift_left_operand(B: int, params: ModulusParams) -> int:
     """Scale a multiplicand into the normalized domain as an n-bit register."""
+    check_int("B", B)
     if B < 0:
         raise ContractViolation(f"B >= 0 violated (B={B})")
     if B >= params.modulus:
         raise ContractViolation(f"B < R violated (B={B}, R={params.modulus})")
-    return BitVec(params.n, B << params.shift)
+    return B << params.shift
 
 
-def shift_right_result(p: BitVec, q: BitVec, params: ModulusParams) -> tuple[int, int]:
-    """Scale a result pair back out of the normalized domain.
+def shift_right_result(p: int, q: int, params: ModulusParams) -> tuple[int, int]:
+    """Scale the squeeze output pair back out of the normalized domain.
 
-    The division by 2**shift must be exact; a nonzero low bit means some
-    stage leaked value into positions the algorithm promises stay clear,
-    which is an internal invariant breach rather than a user error.
+    The division by 2**shift must be exact, which check_low_bits enforces.
     """
-    low = (1 << params.shift) - 1
-    if (p.value & low) or (q.value & low):
-        raise InvariantViolation(
-            "nonzero low bits at final shift "
-            f"(p={p.value:#x}, q={q.value:#x}, shift={params.shift})"
-        )
-    return p.value >> params.shift, q.value >> params.shift
+    check_low_bits(p, q, params, "squeeze")
+    return p >> params.shift, q >> params.shift

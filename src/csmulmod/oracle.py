@@ -1,40 +1,20 @@
 """Independent reference arithmetic used to certify the pipeline.
 
-Nothing here touches the bit-vector layer: every function works on plain
-Python integers with ordinary carry-propagating arithmetic, so a bug in
-the register model cannot hide inside its own checker.
+Nothing here calls the kernel's register code: every function uses
+ordinary carry-propagating integer arithmetic, so a bug in the register
+model cannot hide inside its own checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "OracleInstance",
     "fold_pair",
     "ref_mulmod",
     "ref_mulmod_by_addition",
     "replay_step_wide",
 ]
-
-
-@dataclass(frozen=True)
-class OracleInstance:
-    """One test instance bundled with its ground-truth residue."""
-
-    n: int
-    k: int
-    R: int
-    A: int
-    B: int
-    expected: int
-
-    @classmethod
-    def make(cls, A: int, B: int, R: int, n: int) -> "OracleInstance":
-        expected = ref_mulmod(A, B, R)
-        assert expected < R
-        return cls(n=n, k=R.bit_length(), R=R, A=A, B=B, expected=expected)
 
 
 def fold_pair(p: int, q: int, R: int) -> int:

@@ -12,8 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation
-from .mainloop import Accumulator, StepTrace, run_loop
-from .modparams import ModulusParams, precompute, shift_left_operand, shift_right_result
+from .mainloop import StepTrace, run_loop
+from .modparams import (
+    ModulusParams,
+    check_int,
+    check_low_bits,
+    precompute,
+    shift_left_operand,
+    shift_right_result,
+)
 from .oracle import fold_pair, ref_mulmod
 from .shrink import NORMAL_CYCLE_CAP, ShrinkReport, run_shrink
 from .squeeze import SqueezeReport, qcu_apply, squeeze_topup
@@ -51,15 +58,6 @@ class MulResult:
     traces: RunTrace | None
 
 
-def _check_low_bits(acc: Accumulator, params: ModulusParams, stage: str) -> None:
-    low = (1 << params.shift) - 1
-    if (acc.p.value & low) or (acc.q.value & low):
-        raise InvariantViolation(
-            f"nonzero low bits after {stage} "
-            f"(p={acc.p.value:#x}, q={acc.q.value:#x}, shift={params.shift})"
-        )
-
-
 def mulmod(
     A: int,
     B: int,
@@ -68,59 +66,46 @@ def mulmod(
     trace: bool = False,
     *,
     params: ModulusParams | None = None,
-    check_seams: bool = False,
     shrink_cycle_cap: int = NORMAL_CYCLE_CAP,
 ) -> MulResult:
     """Multiply A by B modulo R inside n-bit working registers.
 
     ``params`` lets sweeps reuse one precomputed constant set across many
-    (A, B) pairs of the same modulus. ``check_seams`` adds structural
-    assertions between stages (cleared low bits, register shapes, bounds);
-    they are off by default so bulk sweeps pay only for the computation,
-    with the external verdict left to mulmod_checked.
+    (A, B) pairs of the same modulus. ``shrink_cycle_cap`` must lie in
+    0..HUNT_CYCLE_CAP. Each input is checked once, by the stage it enters;
+    the seams between stages are checked on every call (cleared low bits
+    after each stage, squeeze outputs below the shifted modulus).
     """
     if params is None:
         params = precompute(R, n)
     else:
+        check_int("R", R)
+        check_int("n", n)
         if params.modulus != R or params.n != n:
             raise ContractViolation(
                 "params built for "
                 f"(R={params.modulus}, n={params.n}), called with (R={R}, n={n})"
             )
-    if A < 0:
-        raise ContractViolation(f"A >= 0 violated (A={A})")
-    if A >= R:
-        raise ContractViolation(f"A < R violated (A={A}, R={R})")
     b_shifted = shift_left_operand(B, params)
 
     acc, steps = run_loop(A, b_shifted, params, trace=trace)
-    if check_seams:
-        _check_low_bits(acc, params, "main loop")
+    check_low_bits(acc.p, acc.q, params, "main loop")
 
     acc, shrink_report = run_shrink(acc, params, cycle_cap=shrink_cycle_cap)
-    if check_seams:
-        _check_low_bits(acc, params, "shrink")
-        n_top = params.n
-        if acc.p.bit(n_top) or acc.q.bit(n_top) or (
-            acc.p.bit(n_top - 1) and acc.q.bit(n_top - 1)
-        ):
-            raise InvariantViolation("shrink exit shape not reached")
+    check_low_bits(acc.p, acc.q, params, "shrink")
 
-    acc = squeeze_topup(acc)
-    acc, squeeze_report = qcu_apply(acc, params)
-    if check_seams:
-        _check_low_bits(acc, params, "squeeze")
-        if acc.p.value >= params.modulus_shifted or acc.q.value >= params.modulus_shifted:
-            raise InvariantViolation(
-                "squeeze exit above the shifted modulus "
-                f"(p={acc.p.value:#x}, q={acc.q.value:#x})"
-            )
+    acc, squeeze_report = qcu_apply(squeeze_topup(acc), params)
+    if acc.p >= params.modulus_shifted or acc.q >= params.modulus_shifted:
+        raise InvariantViolation(
+            "squeeze exit above the shifted modulus "
+            f"(p={acc.p:#x}, q={acc.q:#x})"
+        )
 
     p_out, q_out = shift_right_result(acc.p, acc.q, params)
     traces = (
         RunTrace(
             params=params,
-            steps=tuple(steps or ()),
+            steps=tuple(steps),
             shrink=shrink_report,
             squeeze=squeeze_report,
         )

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BitVec, csa, top_up
-from .errors import InvariantViolation
+from .bitcore import csa, top_up
+from .errors import ContractViolation, InvariantViolation
 from .mainloop import Accumulator
-from .modparams import ModulusParams
+from .modparams import ModulusParams, check_int
 
 __all__ = [
     "NORMAL_CYCLE_CAP",
@@ -57,12 +57,13 @@ class ShrinkReport:
     snapshots: tuple[ShrinkCycle, ...]
 
 
-def scu_select(p: BitVec, q: BitVec) -> int | None:
+def scu_select(p: int, q: int, n: int) -> int | None:
     """Pick the first matching rule, or None when the exit shape is reached.
 
-    Expects the cycle's top-up to have already run, so a set top bit can
-    only live in p and a doubly-set next-to-top pair means both registers
-    carry weight there. Priority order:
+    ``p`` and ``q`` are (n+1)-bit registers. Expects the cycle's top-up to
+    have already run, so a set top bit can only live in p and a doubly-set
+    next-to-top pair means both registers carry weight there. Priority
+    order:
 
         1: both top bits set            (overflow itself pays the 2-span debt)
         2: top bit and both next bits   (add double-span constant, clear tops)
@@ -72,10 +73,9 @@ def scu_select(p: BitVec, q: BitVec) -> int | None:
     None means p and q both fit in n bits and their ANDed next-to-top bit
     is clear, which is exactly the condition the next stage requires.
     """
-    n = p.width - 1
-    pn = p.bit(n)
-    qn = q.bit(n)
-    pq_next = p.bit(n - 1) & q.bit(n - 1)
+    pn = (p >> n) & 1
+    qn = (q >> n) & 1
+    pq_next = ((p & q) >> (n - 1)) & 1
     if pn & qn:
         return 1
     if pn & pq_next:
@@ -89,52 +89,53 @@ def scu_select(p: BitVec, q: BitVec) -> int | None:
 
 def shrink_cycle(
     acc: Accumulator, params: ModulusParams
-) -> tuple[Accumulator, int | None]:
+) -> tuple[Accumulator, ShrinkCycle | None]:
     """Run one cycle: top-up the two top bit positions, then apply one rule.
 
-    Returns the new accumulator and the fired rule id, or None when no rule
-    matched (the accumulator then carries only the top-up, which preserves
-    the pair's sum). Every rule performs its addition in the (n+1)-bit
-    carry-save adder and clears bits afterwards; the cleared bits are
-    always set at clearing time, which is asserted here because a failure
-    would otherwise surface only as a wrong residue much later.
+    Returns the new accumulator and the record of the fired rule, or None
+    when no rule matched (the accumulator then carries only the top-up,
+    which preserves the pair's sum). Every rule performs its addition in
+    the (n+1)-bit carry-save adder and clears bits afterwards; the cleared
+    bits are always set at clearing time, which is checked here because a
+    failure would otherwise surface only as a wrong residue much later.
     """
     n = params.n
-    m = n + 1
-    p, q = top_up(acc.p, acc.q, (n, n - 1))
-    rule = scu_select(p, q)
+    p, q = top_up(acc.p, acc.q, 3 << (n - 1))
+    rule = scu_select(p, q, n)
     if rule is None:
-        return Accumulator(p, q), None
+        return Accumulator(p, q, n), None
 
-    const = BitVec(m, params.rx[1] if rule <= 2 else params.rn)
-    before = p.value + q.value
-    s, c = csa(p, q, const, m)
+    const = params.rx[1] if rule <= 2 else params.rn
+    s, c = csa(p, q, const, params.mask)
+    dropped = p + q + const - (s + c)
+    top = 1 << n
 
     if rule == 1:
         # No bits cleared: the adder's own truncation drops exactly one
         # doubled span, balanced by the double-span constant just added.
-        dropped = before + const.value - (s.value + c.value)
         if dropped != 2 * params.beta:
             raise InvariantViolation(
                 f"rule 1 expected to discard {2 * params.beta}, got {dropped}"
             )
         out_p, out_q = s, c
     else:
-        if before + const.value != s.value + c.value:
+        if dropped:
             raise InvariantViolation("adder lost a bit outside rule 1")
         if rule == 2:
-            if not (s.bit(n) and c.bit(n)):
+            if not s & c & top:
                 raise InvariantViolation("rule 2 clearing unset top bits")
-            out_p, out_q = s.clear_bit(n), c.clear_bit(n)
+            out_p, out_q = s & ~top, c & ~top
         elif rule == 3:
-            if not s.bit(n):
+            if not s & top:
                 raise InvariantViolation("rule 3 clearing an unset top bit")
-            out_p, out_q = s.clear_bit(n), c
+            out_p, out_q = s & ~top, c
         else:
-            if not c.bit(n):
+            if not c & top:
                 raise InvariantViolation("rule 4 clearing an unset top bit")
-            out_p, out_q = s, c.clear_bit(n)
-    return Accumulator(out_p, out_q), rule
+            out_p, out_q = s, c & ~top
+    return Accumulator(out_p, out_q, n), ShrinkCycle(
+        topup_p=p, topup_q=q, rule=rule, p=out_p, q=out_q
+    )
 
 
 def run_shrink(
@@ -144,43 +145,37 @@ def run_shrink(
 ) -> tuple[Accumulator, ShrinkReport]:
     """Cycle until the exit shape is reached, within the given cap.
 
-    The default cap is the proven worst case; needing more cycles than
-    that is a fatal contract breach. A larger cap (up to the trivial
-    bound of 7) is meant for instrumented hunts that record high cycle
-    counts instead of treating 5 as instantly fatal.
+    The cap must lie in 0..HUNT_CYCLE_CAP. The default is the proven worst
+    case; needing more cycles than the cap is a fatal contract breach. A
+    larger cap (up to the trivial bound of 7) is meant for instrumented
+    hunts that record high cycle counts instead of treating 5 as
+    instantly fatal.
     """
-    entry_p, entry_q = acc.p.value, acc.q.value
-    rules: list[int] = []
+    check_int("shrink cycle cap", cycle_cap)
+    if not 0 <= cycle_cap <= HUNT_CYCLE_CAP:
+        raise ContractViolation(
+            f"0 <= shrink cycle cap <= {HUNT_CYCLE_CAP} violated "
+            f"(cap={cycle_cap})"
+        )
+    entry = acc
     snapshots: list[ShrinkCycle] = []
     while True:
-        new_acc, rule = shrink_cycle(acc, params)
-        if rule is None:
-            acc = new_acc
+        acc, cycle = shrink_cycle(acc, params)
+        if cycle is None:
             break
-        if len(rules) >= cycle_cap:
+        if len(snapshots) >= cycle_cap:
             raise InvariantViolation(
                 f"shrink needed more than {cycle_cap} cycles "
-                f"(entry p={entry_p:#x}, q={entry_q:#x})"
+                f"(entry p={entry.p:#x}, q={entry.q:#x})"
             )
-        rules.append(rule)
-        topup_p, topup_q = top_up(acc.p, acc.q, (params.n, params.n - 1))
-        snapshots.append(
-            ShrinkCycle(
-                topup_p=topup_p.value,
-                topup_q=topup_q.value,
-                rule=rule,
-                p=new_acc.p.value,
-                q=new_acc.q.value,
-            )
-        )
-        acc = new_acc
+        snapshots.append(cycle)
     report = ShrinkReport(
-        cycles=len(rules),
-        rules_fired=tuple(rules),
-        entry_p=entry_p,
-        entry_q=entry_q,
-        exit_p=acc.p.value,
-        exit_q=acc.q.value,
+        cycles=len(snapshots),
+        rules_fired=tuple(cycle.rule for cycle in snapshots),
+        entry_p=entry.p,
+        entry_q=entry.q,
+        exit_p=acc.p,
+        exit_q=acc.q,
         snapshots=tuple(snapshots),
     )
     return acc, report

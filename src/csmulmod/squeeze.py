@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitcore import BitVec, csa, top_up
+from .bitcore import csa, top_up
 from .errors import InvariantViolation
 from .mainloop import Accumulator
 from .modparams import ModulusParams
@@ -51,19 +51,18 @@ def squeeze_topup(acc: Accumulator) -> Accumulator:
     bit n-1 not set in both registers at once. That makes the treated
     bit n-1 of q always end up clear, so q fits in n-1 bits afterwards.
     """
-    n = acc.p.width - 1
-    if acc.p.bit(n) or acc.q.bit(n):
+    n, p, q = acc.n, acc.p, acc.q
+    if (p | q) >> n:
         raise InvariantViolation(
-            "squeeze entered with a set top bit "
-            f"(p={acc.p.value:#x}, q={acc.q.value:#x})"
+            f"squeeze entered with a set top bit (p={p:#x}, q={q:#x})"
         )
-    if acc.p.bit(n - 1) and acc.q.bit(n - 1):
+    if ((p & q) >> (n - 1)) & 1:
         raise InvariantViolation(
             "squeeze entered with both next-to-top bits set "
-            f"(p={acc.p.value:#x}, q={acc.q.value:#x})"
+            f"(p={p:#x}, q={q:#x})"
         )
-    p, q = top_up(acc.p, acc.q, (n - 1, n - 2))
-    return Accumulator(p, q)
+    p, q = top_up(p, q, 3 << (n - 2))
+    return Accumulator(p, q, n)
 
 
 def qcu_apply(
@@ -88,51 +87,38 @@ def qcu_apply(
     the bit edits and add the constant congruent to it.
     """
     n = params.n
-    m = n + 1
     p, q = acc.p, acc.q
-    p3 = p.bit(n - 1)
-    p2 = p.bit(n - 2)
-    q2 = q.bit(n - 2)
+    hi = 1 << (n - 1)
+    lo = 1 << (n - 2)
 
-    if not p3:
+    if not p & hi:
         rule = 1
         edited = out = acc
-    elif q2:
+    elif q & lo:
         rule = 2
-        ep = p.clear_bit(n - 1).clear_bit(n - 2)
-        eq = q.clear_bit(n - 2)
-        edited = Accumulator(ep, eq)
-        s, c = csa(ep, eq, BitVec(m, params.rn), m)
-        out = Accumulator(s, c)
-    elif not params.r_bit and p2:
+        edited = Accumulator(p & ~(hi | lo), q & ~lo, n)
+        out = Accumulator(*csa(edited.p, edited.q, params.rn, params.mask), n)
+    elif not params.r_bit and p & lo:
         rule = 3
-        ep = p.clear_bit(n - 1).clear_bit(n - 2)
-        edited = Accumulator(ep, q)
-        s, c = csa(ep, q, BitVec(m, params.rm), m)
-        out = Accumulator(s, c)
-    elif not params.r_bit and not p2:
+        edited = Accumulator(p & ~(hi | lo), q, n)
+        out = Accumulator(*csa(edited.p, q, params.rm, params.mask), n)
+    elif not params.r_bit:
         rule = 4
-        edited = out = Accumulator(
-            p.clear_bit(n - 1).set_bit(n - 2), q.set_bit(n - 2)
-        )
-    elif params.r_bit and not p2:
+        edited = out = Accumulator((p & ~hi) | lo, q | lo, n)
+    elif not p & lo:
         rule = 5
         edited = out = acc
-    elif params.r_bit and p2:
+    else:
         rule = 6
-        edited = out = Accumulator(p.clear_bit(n - 2), q.set_bit(n - 2))
-    else:  # pragma: no cover - the conditions above are exhaustive
-        raise InvariantViolation(
-            f"no final reduction rule matched (p={p.value:#x}, q={q.value:#x})"
-        )
+        edited = out = Accumulator(p & ~lo, q | lo, n)
 
     report = SqueezeReport(
         rule=rule,
-        entry_p=p.value,
-        entry_q=q.value,
-        edited_p=edited.p.value,
-        edited_q=edited.q.value,
-        exit_p=out.p.value,
-        exit_q=out.q.value,
+        entry_p=p,
+        entry_q=q,
+        edited_p=edited.p,
+        edited_q=edited.q,
+        exit_p=out.p,
+        exit_q=out.q,
     )
     return out, report

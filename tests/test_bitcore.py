@@ -4,16 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmulmod import BitVec, WidthError, band, bnot, bor, bxor, csa, maj2of3, top_up
+from csmulmod import BitVec, WidthError, csa, maj2of3, top_up
 
 
 @st.composite
 def same_width(draw, count=2, max_width=64):
+    """A register width and ``count`` register values that fit in it."""
     w = draw(st.integers(min_value=1, max_value=max_width))
-    return [
-        BitVec(w, draw(st.integers(min_value=0, max_value=(1 << w) - 1)))
-        for _ in range(count)
-    ]
+    values = [draw(st.integers(min_value=0, max_value=(1 << w) - 1)) for _ in range(count)]
+    return w, values
+
+
+@st.composite
+def same_width_vecs(draw, count=2):
+    w, values = draw(same_width(count=count))
+    return [BitVec(w, v) for v in values]
+
+
+def bit(v, i):
+    return (v >> i) & 1
 
 
 class TestBitVec:
@@ -53,133 +62,121 @@ class TestBitVec:
 
     def test_width_mismatch_rejected(self):
         a, b = BitVec(4, 1), BitVec(5, 1)
-        for op in (bxor, band, bor):
+        for op in (lambda x, y: x ^ y, lambda x, y: x & y, lambda x, y: x | y):
             with pytest.raises(WidthError):
                 op(a, b)
         with pytest.raises(WidthError):
-            maj2of3(a, a, b)
-        with pytest.raises(WidthError):
             a == b
-        with pytest.raises(WidthError):
-            csa(a, a, a, 5)
-        with pytest.raises(WidthError):
-            top_up(a, b, [0])
 
 
 class TestBoolOps:
+    """BitVec's operators stay within the vector's width."""
+
     def test_and_identity_mask(self):
-        assert band(BitVec(4, 0b1111), BitVec(4, 0b0001)) == BitVec(4, 0b0001)
+        assert BitVec(4, 0b1111) & BitVec(4, 0b0001) == BitVec(4, 0b0001)
 
     def test_or_disjoint_masks(self):
-        assert bor(BitVec(4, 0b1010), BitVec(4, 0b0101)) == BitVec(4, 0b1111)
+        assert BitVec(4, 0b1010) | BitVec(4, 0b0101) == BitVec(4, 0b1111)
 
-    @given(same_width(count=1))
+    @given(same_width_vecs(count=1))
     def test_xor_self_inverse(self, vecs):
         (x,) = vecs
-        assert bxor(x, x).value == 0
+        assert (x ^ x).value == 0
 
-    @given(same_width(count=1))
+    @given(same_width_vecs(count=1))
     def test_not_involution(self, vecs):
         (x,) = vecs
-        assert bnot(bnot(x)) == x
+        assert ~~x == x
+        assert (x ^ ~x).value == (1 << x.width) - 1
 
 
 class TestMajority:
     def test_truth_table_example(self):
-        got = maj2of3(BitVec(3, 0b110), BitVec(3, 0b011), BitVec(3, 0b101))
-        assert got == BitVec(3, 0b111)
+        assert maj2of3(0b110, 0b011, 0b101) == 0b111
 
     def test_matches_per_bit_vote(self):
         # independent per-bit oracle over every 3-bit combination
         for a, b, c in itertools.product(range(8), repeat=3):
-            got = maj2of3(BitVec(3, a), BitVec(3, b), BitVec(3, c))
+            got = maj2of3(a, b, c)
+            assert got < 8
             for i in range(3):
-                votes = ((a >> i) & 1) + ((b >> i) & 1) + ((c >> i) & 1)
-                assert got.bit(i) == (1 if votes >= 2 else 0)
+                votes = bit(a, i) + bit(b, i) + bit(c, i)
+                assert bit(got, i) == (1 if votes >= 2 else 0)
 
     @given(same_width(count=2))
-    def test_two_identical_votes_win(self, vecs):
-        x, z = vecs
+    def test_two_identical_votes_win(self, wv):
+        _, (x, z) = wv
         assert maj2of3(x, x, z) == x
 
     @given(same_width(count=1))
-    def test_single_vote_loses(self, vecs):
-        (z,) = vecs
-        zero = BitVec(z.width, 0)
-        assert maj2of3(zero, zero, z) == zero
+    def test_single_vote_loses(self, wv):
+        _, (z,) = wv
+        assert maj2of3(0, 0, z) == 0
 
     @given(same_width(count=3))
-    def test_commutative(self, vecs):
-        x, y, z = vecs
-        expected = maj2of3(x, y, z)
-        for perm in itertools.permutations((x, y, z)):
+    def test_commutative(self, wv):
+        _, vals = wv
+        expected = maj2of3(*vals)
+        for perm in itertools.permutations(vals):
             assert maj2of3(*perm) == expected
 
 
 class TestCsa:
     def test_carry_chain_collapses_to_one_step(self):
-        s, c = csa(BitVec(5, 15), BitVec(5, 1), BitVec(5, 0), 5)
-        assert (s.value, c.value) == (14, 2)
-        assert s.value + c.value == 16
+        s, c = csa(15, 1, 0, 0b11111)
+        assert (s, c) == (14, 2)
+        assert s + c == 16
 
     def test_top_bit_erasure(self):
-        s, c = csa(BitVec(4, 8), BitVec(4, 8), BitVec(4, 0), 4)
-        assert (s.value, c.value) == (0, 0)
+        assert csa(8, 8, 0, 0b1111) == (0, 0)
 
     @given(same_width(count=1, max_width=16))
-    def test_zero_operands_pass_through(self, vecs):
-        (z,) = vecs
-        zero = BitVec(z.width, 0)
-        s, c = csa(zero, zero, z, z.width)
-        assert s == z and c.value == 0
+    def test_zero_operands_pass_through(self, wv):
+        w, (z,) = wv
+        assert csa(0, 0, z, (1 << w) - 1) == (z, 0)
 
     def test_loss_is_exactly_the_top_majority_bit(self):
         # brute force over every operand triple up to width six
         for m in range(1, 7):
-            top = 1 << (m - 1)
+            mask = (1 << m) - 1
             for x, y, z in itertools.product(range(1 << m), repeat=3):
-                s, c = csa(BitVec(m, x), BitVec(m, y), BitVec(m, z), m)
-                votes = bool(x & top) + bool(y & top) + bool(z & top)
+                s, c = csa(x, y, z, mask)
+                assert s <= mask and c <= mask
+                votes = bit(x, m - 1) + bit(y, m - 1) + bit(z, m - 1)
                 lost = (1 << m) if votes >= 2 else 0
-                assert x + y + z - (s.value + c.value) == lost
+                assert x + y + z - (s + c) == lost
 
 
 class TestTopUp:
     def test_lone_bit_migrates(self):
-        p, q = top_up(BitVec(1, 0), BitVec(1, 1), [0])
-        assert (p.value, q.value) == (1, 0)
+        assert top_up(0, 1, 0b1) == (1, 0)
 
     def test_double_bit_fixed_point(self):
-        p, q = top_up(BitVec(1, 1), BitVec(1, 1), [0])
-        assert (p.value, q.value) == (1, 1)
+        assert top_up(1, 1, 0b1) == (1, 1)
 
     def test_two_position_example(self):
-        p, q = top_up(BitVec(4, 0b1010), BitVec(4, 0b0100), {3, 2})
-        assert (p.value, q.value) == (0b1110, 0b0000)
-        assert p.value + q.value == 0b1010 + 0b0100
+        p, q = top_up(0b1010, 0b0100, 0b1100)
+        assert (p, q) == (0b1110, 0b0000)
+        assert p + q == 0b1010 + 0b0100
 
     def test_all_bit_combinations_per_position(self):
         for pi, qi in itertools.product((0, 1), repeat=2):
-            p, q = top_up(BitVec(1, pi), BitVec(1, qi), [0])
-            assert p.value + q.value == pi + qi
-            assert p.value == pi | qi
-            assert q.value == pi & qi
+            p, q = top_up(pi, qi, 0b1)
+            assert p + q == pi + qi
+            assert p == pi | qi
+            assert q == pi & qi
 
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            top_up(BitVec(4, 0), BitVec(4, 0), [4])
-
-    @given(same_width(count=2, max_width=16), st.sets(st.integers(0, 15)))
-    def test_sum_preserved_everywhere(self, vecs, positions):
-        p, q = vecs
-        positions = {i for i in positions if i < p.width}
+    @given(same_width(count=2, max_width=16), st.integers(0, (1 << 16) - 1))
+    def test_sum_preserved_everywhere(self, wv, positions):
+        w, (p, q) = wv
+        positions &= (1 << w) - 1
         p2, q2 = top_up(p, q, positions)
-        assert p2.value + q2.value == p.value + q.value
-        for i in range(p.width):
-            if i in positions:
-                assert not (q2.bit(i) and not p2.bit(i))
+        assert p2 + q2 == p + q
+        for i in range(w):
+            if bit(positions, i):
+                assert not (bit(q2, i) and not bit(p2, i))
             else:
-                assert p2.bit(i) == p.bit(i) and q2.bit(i) == q.bit(i)
+                assert bit(p2, i) == bit(p, i) and bit(q2, i) == bit(q, i)
 
 
 class TestSumRewrites:
@@ -190,28 +187,25 @@ class TestSumRewrites:
     """
 
     @given(same_width(count=2))
-    def test_xor_and_carry(self, vecs):
-        x, y = vecs
-        assert x.value + y.value == bxor(x, y).value + 2 * band(x, y).value
+    def test_xor_and_carry(self, wv):
+        _, (x, y) = wv
+        assert x + y == (x ^ y) + 2 * (x & y)
 
     @given(same_width(count=2))
-    def test_or_plus_and(self, vecs):
-        x, y = vecs
-        assert x.value + y.value == bor(x, y).value + band(x, y).value
+    def test_or_plus_and(self, wv):
+        _, (x, y) = wv
+        assert x + y == (x | y) + (x & y)
 
     @given(same_width(count=3))
-    def test_or_majority_and(self, vecs):
-        x, y, z = vecs
-        lhs = x.value + y.value + z.value
-        rhs = (
-            bor(bor(x, y), z).value
-            + maj2of3(x, y, z).value
-            + band(band(x, y), z).value
-        )
-        assert lhs == rhs
+    def test_or_majority_and(self, wv):
+        _, (x, y, z) = wv
+        assert x + y + z == (x | y | z) + maj2of3(x, y, z) + (x & y & z)
 
     @given(same_width(count=3))
-    def test_xor_plus_double_majority(self, vecs):
-        x, y, z = vecs
-        lhs = x.value + y.value + z.value
-        assert lhs == bxor(bxor(x, y), z).value + 2 * maj2of3(x, y, z).value
+    def test_xor_plus_double_majority(self, wv):
+        w, (x, y, z) = wv
+        assert x + y + z == (x ^ y ^ z) + 2 * maj2of3(x, y, z)
+        # the same identity through the adder the kernel uses, one bit wider
+        # so nothing is erased
+        s, c = csa(x, y, z, (2 << w) - 1)
+        assert x + y + z == s + c

@@ -161,3 +161,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "invariant breach" in err
+
+    def test_unexpected_error_maps_to_exit_3(self, capsys, monkeypatch):
+        import csmulmod.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic fault")
+
+        monkeypatch.setattr(cli_mod, "mulmod", boom)
+        code, _, err = run_cli(
+            capsys, "mulmod", "--n", "8", "--mod", "AD", "--a", "1", "--b", "1"
+        )
+        assert code == 3
+        assert "internal error: ValueError: synthetic fault" in err
+        assert "Traceback" not in err
+
+    def test_parser_is_built_once(self, capsys):
+        from csmulmod.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        for _ in range(2):
+            code, out, _ = run_cli(
+                capsys, "mulmod", "--n", "8", "--mod", "AD", "--a", "3F", "--b", "79"
+            )
+            assert code == 0 and out.startswith("P=46 Q=72")

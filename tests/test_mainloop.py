@@ -5,7 +5,6 @@ import pytest
 
 from csmulmod import (
     Accumulator,
-    BitVec,
     ContractViolation,
     lcu,
     loop_step,
@@ -60,25 +59,28 @@ class TestLcu:
 class TestLoopStep:
     def test_first_step_loads_the_multiplicand(self):
         params = precompute(13, 4)
-        acc = Accumulator(BitVec(5, 0), BitVec(5, 0))
+        acc = Accumulator(0, 0, 4)
         b = shift_left_operand(11, params)
-        acc2, trace = loop_step(acc, 1, b, params)
-        assert (acc2.p.value, acc2.q.value) == (11, 0)
+        acc2, trace = loop_step(acc, 1, b, params, trace=True)
+        assert (acc2.p, acc2.q, acc2.n) == (11, 0, 4)
         assert (trace.s, trace.c, trace.f, trace.ry) == (11, 0, 0, 0)
         assert trace.discarded == 0
 
     def test_zero_bit_keeps_zero_state(self):
         params = precompute(13, 4)
-        acc = Accumulator(BitVec(5, 0), BitVec(5, 0))
-        acc2, trace = loop_step(acc, 0, shift_left_operand(11, params), params)
-        assert (acc2.p.value, acc2.q.value) == (0, 0)
+        acc = Accumulator(0, 0, 4)
+        acc2, trace = loop_step(acc, 0, shift_left_operand(11, params), params, trace=True)
+        assert (acc2.p, acc2.q) == (0, 0)
         assert trace.f == 0
 
-    def test_rejects_unrelated_widths(self):
+    def test_record_built_only_when_traced(self):
         params = precompute(13, 4)
-        acc = Accumulator(BitVec(5, 0), BitVec(5, 0))
-        with pytest.raises(ContractViolation):
-            loop_step(acc, 1, BitVec(7, 3), params)
+        b = shift_left_operand(11, params)
+        acc = Accumulator(0b10110, 0b01100, 4)
+        plain, none = loop_step(acc, 1, b, params)
+        traced, record = loop_step(acc, 1, b, params, trace=True)
+        assert none is None and plain == traced
+        assert (record.p_out, record.q_out) == (plain.p, plain.q)
 
     def test_step_contracts_randomized(self):
         # residue preservation, drop accounting, predictor independence,
@@ -96,18 +98,20 @@ class TestLoopStep:
             a_i = rng.randint(0, 1)
             B = rng.randrange(R)
             b = shift_left_operand(B, params)
-            acc2, tr = loop_step(Accumulator(BitVec(m, p), BitVec(m, q)), a_i, b, params)
+            acc2, tr = loop_step(Accumulator(p, q, n), a_i, b, params, trace=True)
             span2 = 1 << m
             rs = params.modulus_shifted
             assert tr.f < 4
             assert tr.discarded == tr.f * span2
-            assert (tr.p_out + tr.q_out) % rs == (2 * (p + q) + a_i * b.value) % rs
-            drops = replay_step_wide(p, q, a_i, b.value, params.rx, n)
+            assert (tr.p_out, tr.q_out) == (acc2.p, acc2.q)
+            assert acc2.p >> m == 0 and acc2.q >> m == 0
+            assert (tr.p_out + tr.q_out) % rs == (2 * (p + q) + a_i * b) % rs
+            drops = replay_step_wide(p, q, a_i, b, params.rx, n)
             assert set(drops) == {tr.f * span2}
             assert exclusion_identities_hold(
                 (p >> n) & 1, (p >> (n - 1)) & 1, (p >> (n - 2)) & 1,
                 (q >> n) & 1, (q >> (n - 1)) & 1, (q >> (n - 2)) & 1,
-                a_i & b.bit(n - 1),
+                a_i & (b >> (n - 1)) & 1,
             )
             assert tr.p_out & mask_low == 0 and tr.q_out & mask_low == 0
 
@@ -116,20 +120,20 @@ class TestRunLoop:
     def test_zero_multiplier(self):
         params = precompute(173, 8)
         acc, traces = run_loop(0, shift_left_operand(121, params), params, trace=True)
-        assert (acc.p.value, acc.q.value) == (0, 0)
+        assert (acc.p, acc.q) == (0, 0)
         assert len(traces) == params.k  # leading zeros still take iterations
 
     def test_identity_multiplier(self):
         params = precompute(173, 8)
         b = shift_left_operand(121, params)
         acc, _ = run_loop(1, b, params)
-        assert (acc.p.value + acc.q.value) % params.modulus_shifted == b.value
+        assert (acc.p + acc.q) % params.modulus_shifted == b
 
     def test_known_instance_residue_at_exit(self):
         params = precompute(173, 8)
         acc, _ = run_loop(63, shift_left_operand(121, params), params)
         expected = ref_mulmod(63, 121, 173)
-        assert (acc.p.value + acc.q.value) % 173 == expected == 11
+        assert (acc.p + acc.q) % 173 == expected == 11
 
     def test_rejects_multiplier_at_or_above_modulus(self):
         params = precompute(173, 8)
@@ -138,6 +142,9 @@ class TestRunLoop:
             run_loop(173, b, params)
         with pytest.raises(ContractViolation, match="A >= 0"):
             run_loop(-1, b, params)
+        for bad in (3.0, True, "3"):
+            with pytest.raises(ContractViolation, match="A must be an int"):
+                run_loop(bad, b, params)
 
     def test_exit_residue_exhaustive_small(self):
         for R in range(8, 16):
@@ -146,7 +153,7 @@ class TestRunLoop:
                 b = shift_left_operand(B, params)
                 for A in range(R):
                     acc, _ = run_loop(A, b, params)
-                    assert (acc.p.value + acc.q.value) % R == (A * B) % R
+                    assert (acc.p + acc.q) % R == (A * B) % R
 
     def test_shift_path_keeps_low_bits_clear(self):
         params = precompute(13, 8)

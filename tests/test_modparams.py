@@ -1,7 +1,6 @@
 import pytest
 
 from csmulmod import (
-    BitVec,
     ContractViolation,
     InvariantViolation,
     precompute,
@@ -20,6 +19,7 @@ class TestPrecompute:
         assert p.rx == (0, 512 % 173, 1024 % 173, 1536 % 173) == (0, 166, 159, 152)
         assert p.r_bit == 173 // 64 - 2 == 0
         assert p.modulus_shifted == 173 and p.beta == 256
+        assert p.mask == 0b111111111
 
     def test_power_of_two_modulus(self):
         p = precompute(128, 8)
@@ -43,6 +43,14 @@ class TestPrecompute:
             precompute(3, 8)
         with pytest.raises(ContractViolation, match="bit-length"):
             precompute(173, 7)
+
+    def test_rejects_non_int_inputs_by_name(self):
+        for bad in (173.0, True, "AD", None):
+            with pytest.raises(ContractViolation, match="R must be an int"):
+                precompute(bad, 8)
+        for bad in (8.0, False, "8"):
+            with pytest.raises(ContractViolation, match="n must be an int"):
+                precompute(173, bad)
 
     def test_constants_reduced_and_congruent(self):
         # every stored constant is the scaled reduction of its defining
@@ -85,14 +93,14 @@ class TestPrecompute:
 class TestShiftLeft:
     def test_scales_by_the_gap(self):
         p = precompute(13, 6)
-        assert shift_left_operand(11, p) == BitVec(6, 44)
+        assert shift_left_operand(11, p) == 44
 
     def test_zero(self):
-        assert shift_left_operand(0, precompute(13, 6)).value == 0
+        assert shift_left_operand(0, precompute(13, 6)) == 0
 
     def test_identity_when_full_width(self):
         p = precompute(173, 8)
-        assert shift_left_operand(121, p) == BitVec(8, 121)
+        assert shift_left_operand(121, p) == 121
 
     def test_rejects_operand_at_or_above_modulus(self):
         p = precompute(13, 6)
@@ -100,18 +108,23 @@ class TestShiftLeft:
             shift_left_operand(13, p)
         with pytest.raises(ContractViolation, match="B >= 0"):
             shift_left_operand(-1, p)
+        for bad in (3.0, True):
+            with pytest.raises(ContractViolation, match="B must be an int"):
+                shift_left_operand(bad, p)
 
 
 class TestShiftRight:
     def test_exact_division(self):
         p = precompute(13, 6)
-        assert shift_right_result(BitVec(7, 44), BitVec(7, 0), p) == (11, 0)
+        assert shift_right_result(44, 0, p) == (11, 0)
 
     def test_identity_when_full_width(self):
         p = precompute(173, 8)
-        assert shift_right_result(BitVec(9, 70), BitVec(9, 114), p) == (70, 114)
+        assert shift_right_result(70, 114, p) == (70, 114)
 
     def test_inexact_division_is_a_breach(self):
         p = precompute(13, 6)
         with pytest.raises(InvariantViolation, match="low bits"):
-            shift_right_result(BitVec(7, 1), BitVec(7, 0), p)
+            shift_right_result(1, 0, p)
+        with pytest.raises(InvariantViolation, match="low bits"):
+            shift_right_result(0, 2, p)

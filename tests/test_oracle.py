@@ -3,7 +3,6 @@ import random
 import pytest
 
 from csmulmod import (
-    OracleInstance,
     fold_pair,
     lcu,
     precompute,
@@ -35,13 +34,6 @@ class TestRefMulmod:
                 for A in range(R):
                     for B in range(R):
                         assert ref_mulmod(A, B, R) == ref_mulmod_by_addition(A, B, R)
-
-
-class TestOracleInstance:
-    def test_bundles_the_expected_residue(self):
-        inst = OracleInstance.make(63, 121, 173, 8)
-        assert (inst.k, inst.expected) == (8, 11)
-        assert inst.expected < inst.R
 
 
 class TestFoldPair:

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from csmulmod import (
+    HUNT_CYCLE_CAP,
     ContractViolation,
+    InvariantViolation,
     mulmod,
     mulmod_checked,
     precompute,
@@ -42,6 +44,31 @@ class TestMulmod:
         with pytest.raises(ContractViolation, match="A >= 0"):
             mulmod(-1, 1, 173, 8)
 
+    def test_non_int_inputs_named(self):
+        params = precompute(173, 8)
+        for bad in (3.0, True):
+            with pytest.raises(ContractViolation, match="A must be an int"):
+                mulmod(bad, 1, 173, 8)
+            with pytest.raises(ContractViolation, match="B must be an int"):
+                mulmod(1, bad, 173, 8)
+        for reuse in (None, params):
+            with pytest.raises(ContractViolation, match="R must be an int"):
+                mulmod(1, 1, 173.0, 8, params=reuse)
+            with pytest.raises(ContractViolation, match="n must be an int"):
+                mulmod(1, 1, 173, 8.0, params=reuse)
+
+    def test_shrink_cycle_cap_range(self):
+        for cap in (-1, HUNT_CYCLE_CAP + 1):
+            with pytest.raises(ContractViolation, match="shrink cycle cap"):
+                mulmod(1, 1, 173, 8, shrink_cycle_cap=cap)
+        with pytest.raises(ContractViolation, match="shrink cycle cap must be an int"):
+            mulmod(1, 1, 173, 8, shrink_cycle_cap=4.0)
+        for cap in range(HUNT_CYCLE_CAP + 1):
+            # (1 * 1) needs no shrink cycle, so every in-range cap passes
+            assert mulmod(1, 1, 173, 8, shrink_cycle_cap=cap).shrink_cycles == 0
+        with pytest.raises(InvariantViolation, match="more than 2 cycles"):
+            mulmod(63, 121, 173, 8, shrink_cycle_cap=2)  # needs three
+
     def test_params_reuse_must_match(self):
         params = precompute(11, 4)
         with pytest.raises(ContractViolation, match="params built for"):
@@ -71,10 +98,23 @@ class TestMulmod:
             R = rng.randrange(1 << (k - 1), 1 << k)
             A = rng.randrange(R)
             B = rng.randrange(R)
-            result = mulmod(A, B, R, n, check_seams=True)
+            result = mulmod(A, B, R, n)
             assert (result.p + result.q) % R == (A * B) % R
             assert result.p < R and result.q < R
             assert result.p + result.q < 2 * R
+
+    def test_seam_checks_catch_low_bit_leaks(self):
+        # an odd reduction constant on the shift path sets a bit the
+        # final division would drop; the first seam names the stage
+        params = precompute(13, 8)
+        bad = dataclasses.replace(params, rx=(0, params.rx[1] | 1, params.rx[2], params.rx[3]))
+        leaked = [
+            A for A in range(13)
+            if any(st.f == 1 for st in mulmod(A, 12, 13, 8, trace=True).traces.steps)
+        ]
+        assert leaked
+        with pytest.raises(InvariantViolation, match="low bits after main loop"):
+            mulmod(leaked[0], 12, 13, 8, params=bad)
 
 
 class TestMulmodChecked:

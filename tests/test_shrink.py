@@ -1,8 +1,9 @@
 import pytest
 
 from csmulmod import (
+    HUNT_CYCLE_CAP,
     Accumulator,
-    BitVec,
+    ContractViolation,
     InvariantViolation,
     precompute,
     run_loop,
@@ -17,61 +18,67 @@ P13 = precompute(13, 4)  # rn=3, rx[1]=6
 
 
 def acc5(p, q):
-    return Accumulator(BitVec(5, p), BitVec(5, q))
+    return Accumulator(p, q, 4)
+
+
+def bit(v, i):
+    return (v >> i) & 1
 
 
 class TestScuSelect:
     def test_both_top_bits(self):
-        assert scu_select(BitVec(5, 0b10000), BitVec(5, 0b10000)) == 1
+        assert scu_select(0b10000, 0b10000, 4) == 1
 
     def test_top_bit_with_next_pair(self):
-        assert scu_select(BitVec(5, 0b11000), BitVec(5, 0b01000)) == 2
+        assert scu_select(0b11000, 0b01000, 4) == 2
 
     def test_top_bit_alone(self):
-        assert scu_select(BitVec(5, 0b10000), BitVec(5, 0)) == 3
+        assert scu_select(0b10000, 0, 4) == 3
 
     def test_next_pair_alone(self):
-        assert scu_select(BitVec(5, 0b01000), BitVec(5, 0b01000)) == 4
+        assert scu_select(0b01000, 0b01000, 4) == 4
 
     def test_done_on_zero(self):
-        assert scu_select(BitVec(5, 0), BitVec(5, 0)) is None
+        assert scu_select(0, 0, 4) is None
 
     def test_done_is_exactly_the_exit_shape(self):
         # on post-top-up states, None exactly when both top bits are clear
         # and the next-to-top pair is not doubly set
         for raw_p in range(32):
             for raw_q in range(32):
-                p, q = top_up(BitVec(5, raw_p), BitVec(5, raw_q), (4, 3))
-                rule = scu_select(p, q)
+                p, q = top_up(raw_p, raw_q, 0b11000)
+                rule = scu_select(p, q, 4)
                 exit_shape = (
-                    not p.bit(4) and not q.bit(4) and not (p.bit(3) and q.bit(3))
+                    not bit(p, 4) and not bit(q, 4) and not (bit(p, 3) and bit(q, 3))
                 )
                 assert (rule is None) == exit_shape
 
 
 class TestShrinkCycle:
     def test_worked_example_rule2(self):
-        acc, rule = shrink_cycle(acc5(24, 8), P13)
-        assert rule == 2
-        assert (acc.p.value, acc.q.value) == (6, 0)
+        acc, cycle = shrink_cycle(acc5(24, 8), P13)
+        assert cycle.rule == 2
+        assert (acc.p, acc.q) == (cycle.p, cycle.q) == (6, 0)
+        assert (cycle.topup_p, cycle.topup_q) == (24, 8)
         assert (24 + 8) % 13 == (6 + 0) % 13
 
     def test_zero_state_is_done(self):
-        acc, rule = shrink_cycle(acc5(0, 0), P13)
-        assert rule is None
-        assert (acc.p.value, acc.q.value) == (0, 0)
+        acc, cycle = shrink_cycle(acc5(0, 0), P13)
+        assert cycle is None
+        assert (acc.p, acc.q) == (0, 0)
 
     def test_rule1_discards_one_double_span(self):
         # both top bits set: the adder's erased carry bit pays exactly 2**5
-        acc, rule = shrink_cycle(acc5(16, 16), P13)
-        assert rule == 1
-        assert (acc.p.value + acc.q.value) % 13 == (16 + 16) % 13
-        assert 16 + 16 + P13.rx[1] - (acc.p.value + acc.q.value) == 32
+        acc, cycle = shrink_cycle(acc5(16, 16), P13)
+        assert cycle.rule == 1
+        assert (acc.p + acc.q) % 13 == (16 + 16) % 13
+        assert 16 + 16 + P13.rx[1] - (acc.p + acc.q) == 32
 
     def test_topup_runs_before_selection(self):
         # a lone top bit in q migrates to p and still triggers rule 3
-        acc, rule = shrink_cycle(acc5(0, 0b10000), P13)
-        assert rule == 3
+        acc, cycle = shrink_cycle(acc5(0, 0b10000), P13)
+        assert cycle.rule == 3
+        assert (cycle.topup_p, cycle.topup_q) == (0b10000, 0)
 
 
 class TestRunShrink:
@@ -79,7 +86,7 @@ class TestRunShrink:
         acc, report = run_shrink(acc5(5, 2), P13)
         assert report.cycles == 0
         assert report.rules_fired == ()
-        assert (acc.p.value, acc.q.value) == (5, 2)
+        assert (acc.p, acc.q) == (5, 2)
 
     def test_known_three_cycle_instance(self):
         params = precompute(173, 8)
@@ -87,13 +94,15 @@ class TestRunShrink:
         out, report = run_shrink(acc, params)
         assert report.cycles == 3
         assert len(report.rules_fired) == report.cycles
-        assert (out.p.value + out.q.value) % 173 == (
-            acc.p.value + acc.q.value
-        ) % 173
+        assert (out.p + out.q) % 173 == (acc.p + acc.q) % 173
 
     def test_cycle_cap_machinery(self):
         with pytest.raises(InvariantViolation, match="cycles"):
             run_shrink(acc5(16, 16), P13, cycle_cap=0)
+        assert run_shrink(acc5(5, 2), P13, cycle_cap=0)[1].cycles == 0
+        for cap in (-1, HUNT_CYCLE_CAP + 1, 4.0, True):
+            with pytest.raises(ContractViolation, match="shrink cycle cap"):
+                run_shrink(acc5(5, 2), P13, cycle_cap=cap)
 
     def test_exhaustive_contracts_full_width(self):
         # every (p, q) register pair, reachable or not, for every 4-bit
@@ -105,10 +114,10 @@ class TestRunShrink:
                 for q in range(32):
                     out, report = run_shrink(acc5(p, q), params)
                     assert report.cycles <= 4
-                    assert (out.p.value + out.q.value) % rs == (p + q) % rs
-                    assert out.p.bit(4) == 0 and out.q.bit(4) == 0
-                    assert not (out.p.bit(3) and out.q.bit(3))
-                    assert out.p.value & out.q.value < 8  # anded pair below span/2
+                    assert (out.p + out.q) % rs == (p + q) % rs
+                    assert bit(out.p, 4) == 0 and bit(out.q, 4) == 0
+                    assert not (bit(out.p, 3) and bit(out.q, 3))
+                    assert out.p & out.q < 8  # anded pair below span/2
                     # per-cycle residue preservation
                     prev = p + q
                     for cyc in report.snapshots:
@@ -138,14 +147,12 @@ class TestRunShrink:
         low = (1 << params.shift) - 1
         for p in range(0, 128, 4):
             for q in range(0, 128, 4):
-                out, report = run_shrink(
-                    Accumulator(BitVec(7, p), BitVec(7, q)), params
-                )
+                out, report = run_shrink(Accumulator(p, q, 6), params)
                 assert report.cycles <= 4
-                assert (out.p.value + out.q.value) % rs == (p + q) % rs
-                assert out.p.value & low == 0 and out.q.value & low == 0
-                assert out.p.bit(6) == 0 and out.q.bit(6) == 0
-                assert not (out.p.bit(5) and out.q.bit(5))
+                assert (out.p + out.q) % rs == (p + q) % rs
+                assert out.p & low == 0 and out.q & low == 0
+                assert bit(out.p, 6) == 0 and bit(out.q, 6) == 0
+                assert not (bit(out.p, 5) and bit(out.q, 5))
 
     def test_power_of_two_modulus_zero_constants(self):
         # rn = rx[1] = 0 still reduces correctly through the rule adds
@@ -155,4 +162,4 @@ class TestRunShrink:
             for q in range(32):
                 out, report = run_shrink(acc5(p, q), params)
                 assert report.cycles <= 4
-                assert (out.p.value + out.q.value) % rs == (p + q) % rs
+                assert (out.p + out.q) % rs == (p + q) % rs

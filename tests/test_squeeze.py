@@ -2,7 +2,6 @@ import pytest
 
 from csmulmod import (
     Accumulator,
-    BitVec,
     InvariantViolation,
     precompute,
     qcu_apply,
@@ -11,7 +10,7 @@ from csmulmod import (
 
 
 def acc_of(width, p, q):
-    return Accumulator(BitVec(width, p), BitVec(width, q))
+    return Accumulator(p, q, width - 1)
 
 
 def entry_ok(width, p, q):
@@ -24,15 +23,15 @@ def entry_ok(width, p, q):
 class TestSqueezeTopup:
     def test_bits_collect_in_p(self):
         out = squeeze_topup(acc_of(5, 0b01010, 0b00100))
-        assert (out.p.value, out.q.value) == (0b01110, 0)
+        assert (out.p, out.q) == (0b01110, 0)
 
     def test_zero_unchanged(self):
         out = squeeze_topup(acc_of(5, 0, 0))
-        assert (out.p.value, out.q.value) == (0, 0)
+        assert (out.p, out.q) == (0, 0)
 
     def test_treated_bits_of_q_end_clear(self):
         out = squeeze_topup(acc_of(5, 0b01000, 0b00100))
-        assert (out.p.value, out.q.value) == (0b01100, 0)
+        assert (out.p, out.q) == (0b01100, 0)
 
     def test_rejects_set_top_bit(self):
         with pytest.raises(InvariantViolation, match="top bit"):
@@ -48,19 +47,19 @@ class TestSqueezeTopup:
                 if not entry_ok(5, p, q):
                     continue
                 out = squeeze_topup(acc_of(5, p, q))
-                assert out.p.value + out.q.value == p + q
-                assert out.q.bit(3) == 0  # q fits one bit tighter now
+                assert out.p + out.q == p + q
+                assert (out.q >> 3) & 1 == 0  # q fits one bit tighter now
 
 
 class TestQcuRules:
     def test_rule6_worked_example(self):
         params = precompute(13, 4)  # guide bit set
         entry = squeeze_topup(acc_of(5, 0b01010, 0b00100))
-        assert (entry.p.value, entry.q.value) == (14, 0)
+        assert (entry.p, entry.q) == (14, 0)
         out, report = qcu_apply(entry, params)
         assert report.rule == 6
-        assert (out.p.value, out.q.value) == (10, 4)
-        assert out.p.value + out.q.value == 14  # exact, not just congruent
+        assert (out.p, out.q) == (10, 4)
+        assert out.p + out.q == 14  # exact, not just congruent
 
     def test_rule1_is_a_genuine_noop(self):
         params = precompute(13, 4)
@@ -72,12 +71,12 @@ class TestQcuRules:
     def test_rule2_clears_and_compensates(self):
         params = precompute(13, 4)
         entry = squeeze_topup(acc_of(5, 0b01100, 0b00100))
-        assert (entry.p.value, entry.q.value) == (0b01100, 0b00100)
+        assert (entry.p, entry.q) == (0b01100, 0b00100)
         out, report = qcu_apply(entry, params)
         assert report.rule == 2
         assert (report.edited_p, report.edited_q) == (0, 0)
-        assert (out.p.value, out.q.value) == (3, 0)
-        assert (out.p.value + out.q.value) % 13 == (0b01100 + 0b00100) % 13
+        assert (out.p, out.q) == (3, 0)
+        assert (out.p + out.q) % 13 == (0b01100 + 0b00100) % 13
 
     def test_rule_selection_covers_every_state(self):
         # all four-bit-window combinations through both guide-bit values
@@ -106,7 +105,7 @@ def run_squeeze_sweep(params, width, step=1):
             if report.rule in (1, 5):
                 assert (out.p, out.q) == (entry.p, entry.q)  # true no-ops
             if report.rule in (4, 6):
-                assert out.p.value + out.q.value == p + q
+                assert out.p + out.q == p + q
             if report.rule == 6:
                 assert (report.entry_q >> (n - 2)) & 1 == 0
                 assert (report.entry_p >> (n - 2)) & 1 == 1
@@ -114,8 +113,8 @@ def run_squeeze_sweep(params, width, step=1):
                 assert (report.entry_p >> (n - 1)) & 1 == 1
                 assert (report.entry_p >> (n - 2)) & 1 == 0
                 assert (report.entry_q >> (n - 2)) & 1 == 0
-            assert out.p.value < rs and out.q.value < rs
-            assert (out.p.value + out.q.value) % rs == (p + q) % rs
+            assert out.p < rs and out.q < rs
+            assert (out.p + out.q) % rs == (p + q) % rs
 
 
 class TestQcuContracts:
