@@ -87,41 +87,41 @@ def format_worksheet(st: StepTrace, n: int, b_shifted: int) -> str:
     return "\n".join(lines)
 
 
+def _pair(hexes: list[str]) -> str:
+    return f"({hexes[0]},{hexes[1]})"
+
+
 def _cmd_mulmod(args) -> int:
     R = _parse_hex(args.mod, "--mod")
     A = _parse_hex(args.a, "--a")
     B = _parse_hex(args.b, "--b")
     result = mulmod(A, B, R, args.n, trace=args.trace)
+    doc = _mulmod_json(result)
     if args.json:
-        print(json.dumps(_mulmod_json(result), sort_keys=True))
-    else:
-        print(f"P={_hex(result.p)} Q={_hex(result.q)}")
+        print(json.dumps(doc, sort_keys=True))
+        return EXIT_OK
+    print(f"P={doc['p']} Q={doc['q']}")
+    print(f"shrink_cycles={doc['shrink_cycles']} squeeze_rule={doc['squeeze_rule']}")
+    if "trace" in doc:
+        # The worksheets print binary, so they read the step records.
+        b_shifted = B << result.traces.params.shift
+        for st in result.traces.steps:
+            print(format_worksheet(st, args.n, b_shifted))
+        sh = doc["trace"]["shrink"]
         print(
-            f"shrink_cycles={result.shrink_cycles} "
-            f"squeeze_rule={result.squeeze_rule}"
+            f"shrink: rules={sh['rules_fired']} "
+            f"entry={_pair(sh['entry'])} exit={_pair(sh['exit'])}"
         )
-        if args.trace and result.traces is not None:
-            b_shifted = B << result.traces.params.shift
-            for st in result.traces.steps:
-                print(format_worksheet(st, args.n, b_shifted))
-            sh = result.traces.shrink
+        for i, cyc in enumerate(sh["snapshots"], 1):
             print(
-                f"shrink: rules={list(sh.rules_fired)} "
-                f"entry=({_hex(sh.entry_p)},{_hex(sh.entry_q)}) "
-                f"exit=({_hex(sh.exit_p)},{_hex(sh.exit_q)})"
+                f"  cycle {i}: topup={_pair(cyc['topup'])} "
+                f"rule {cyc['rule']} -> {_pair(cyc['out'])}"
             )
-            for i, cyc in enumerate(sh.snapshots, 1):
-                print(
-                    f"  cycle {i}: topup=({_hex(cyc.topup_p)},{_hex(cyc.topup_q)}) "
-                    f"rule {cyc.rule} -> ({_hex(cyc.p)},{_hex(cyc.q)})"
-                )
-            sq = result.traces.squeeze
-            print(
-                f"squeeze: rule {sq.rule} "
-                f"entry=({_hex(sq.entry_p)},{_hex(sq.entry_q)}) "
-                f"edited=({_hex(sq.edited_p)},{_hex(sq.edited_q)}) "
-                f"exit=({_hex(sq.exit_p)},{_hex(sq.exit_q)})"
-            )
+        sq = doc["trace"]["squeeze"]
+        print(
+            f"squeeze: rule {sq['rule']} entry={_pair(sq['entry'])} "
+            f"edited={_pair(sq['edited'])} exit={_pair(sq['exit'])}"
+        )
     return EXIT_OK
 
 
@@ -178,27 +178,26 @@ def _mulmod_json(result: MulResult) -> dict:
 def _cmd_precompute(args) -> int:
     R = _parse_hex(args.mod, "--mod")
     params = precompute(R, args.n)
+    doc = {
+        "n": params.n,
+        "k": params.k,
+        "shift": params.shift,
+        "mod": _hex(params.modulus),
+        "mod_shifted": _hex(params.modulus_shifted),
+        "r_n": _hex(params.rn),
+        "r_m": _hex(params.rm),
+        "r_1": _hex(params.rx[1]),
+        "r_2": _hex(params.rx[2]),
+        "r_3": _hex(params.rx[3]),
+        "r_bit": params.r_bit,
+    }
     if args.json:
-        doc = {
-            "n": params.n,
-            "k": params.k,
-            "shift": params.shift,
-            "mod": _hex(params.modulus),
-            "mod_shifted": _hex(params.modulus_shifted),
-            "r_n": _hex(params.rn),
-            "r_m": _hex(params.rm),
-            "r_1": _hex(params.rx[1]),
-            "r_2": _hex(params.rx[2]),
-            "r_3": _hex(params.rx[3]),
-            "r_bit": params.r_bit,
-        }
         print(json.dumps(doc, sort_keys=True))
     else:
-        print(f"k={params.k} shift={params.shift}")
+        print(f"k={doc['k']} shift={doc['shift']}")
         print(
-            f"R_n={_hex(params.rn)} R_m={_hex(params.rm)} "
-            f"R_1={_hex(params.rx[1])} R_2={_hex(params.rx[2])} "
-            f"R_3={_hex(params.rx[3])} r_bit={params.r_bit}"
+            f"R_n={doc['r_n']} R_m={doc['r_m']} R_1={doc['r_1']} "
+            f"R_2={doc['r_2']} R_3={doc['r_3']} r_bit={doc['r_bit']}"
         )
     return EXIT_OK
 
@@ -219,29 +218,14 @@ def _emit_report(report: SweepReport, args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = SweepConfig(
-        k_min=args.k_min, k_max=args.k_max, n=args.n, jobs=args.jobs, mode="verify"
-    )
-    return _emit_report(exhaustive_sweep(config), args)
-
-
-def _cmd_hunt(args) -> int:
-    config = SweepConfig(
-        k_min=args.k_min, k_max=args.k_max, n=args.n, jobs=args.jobs, mode="hunt"
-    )
-    return _emit_report(hunt_shrink_cycles(config), args)
-
-
-def _cmd_random(args) -> int:
-    config = SweepConfig(
         k_min=args.k_min,
         k_max=args.k_max,
         n=args.n,
         count=args.count,
         seed=args.seed,
         jobs=args.jobs,
-        mode="random",
     )
-    return _emit_report(random_sweep(config), args)
+    return _emit_report(args.sweep(config), args)
 
 
 @functools.cache
@@ -267,27 +251,27 @@ def _build_parser() -> _Parser:
     p_pre.add_argument("--json", action="store_true")
     p_pre.set_defaults(func=_cmd_precompute)
 
-    for name, fn, needs_k in (
-        ("sweep", _cmd_sweep, True),
-        ("hunt", _cmd_hunt, True),
-        ("random", _cmd_random, False),
+    for name, sweep in (
+        ("sweep", exhaustive_sweep),
+        ("hunt", hunt_shrink_cycles),
+        ("random", random_sweep),
     ):
         p = sub.add_parser(name)
-        if needs_k:
-            p.add_argument("--k-min", dest="k_min", type=int, default=3)
-            p.add_argument("--k-max", dest="k_max", type=int, default=6)
-            p.add_argument("--n", type=int, default=None)
-        else:
+        if sweep is random_sweep:
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--count", type=int, required=True)
             p.add_argument("--k-min", dest="k_min", type=int, default=None)
             p.add_argument("--k-max", dest="k_max", type=int, default=None)
-        if name == "random":
             p.add_argument("--seed", type=int, required=True)
+        else:
+            p.add_argument("--k-min", dest="k_min", type=int, default=3)
+            p.add_argument("--k-max", dest="k_max", type=int, default=6)
+            p.add_argument("--n", type=int, default=None)
+            p.set_defaults(count=None, seed=None)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_sweep, sweep=sweep)
 
     return parser
 

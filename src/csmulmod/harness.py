@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ContractViolation, InvariantViolation
+from .errors import ContractViolation
 from .modparams import precompute
 from .pipeline import mulmod_checked
 from .shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
@@ -31,7 +31,7 @@ __all__ = [
     "random_sweep",
 ]
 
-DEFAULT_INSTANCE_CAP = 6_000_000
+INSTANCE_CAP = 6_000_000
 WITNESS_CAP = 100
 HIST_BUCKETS = 8  # shrink cycle counts 0..7
 
@@ -40,11 +40,12 @@ HIST_BUCKETS = 8  # shrink cycle counts 0..7
 class SweepConfig:
     """What to enumerate and how to run it.
 
-    Exhaustive modes enumerate every modulus in the k range, with ``n``
+    Exhaustive sweeps enumerate every modulus in the k range, with ``n``
     overriding the working width (defaults to k; larger values exercise
-    the shift path). Random mode draws ``count`` seeded instances at
+    the shift path). Random sweeps draw ``count`` seeded instances at
     width ``n``; leaving the k range unset draws full-width moduli, while
-    an explicit range below n mixes in shift-path instances.
+    an explicit range below n mixes in shift-path instances. The entry
+    point called decides the mode.
     """
 
     k_min: int | None = None
@@ -53,16 +54,11 @@ class SweepConfig:
     count: int | None = None
     seed: int | None = None
     jobs: int = 1
-    mode: str = "verify"
-    instance_cap: int = DEFAULT_INSTANCE_CAP
-    witness_cap: int = WITNESS_CAP
 
-    def resolved(self) -> "SweepConfig":
+    def resolved(self, mode: str) -> "SweepConfig":
         """Fill mode-dependent defaults and validate the result."""
-        if self.mode not in ("verify", "hunt", "random"):
-            raise ContractViolation(f"unknown sweep mode {self.mode!r}")
         cfg = self
-        if cfg.mode == "random":
+        if mode == "random":
             if cfg.n is None:
                 raise ContractViolation("random sweep requires n")
             if cfg.count is None or cfg.count < 1:
@@ -89,38 +85,106 @@ class SweepConfig:
             raise ContractViolation(f"jobs >= 1 violated (jobs={cfg.jobs})")
         return cfg
 
-    def canonical(self) -> dict:
-        # The parallelism degree and resource caps shape execution, not
-        # results, so they stay out of the reproducibility-relevant echo.
+    def canonical(self, mode: str) -> dict:
+        # The parallelism degree shapes execution, not results, so it
+        # stays out of the reproducibility-relevant echo.
         return {
-            "mode": self.mode,
+            "mode": mode,
             "k_min": self.k_min,
             "k_max": self.k_max,
             "n": self.n,
             "count": self.count,
             "seed": self.seed,
-            "witness_cap": self.witness_cap,
+            "witness_cap": WITNESS_CAP,
         }
+
+
+def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
+    w = {"n": n, "r": format(R, "X"), "a": format(A, "X"), "b": format(B, "X")}
+    w.update(extra)
+    return w
 
 
 @dataclass
 class SweepReport:
-    """Aggregated sweep outcome plus the machine-readable document."""
+    """Sweep tally plus the machine-readable document.
 
-    version: str
-    config: dict
-    seed: int | None
-    instances: int
-    failures_total: int
-    failures: list[dict]
-    cycle_histogram: dict[int, int]
-    rule_usage: dict[int, int]
-    max_cycles: int
-    max_cycles_witness: dict | None
+    Each shard fills one with ``add``; the entry point merges the shards
+    into the report it returns, in enumeration order.
+    """
+
+    version: str = __version__
+    config: dict = field(default_factory=dict)
+    seed: int | None = None
+    instances: int = 0
+    failures_total: int = 0
+    failures: list[dict] = field(default_factory=list)
+    cycle_histogram: dict[int, int] = field(
+        default_factory=lambda: dict.fromkeys(range(HIST_BUCKETS), 0)
+    )
+    rule_usage: dict[int, int] = field(
+        default_factory=lambda: dict.fromkeys(range(1, 7), 0)
+    )
+    # The first instance reaching the maximum; None until one succeeds.
+    max_cycles: int = 0
+    max_cycles_witness: dict | None = None
     cycle_witnesses: list[dict] = field(default_factory=list)
     cycle_witnesses_total: int = 0
     ge5_total: int = 0
     wall_time_s: float = 0.0
+
+    def add(self, n: int, R: int, A: int, B: int, hunt: bool, params) -> None:
+        """Run one instance through the checked kernel and tally it."""
+        self.instances += 1
+        cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
+        try:
+            result, ok = mulmod_checked(
+                A, B, R, n, params=params, shrink_cycle_cap=cap
+            )
+        except Exception as exc:
+            # Any exception is a failed instance, not an aborted sweep.
+            self._fail(n, R, A, B, f"{type(exc).__name__}: {exc}")
+            return
+        cycles = result.shrink_cycles
+        self.cycle_histogram[min(cycles, HIST_BUCKETS - 1)] += 1
+        self.rule_usage[result.squeeze_rule] += 1
+        if self.max_cycles_witness is None or cycles > self.max_cycles:
+            self.max_cycles = cycles
+            self.max_cycles_witness = _witness(n, R, A, B)
+        if hunt and cycles >= 4:
+            self.cycle_witnesses_total += 1
+            if cycles >= 5:
+                self.ge5_total += 1
+            if len(self.cycle_witnesses) < WITNESS_CAP:
+                self.cycle_witnesses.append(_witness(n, R, A, B, cycles=cycles))
+        if not ok:
+            if result.p >= R or result.q >= R:
+                self._fail(n, R, A, B, "output not below modulus")
+            else:
+                self._fail(n, R, A, B, "residue mismatch")
+
+    def _fail(self, n: int, R: int, A: int, B: int, reason: str) -> None:
+        self.failures_total += 1
+        if len(self.failures) < WITNESS_CAP:
+            self.failures.append(_witness(n, R, A, B, reason=reason))
+
+    def merge(self, other: "SweepReport") -> None:
+        """Fold in the tally of a shard that comes later in enumeration order."""
+        self.instances += other.instances
+        self.failures_total += other.failures_total
+        self.cycle_witnesses_total += other.cycle_witnesses_total
+        self.ge5_total += other.ge5_total
+        for cycles, count in other.cycle_histogram.items():
+            self.cycle_histogram[cycles] += count
+        for rule, count in other.rule_usage.items():
+            self.rule_usage[rule] += count
+        self.failures.extend(other.failures[: WITNESS_CAP - len(self.failures)])
+        self.cycle_witnesses.extend(
+            other.cycle_witnesses[: WITNESS_CAP - len(self.cycle_witnesses)]
+        )
+        if self.max_cycles_witness is None or other.max_cycles > self.max_cycles:
+            self.max_cycles = other.max_cycles
+            self.max_cycles_witness = other.max_cycles_witness
 
     def ok(self) -> bool:
         return self.failures_total == 0 and self.ge5_total == 0
@@ -140,12 +204,9 @@ class SweepReport:
                     "failures": self.failures_total,
                 },
                 "cycle_histogram": {
-                    str(i): self.cycle_histogram.get(i, 0)
-                    for i in range(HIST_BUCKETS)
+                    str(i): c for i, c in self.cycle_histogram.items()
                 },
-                "rule_usage": {
-                    str(i): self.rule_usage.get(i, 0) for i in range(1, 7)
-                },
+                "rule_usage": {str(i): c for i, c in self.rule_usage.items()},
                 "max_cycles": {
                     "value": self.max_cycles,
                     "witness": self.max_cycles_witness,
@@ -168,150 +229,57 @@ class SweepReport:
         )
 
 
-def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
-    w = {"n": n, "r": format(R, "X"), "a": format(A, "X"), "b": format(B, "X")}
-    w.update(extra)
-    return w
-
-
-def _new_partial() -> dict:
-    return {
-        "instances": 0,
-        "failures": [],
-        "failures_total": 0,
-        "hist": [0] * HIST_BUCKETS,
-        "rules": [0] * 6,
-        "max_cycles": -1,
-        "max_witness": None,
-        "ge4": [],
-        "ge4_total": 0,
-        "ge5_total": 0,
-    }
-
-
-def _record_instance(part: dict, n: int, R: int, A: int, B: int,
-                     hunt: bool, witness_cap: int, params) -> None:
-    part["instances"] += 1
-    cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
-    try:
-        result, ok = mulmod_checked(
-            A, B, R, n, params=params, shrink_cycle_cap=cap
-        )
-    except (InvariantViolation, ContractViolation) as exc:
-        part["failures_total"] += 1
-        if len(part["failures"]) < witness_cap:
-            part["failures"].append(
-                _witness(n, R, A, B, reason=f"{type(exc).__name__}: {exc}")
-            )
-        return
-    cycles = result.shrink_cycles
-    part["hist"][min(cycles, HIST_BUCKETS - 1)] += 1
-    part["rules"][result.squeeze_rule - 1] += 1
-    if cycles > part["max_cycles"]:
-        part["max_cycles"] = cycles
-        part["max_witness"] = _witness(n, R, A, B)
-    if hunt and cycles >= 4:
-        part["ge4_total"] += 1
-        if cycles >= 5:
-            part["ge5_total"] += 1
-        if len(part["ge4"]) < witness_cap:
-            part["ge4"].append(_witness(n, R, A, B, cycles=cycles))
-    if not ok:
-        part["failures_total"] += 1
-        if len(part["failures"]) < witness_cap:
-            if result.p >= R or result.q >= R:
-                reason = "output not below modulus"
-            else:
-                reason = "residue mismatch"
-            part["failures"].append(_witness(n, R, A, B, reason=reason))
-
-
-def _run_modulus_task(task: tuple) -> dict:
+def _run_modulus_task(task: tuple) -> SweepReport:
     """One exhaustive shard: every (A, B) pair of a single modulus."""
-    mode, k, n, R, witness_cap = task
-    hunt = mode == "hunt"
-    part = _new_partial()
+    hunt, n, R = task
+    shard = SweepReport()
     params = precompute(R, n)
     for A in range(R):
         for B in range(R):
-            _record_instance(part, n, R, A, B, hunt, witness_cap, params)
-    return part
+            shard.add(n, R, A, B, hunt, params)
+    return shard
 
 
-def _run_random_chunk(task: tuple) -> dict:
+def _run_random_chunk(task: tuple) -> SweepReport:
     """One random shard: a contiguous slice of the drawn instance list."""
-    mode, n, instances, witness_cap = task
-    hunt = mode == "hunt"
-    part = _new_partial()
+    n, instances = task
+    shard = SweepReport()
     for R, A, B in instances:
-        params = precompute(R, n)
-        _record_instance(part, n, R, A, B, hunt, witness_cap, params)
-    return part
+        shard.add(n, R, A, B, False, precompute(R, n))
+    return shard
 
 
-def _merge(parts, witness_cap: int) -> dict:
-    total = _new_partial()
-    for part in parts:
-        total["instances"] += part["instances"]
-        total["failures_total"] += part["failures_total"]
-        total["ge4_total"] += part["ge4_total"]
-        total["ge5_total"] += part["ge5_total"]
-        for i in range(HIST_BUCKETS):
-            total["hist"][i] += part["hist"][i]
-        for i in range(6):
-            total["rules"][i] += part["rules"][i]
-        need = witness_cap - len(total["failures"])
-        if need > 0:
-            total["failures"].extend(part["failures"][:need])
-        need = witness_cap - len(total["ge4"])
-        if need > 0:
-            total["ge4"].extend(part["ge4"][:need])
-        if part["max_cycles"] > total["max_cycles"]:
-            total["max_cycles"] = part["max_cycles"]
-            total["max_witness"] = part["max_witness"]
-    return total
-
-
-def _execute(tasks: list, worker, config: SweepConfig) -> dict:
+def _execute(tasks: list, worker, config: SweepConfig, mode: str,
+             started: float) -> SweepReport:
+    report = SweepReport(config=config.canonical(mode), seed=config.seed)
     if config.jobs == 1 or len(tasks) <= 1:
-        return _merge((worker(t) for t in tasks), config.witness_cap)
-    with multiprocessing.Pool(processes=config.jobs) as pool:
-        return _merge(pool.imap(worker, tasks, chunksize=1), config.witness_cap)
+        for shard in map(worker, tasks):
+            report.merge(shard)
+    else:
+        with multiprocessing.Pool(processes=config.jobs) as pool:
+            for shard in pool.imap(worker, tasks, chunksize=1):
+                report.merge(shard)
+    report.wall_time_s = time.perf_counter() - started
+    return report
 
 
-def _finish(config: SweepConfig, total: dict, started: float) -> SweepReport:
-    return SweepReport(
-        version=__version__,
-        config=config.canonical(),
-        seed=config.seed,
-        instances=total["instances"],
-        failures_total=total["failures_total"],
-        failures=total["failures"],
-        cycle_histogram={i: c for i, c in enumerate(total["hist"])},
-        rule_usage={i + 1: c for i, c in enumerate(total["rules"])},
-        max_cycles=max(total["max_cycles"], 0),
-        max_cycles_witness=total["max_witness"],
-        cycle_witnesses=total["ge4"],
-        cycle_witnesses_total=total["ge4_total"],
-        ge5_total=total["ge5_total"],
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
-def _exhaustive_tasks(config: SweepConfig) -> list[tuple]:
+def _sweep_moduli(config: SweepConfig, mode: str) -> SweepReport:
+    """Every (R, A, B) with R in the k range, in (k, R, A, B) order."""
+    config = config.resolved(mode)
+    started = time.perf_counter()
     expected = 0
     tasks = []
     for k in range(config.k_min, config.k_max + 1):
         n = config.n if config.n is not None else k
         for R in range(1 << (k - 1), 1 << k):
             expected += R * R
-            tasks.append((config.mode, k, n, R, config.witness_cap))
-    if expected > config.instance_cap:
+            tasks.append((mode == "hunt", n, R))
+    if expected > INSTANCE_CAP:
         raise ContractViolation(
             f"instance cap exceeded: sweep would run {expected} instances, "
-            f"cap is {config.instance_cap}"
+            f"cap is {INSTANCE_CAP}"
         )
-    return tasks
+    return _execute(tasks, _run_modulus_task, config, mode, started)
 
 
 def exhaustive_sweep(config: SweepConfig) -> SweepReport:
@@ -320,13 +288,7 @@ def exhaustive_sweep(config: SweepConfig) -> SweepReport:
     Enumeration order is (k, R, A, B) lexicographic; witnesses keep that
     order no matter how many workers run the shards.
     """
-    if config.mode not in ("verify", "hunt"):
-        raise ContractViolation(f"exhaustive sweep cannot run mode {config.mode!r}")
-    config = config.resolved()
-    started = time.perf_counter()
-    tasks = _exhaustive_tasks(config)
-    total = _execute(tasks, _run_modulus_task, config)
-    return _finish(config, total, started)
+    return _sweep_moduli(config, "verify")
 
 
 def hunt_shrink_cycles(config: SweepConfig) -> SweepReport:
@@ -336,9 +298,7 @@ def hunt_shrink_cycles(config: SweepConfig) -> SweepReport:
     worst case observed so far is 3); an instance needing 5 or more
     contradicts the proven bound and makes the report failing.
     """
-    if config.mode != "hunt":
-        config = dataclasses.replace(config, mode="hunt")
-    return exhaustive_sweep(config)
+    return _sweep_moduli(config, "hunt")
 
 
 def random_sweep(config: SweepConfig) -> SweepReport:
@@ -348,9 +308,7 @@ def random_sweep(config: SweepConfig) -> SweepReport:
     pure function of the seed and the config; chunking for parallel
     execution cannot change it.
     """
-    if config.mode != "random":
-        config = dataclasses.replace(config, mode="random")
-    config = config.resolved()
+    config = config.resolved("random")
     started = time.perf_counter()
     n = config.n
     rng = random.Random(config.seed)
@@ -363,9 +321,5 @@ def random_sweep(config: SweepConfig) -> SweepReport:
         B = rng.randrange(R)
         instances.append((R, A, B))
     chunk = max(1, min(500, -(-config.count // (config.jobs * 8))))
-    tasks = [
-        (config.mode, n, instances[i : i + chunk], config.witness_cap)
-        for i in range(0, len(instances), chunk)
-    ]
-    total = _execute(tasks, _run_random_chunk, config)
-    return _finish(config, total, started)
+    tasks = [(n, instances[i : i + chunk]) for i in range(0, len(instances), chunk)]
+    return _execute(tasks, _run_random_chunk, config, "random", started)

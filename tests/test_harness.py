@@ -5,10 +5,15 @@ import pytest
 from csmulmod import (
     ContractViolation,
     SweepConfig,
+    SweepReport,
     exhaustive_sweep,
     hunt_shrink_cycles,
     random_sweep,
 )
+from csmulmod import harness
+from csmulmod.cli import EXIT_VERIFICATION, main
+from csmulmod.harness import WITNESS_CAP
+from csmulmod.modparams import precompute
 
 
 class TestExhaustiveSweep:
@@ -36,10 +41,6 @@ class TestExhaustiveSweep:
         with pytest.raises(ContractViolation, match="instance cap"):
             exhaustive_sweep(SweepConfig(k_min=3, k_max=9))
 
-    def test_mode_guard(self):
-        with pytest.raises(ContractViolation, match="mode"):
-            exhaustive_sweep(SweepConfig(k_min=3, k_max=3, mode="random"))
-
     def test_config_validation(self):
         with pytest.raises(ContractViolation, match="k >= 3"):
             exhaustive_sweep(SweepConfig(k_min=2, k_max=3))
@@ -59,9 +60,10 @@ class TestDeterminism:
         assert first == second
 
     def test_parallelism_does_not_change_the_report(self):
-        serial = exhaustive_sweep(SweepConfig(k_min=3, k_max=4, jobs=1))
-        parallel = exhaustive_sweep(SweepConfig(k_min=3, k_max=4, jobs=2))
-        assert serial.to_json_bytes() == parallel.to_json_bytes()
+        for sweep in (exhaustive_sweep, hunt_shrink_cycles):
+            serial = sweep(SweepConfig(k_min=3, k_max=4, jobs=1))
+            parallel = sweep(SweepConfig(k_min=3, k_max=4, jobs=2))
+            assert serial.to_json_bytes() == parallel.to_json_bytes()
 
     def test_random_repeat_and_parallelism(self):
         runs = [
@@ -139,3 +141,89 @@ class TestHunt:
         witness = body["max_cycles"]["witness"]
         assert set(witness) == {"n", "r", "a", "b"}
         int(witness["r"], 16)  # hex round-trip
+
+
+class TestUnexpectedErrors:
+    def test_exception_is_a_failure_not_an_abort(self, monkeypatch, capsys):
+        inner = harness.mulmod_checked
+
+        def faulty(A, B, R, n, **kwargs):
+            if (R, A, B) == (5, 2, 3):
+                raise ValueError("synthetic fault")
+            return inner(A, B, R, n, **kwargs)
+
+        monkeypatch.setattr(harness, "mulmod_checked", faulty)
+        report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
+        assert report.instances == 126
+        assert report.failures_total == 1
+        assert not report.ok()
+        assert report.failures == [
+            {"n": 3, "r": "5", "a": "2", "b": "3", "reason": "ValueError: synthetic fault"}
+        ]
+        assert sum(report.cycle_histogram.values()) == 125
+        assert main(["sweep", "--k-min", "3", "--k-max", "3"]) == EXIT_VERIFICATION
+        assert "failures=1 " in capsys.readouterr().out
+
+
+def _shard(start: int, count: int, max_cycles: int | None = None) -> SweepReport:
+    """A fabricated shard: ``count`` failures and 4-cycle witnesses whose
+    ``a`` numbers them from ``start``, and a max-cycles witness at ``a=start``
+    unless ``max_cycles`` is None (every instance failed)."""
+    shard = SweepReport(
+        instances=count,
+        failures_total=count,
+        failures=[{"a": start + i, "reason": "x"} for i in range(count)],
+        cycle_witnesses=[{"a": start + i, "cycles": 4} for i in range(count)],
+        cycle_witnesses_total=count,
+    )
+    if max_cycles is not None:
+        shard.max_cycles = max_cycles
+        shard.max_cycles_witness = {"a": start}
+    return shard
+
+
+class TestTally:
+    def test_first_zero_cycle_instance_is_the_witness(self):
+        report = SweepReport()
+        for B in (0, 1):
+            report.add(3, 5, 0, B, False, precompute(5, 3))
+        assert report.max_cycles == 0
+        assert report.max_cycles_witness == {"n": 3, "r": "5", "a": "0", "b": "0"}
+
+    def test_merged_witness_lists_stop_at_the_cap_in_shard_order(self):
+        total = SweepReport()
+        for start in (0, 60, 120):
+            total.merge(_shard(start, 60, max_cycles=1))
+        assert total.failures_total == total.cycle_witnesses_total == 180
+        assert [w["a"] for w in total.failures] == list(range(WITNESS_CAP))
+        assert [w["a"] for w in total.cycle_witnesses] == list(range(WITNESS_CAP))
+
+    def test_merge_tie_on_max_cycles_keeps_the_earlier_shard(self):
+        total = SweepReport()
+        for start in (0, 10, 20):
+            total.merge(_shard(start, 1, max_cycles=3))
+        assert total.max_cycles == 3
+        assert total.max_cycles_witness == {"a": 0}
+        total.merge(_shard(30, 1, max_cycles=4))
+        assert total.max_cycles_witness == {"a": 30}
+
+    def test_merging_an_all_failed_shard_keeps_the_witness(self):
+        total = SweepReport()
+        total.merge(_shard(0, 2))
+        assert total.max_cycles_witness is None
+        # a zero-cycle instance after an all-failed shard is still the witness
+        total.merge(_shard(10, 2, max_cycles=0))
+        total.merge(_shard(20, 2))
+        assert (total.max_cycles, total.max_cycles_witness) == (0, {"a": 10})
+
+    def test_merged_counts_add_up(self):
+        shards = [SweepReport() for _ in range(2)]
+        shards[0].cycle_histogram[1] = 5
+        shards[1].cycle_histogram[1] = 2
+        shards[1].rule_usage[6] = 3
+        shards[1].ge5_total = 1
+        total = SweepReport()
+        for shard in shards:
+            total.merge(shard)
+        assert total.cycle_histogram[1] == 7 and total.rule_usage[6] == 3
+        assert total.ge5_total == 1 and not total.ok()
