@@ -9,7 +9,7 @@ below the modulus, with p + q congruent to the product.
 __version__ = "0.1.0"
 
 from .bitcore import BitVec, csa, maj2of3, top_up
-from .errors import ContractViolation, InvariantViolation, WidthError
+from .errors import ContractViolation, InvariantViolation
 from .harness import (
     SweepConfig,
     SweepReport,
@@ -53,7 +53,6 @@ __all__ = [
     "StepTrace",
     "SweepConfig",
     "SweepReport",
-    "WidthError",
     "csa",
     "exhaustive_sweep",
     "fold_pair",

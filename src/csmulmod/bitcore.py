@@ -1,4 +1,4 @@
-"""The carry-save primitives on plain-int registers, and a checked bit vector.
+"""The carry-save primitives on plain-int registers.
 
 The kernel keeps each register as a non-negative Python int. A register's
 width lives in the mask ``(1 << width) - 1`` (``ModulusParams.mask``,
@@ -6,15 +6,9 @@ computed once per modulus), which the caller passes to the one operation
 that can grow a value, the carry-save adder. Its truncation is the only
 lossy step (it can erase the single documented top majority bit). Top-up
 takes a mask too: the positions it treats.
-
-``BitVec`` is a separate, validated (width, value) type for code outside
-the kernel: combining unequal widths raises, and widening and truncation
-are explicit calls.
 """
 
 from __future__ import annotations
-
-from .errors import WidthError
 
 __all__ = [
     "BitVec",
@@ -25,10 +19,11 @@ __all__ = [
 
 
 class BitVec:
-    """An immutable register of ``width`` bits; bit 0 is least significant.
+    """A validated (width, value) register: ``0 <= value < 2**width``.
 
-    The stored value always satisfies ``0 <= value < 2**width``. Treat
-    instances as immutable: every operation returns a new vector.
+    Nothing in the package builds one. The class stays because the
+    benchmark (``perfbench/tracing.py``) counts its instances by wrapping
+    ``__init__``.
     """
 
     __slots__ = ("width", "value")
@@ -40,73 +35,6 @@ class BitVec:
             raise ValueError(f"value {value:#x} does not fit in {width} bits")
         self.width = width
         self.value = value
-
-    def bit(self, i: int) -> int:
-        """Bit at position ``i`` as an int in {0, 1}."""
-        if i < 0 or i >= self.width:
-            raise ValueError(f"bit index {i} out of range for width {self.width}")
-        return (self.value >> i) & 1
-
-    def zext(self, width: int) -> "BitVec":
-        """Zero-extend to ``width`` bits (lossless)."""
-        if width < self.width:
-            raise ValueError(f"cannot zero-extend width {self.width} down to {width}")
-        return BitVec(width, self.value)
-
-    def trunc(self, width: int) -> "BitVec":
-        """Keep the low ``width`` bits, discarding the rest."""
-        if width > self.width:
-            raise ValueError(f"cannot truncate width {self.width} up to {width}")
-        return BitVec(width, self.value & ((1 << width) - 1))
-
-    def shl(self, count: int) -> "BitVec":
-        """Shift left by ``count``, widening so no bit is lost."""
-        if count < 0:
-            raise ValueError("shift count must be non-negative")
-        return BitVec(self.width + count, self.value << count)
-
-    def set_bit(self, i: int) -> "BitVec":
-        if i < 0 or i >= self.width:
-            raise ValueError(f"bit index {i} out of range for width {self.width}")
-        return BitVec(self.width, self.value | (1 << i))
-
-    def clear_bit(self, i: int) -> "BitVec":
-        if i < 0 or i >= self.width:
-            raise ValueError(f"bit index {i} out of range for width {self.width}")
-        return BitVec(self.width, self.value & ~(1 << i))
-
-    def _check_width(self, other: "BitVec") -> None:
-        if self.width != other.width:
-            raise WidthError(
-                f"width mismatch: {self.width} vs {other.width}"
-            )
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        self._check_width(other)
-        return BitVec(self.width, self.value ^ other.value)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        self._check_width(other)
-        return BitVec(self.width, self.value & other.value)
-
-    def __or__(self, other: "BitVec") -> "BitVec":
-        self._check_width(other)
-        return BitVec(self.width, self.value | other.value)
-
-    def __invert__(self) -> "BitVec":
-        return BitVec(self.width, self.value ^ ((1 << self.width) - 1))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        self._check_width(other)
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.value))
-
-    def __repr__(self) -> str:
-        return f"BitVec({self.width}, 0b{self.value:0{self.width}b})"
 
 
 def maj2of3(x: int, y: int, z: int) -> int:

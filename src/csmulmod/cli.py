@@ -264,8 +264,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--k-max", dest="k_max", type=int, default=None)
             p.add_argument("--seed", type=int, required=True)
         else:
-            p.add_argument("--k-min", dest="k_min", type=int, default=3)
-            p.add_argument("--k-max", dest="k_max", type=int, default=6)
+            p.add_argument("--k-min", dest="k_min", type=int, default=None)
+            p.add_argument("--k-max", dest="k_max", type=int, default=None)
             p.add_argument("--n", type=int, default=None)
             p.set_defaults(count=None, seed=None)
         p.add_argument("--jobs", type=int, default=1)

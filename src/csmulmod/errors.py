@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class WidthError(ValueError):
-    """Raised when bit vectors of unequal width are combined."""
-
-
 class ContractViolation(ValueError):
     """Raised when a caller-supplied value breaks a documented precondition.
 

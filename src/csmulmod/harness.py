@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import ContractViolation
-from .modparams import precompute
+from .modparams import ModulusParams, precompute
 from .pipeline import mulmod_checked
 from .shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
 
@@ -99,6 +99,18 @@ class SweepConfig:
         }
 
 
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _params(R: int, n: int) -> ModulusParams | str:
+    """precompute(R, n), or the failure reason of every instance needing it."""
+    try:
+        return precompute(R, n)
+    except Exception as exc:
+        return _reason(exc)
+
+
 def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
     w = {"n": n, "r": format(R, "X"), "a": format(A, "X"), "b": format(B, "X")}
     w.update(extra)
@@ -133,9 +145,14 @@ class SweepReport:
     ge5_total: int = 0
     wall_time_s: float = 0.0
 
-    def add(self, n: int, R: int, A: int, B: int, hunt: bool, params) -> None:
-        """Run one instance through the checked kernel and tally it."""
+    def add(self, n: int, R: int, A: int, B: int, hunt: bool,
+            params: ModulusParams | str) -> None:
+        """Run one instance through the checked kernel and tally it; a str
+        ``params`` is the reason ``_params`` could not build them."""
         self.instances += 1
+        if isinstance(params, str):
+            self._fail(n, R, A, B, params)
+            return
         cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
         try:
             result, ok = mulmod_checked(
@@ -143,7 +160,7 @@ class SweepReport:
             )
         except Exception as exc:
             # Any exception is a failed instance, not an aborted sweep.
-            self._fail(n, R, A, B, f"{type(exc).__name__}: {exc}")
+            self._fail(n, R, A, B, _reason(exc))
             return
         cycles = result.shrink_cycles
         self.cycle_histogram[min(cycles, HIST_BUCKETS - 1)] += 1
@@ -233,7 +250,7 @@ def _run_modulus_task(task: tuple) -> SweepReport:
     """One exhaustive shard: every (A, B) pair of a single modulus."""
     hunt, n, R = task
     shard = SweepReport()
-    params = precompute(R, n)
+    params = _params(R, n)
     for A in range(R):
         for B in range(R):
             shard.add(n, R, A, B, hunt, params)
@@ -245,7 +262,7 @@ def _run_random_chunk(task: tuple) -> SweepReport:
     n, instances = task
     shard = SweepReport()
     for R, A, B in instances:
-        shard.add(n, R, A, B, False, precompute(R, n))
+        shard.add(n, R, A, B, False, _params(R, n))
     return shard
 
 

@@ -128,7 +128,6 @@ def mulmod_checked(
     n: int,
     *,
     params: ModulusParams | None = None,
-    trace: bool = False,
     shrink_cycle_cap: int = NORMAL_CYCLE_CAP,
 ) -> tuple[MulResult, bool]:
     """Run mulmod and compare the outcome against the reference arithmetic.
@@ -141,7 +140,6 @@ def mulmod_checked(
         B,
         R,
         n,
-        trace=trace,
         params=params,
         shrink_cycle_cap=shrink_cycle_cap,
     )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmulmod import BitVec, WidthError, csa, maj2of3, top_up
+from csmulmod import BitVec, csa, maj2of3, top_up
 
 
 @st.composite
@@ -13,12 +13,6 @@ def same_width(draw, count=2, max_width=64):
     w = draw(st.integers(min_value=1, max_value=max_width))
     values = [draw(st.integers(min_value=0, max_value=(1 << w) - 1)) for _ in range(count)]
     return w, values
-
-
-@st.composite
-def same_width_vecs(draw, count=2):
-    w, values = draw(same_width(count=count))
-    return [BitVec(w, v) for v in values]
 
 
 def bit(v, i):
@@ -34,60 +28,6 @@ class TestBitVec:
         with pytest.raises(ValueError):
             BitVec(0, 0)
         assert BitVec(4, 15).value == 15
-
-    def test_bit_access(self):
-        v = BitVec(4, 0b1010)
-        assert [v.bit(i) for i in range(4)] == [0, 1, 0, 1]
-        with pytest.raises(ValueError):
-            v.bit(4)
-        with pytest.raises(ValueError):
-            v.bit(-1)
-
-    def test_resize(self):
-        v = BitVec(4, 0b1010)
-        assert v.zext(6) == BitVec(6, 0b001010)
-        assert v.trunc(2) == BitVec(2, 0b10)
-        assert v.shl(2) == BitVec(6, 0b101000)
-        with pytest.raises(ValueError):
-            v.zext(3)
-        with pytest.raises(ValueError):
-            v.trunc(5)
-
-    def test_set_clear(self):
-        v = BitVec(4, 0b1010)
-        assert v.set_bit(0) == BitVec(4, 0b1011)
-        assert v.clear_bit(1) == BitVec(4, 0b1000)
-        assert v.set_bit(1) == v
-        assert v.clear_bit(0) == v
-
-    def test_width_mismatch_rejected(self):
-        a, b = BitVec(4, 1), BitVec(5, 1)
-        for op in (lambda x, y: x ^ y, lambda x, y: x & y, lambda x, y: x | y):
-            with pytest.raises(WidthError):
-                op(a, b)
-        with pytest.raises(WidthError):
-            a == b
-
-
-class TestBoolOps:
-    """BitVec's operators stay within the vector's width."""
-
-    def test_and_identity_mask(self):
-        assert BitVec(4, 0b1111) & BitVec(4, 0b0001) == BitVec(4, 0b0001)
-
-    def test_or_disjoint_masks(self):
-        assert BitVec(4, 0b1010) | BitVec(4, 0b0101) == BitVec(4, 0b1111)
-
-    @given(same_width_vecs(count=1))
-    def test_xor_self_inverse(self, vecs):
-        (x,) = vecs
-        assert (x ^ x).value == 0
-
-    @given(same_width_vecs(count=1))
-    def test_not_involution(self, vecs):
-        (x,) = vecs
-        assert ~~x == x
-        assert (x ^ ~x).value == (1 << x.width) - 1
 
 
 class TestMajority:

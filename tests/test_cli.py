@@ -96,17 +96,18 @@ class TestPrecomputeCommand:
 class TestSweepCommands:
     def test_sweep_writes_report(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            capsys,
-            "sweep", "--k-min", "3", "--k-max", "4", "--out", str(out_file),
-        )
-        assert code == 0
-        assert "failures=0" in out
-        doc = json.loads(out_file.read_text())
-        assert doc["body"]["totals"]["failures"] == 0
-        assert doc["body"]["totals"]["instances"] == sum(
-            R * R for R in range(4, 16)
-        )
+        # the default k range of 3..6 fills the bound left out
+        for k_args, k_max in ((("--k-min", "3", "--k-max", "4"), 4), (("--k-max", "3"), 3)):
+            code, out, _ = run_cli(capsys, "sweep", *k_args, "--out", str(out_file))
+            assert code == 0
+            assert "failures=0" in out
+            doc = json.loads(out_file.read_text())
+            assert doc["header"]["config"]["k_min"] == 3
+            assert doc["header"]["config"]["k_max"] == k_max
+            assert doc["body"]["totals"]["failures"] == 0
+            assert doc["body"]["totals"]["instances"] == sum(
+                R * R for R in range(4, 1 << k_max)
+            )
 
     def test_random_reports_are_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

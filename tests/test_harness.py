@@ -50,6 +50,8 @@ class TestExhaustiveSweep:
             exhaustive_sweep(SweepConfig(k_min=3, k_max=6, n=5))
         with pytest.raises(ContractViolation, match="jobs"):
             exhaustive_sweep(SweepConfig(k_min=3, k_max=3, jobs=0))
+        default = SweepConfig().resolved("verify")
+        assert (default.k_min, default.k_max) == (3, 6)
 
 
 class TestDeterminism:
@@ -163,6 +165,41 @@ class TestUnexpectedErrors:
         assert sum(report.cycle_histogram.values()) == 125
         assert main(["sweep", "--k-min", "3", "--k-max", "3"]) == EXIT_VERIFICATION
         assert "failures=1 " in capsys.readouterr().out
+
+    def test_precompute_fault_fails_the_instances_that_need_it(self, monkeypatch, capsys):
+        inner = harness.precompute
+        calls = []
+
+        def faulty(R, n):
+            calls.append(R)
+            if R == 5:
+                raise ValueError("synthetic fault")
+            return inner(R, n)
+
+        clean = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
+        clean_r5 = harness._run_modulus_task((False, 3, 5))
+        monkeypatch.setattr(harness, "precompute", faulty)
+        report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
+        assert calls == [4, 5, 6, 7]  # once per modulus, not per instance
+        assert report.instances == 126
+        assert report.failures_total == len(report.failures) == 25
+        assert {(w["r"], w["reason"]) for w in report.failures} == {
+            ("5", "ValueError: synthetic fault")
+        }
+        for cycles, count in clean.cycle_histogram.items():
+            assert report.cycle_histogram[cycles] == count - clean_r5.cycle_histogram[cycles]
+        for rule, count in clean.rule_usage.items():
+            assert report.rule_usage[rule] == count - clean_r5.rule_usage[rule]
+
+        calls.clear()
+        report = random_sweep(SweepConfig(n=3, count=60, seed=4))
+        assert report.instances == 60
+        assert 0 < report.failures_total == calls.count(5)
+        assert all(w["r"] == "5" for w in report.failures)
+        assert sum(report.cycle_histogram.values()) == 60 - calls.count(5)
+
+        assert main(["sweep", "--k-max", "3"]) == EXIT_VERIFICATION
+        assert "failures=25 " in capsys.readouterr().out
 
 
 def _shard(start: int, count: int, max_cycles: int | None = None) -> SweepReport:

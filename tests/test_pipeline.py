@@ -7,6 +7,7 @@ from csmulmod import (
     HUNT_CYCLE_CAP,
     ContractViolation,
     InvariantViolation,
+    fold_pair,
     mulmod,
     mulmod_checked,
     precompute,
@@ -142,7 +143,8 @@ class TestMulmodChecked:
         low = (1 << params.shift) - 1
         for A in range(13):
             for B in range(13):
-                result, ok = mulmod_checked(A, B, 13, 8, params=params, trace=True)
-                assert ok
+                result = mulmod(A, B, 13, 8, trace=True, params=params)
+                assert result.p < 13 and result.q < 13
+                assert fold_pair(result.p, result.q, 13) == ref_mulmod(A, B, 13)
                 for st in result.traces.steps:
                     assert st.p_out & low == 0 and st.q_out & low == 0
