@@ -24,7 +24,13 @@ from .modparams import (
     shift_left_operand,
     shift_right_result,
 )
-from .oracle import fold_pair, ref_mulmod, ref_mulmod_by_addition, replay_step_wide
+from .oracle import (
+    exhaustive_mismatches,
+    fold_pair,
+    ref_mulmod,
+    ref_mulmod_by_addition,
+    replay_step_wide,
+)
 from .pipeline import MulResult, RunTrace, mulmod, mulmod_checked
 from .shrink import (
     HUNT_CYCLE_CAP,
@@ -54,6 +60,7 @@ __all__ = [
     "SweepConfig",
     "SweepReport",
     "csa",
+    "exhaustive_mismatches",
     "exhaustive_sweep",
     "fold_pair",
     "hunt_shrink_cycles",

@@ -6,21 +6,31 @@ chunks (random) so the precomputed constants are reused and the merged
 report is identical for any parallelism degree: shards are merged in
 enumeration order and every aggregate (counts, histograms, first-N
 witness lists) is order-independent or order-preserving.
+
+An exhaustive shard runs all R * R instances of its modulus at once
+through the bit-sliced kernel and checks each lane's outputs against the
+reference arithmetic; a lane that fails either is run again through the
+scalar kernel, whose verdict the report records. Random shards run each
+instance through the scalar kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
-from . import __version__
+from . import __version__, sliced
 from .errors import ContractViolation
 from .modparams import ModulusParams, precompute
-from .pipeline import mulmod_checked
+from .oracle import exhaustive_mismatches
+from .pipeline import MulResult, mulmod_checked
 from .shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
 
 __all__ = [
@@ -31,9 +41,10 @@ __all__ = [
     "random_sweep",
 ]
 
-INSTANCE_CAP = 6_000_000
+INSTANCE_CAP = 400_000_000  # k <= 10 runs 357,389,810 instances
 WITNESS_CAP = 100
 HIST_BUCKETS = 8  # shrink cycle counts 0..7
+SLICED_DISAGREES = "sliced kernel disagrees with mulmod_checked"
 
 
 @dataclass(frozen=True)
@@ -111,18 +122,48 @@ def _params(R: int, n: int) -> ModulusParams | str:
         return _reason(exc)
 
 
+def _check(n: int, R: int, A: int, B: int, params: ModulusParams,
+           cap: int) -> tuple[MulResult | None, str | None]:
+    """One instance through ``mulmod_checked``: (result, failure reason).
+
+    The result is None when the kernel raised, the reason None when the
+    instance passed the oracle.
+    """
+    try:
+        result, ok = mulmod_checked(
+            A, B, R, n, params=params, shrink_cycle_cap=cap
+        )
+    except Exception as exc:
+        # Any exception is a failed instance, not an aborted sweep.
+        return None, _reason(exc)
+    if ok:
+        return result, None
+    if result.p >= R or result.q >= R:
+        return result, "output not below modulus"
+    return result, "residue mismatch"
+
+
 def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
     w = {"n": n, "r": format(R, "X"), "a": format(A, "X"), "b": format(B, "X")}
     w.update(extra)
     return w
 
 
+def _lanes(mask: int):
+    """The set bits of a lane mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass
 class SweepReport:
     """Sweep tally plus the machine-readable document.
 
-    Each shard fills one with ``add``; the entry point merges the shards
-    into the report it returns, in enumeration order.
+    Each shard fills one, an exhaustive shard with ``add_modulus`` and a
+    random one with ``add`` per instance; the entry point merges the
+    shards into the report it returns, in enumeration order.
     """
 
     version: str = __version__
@@ -154,36 +195,85 @@ class SweepReport:
             self._fail(n, R, A, B, params)
             return
         cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
-        try:
-            result, ok = mulmod_checked(
-                A, B, R, n, params=params, shrink_cycle_cap=cap
-            )
-        except Exception as exc:
-            # Any exception is a failed instance, not an aborted sweep.
-            self._fail(n, R, A, B, _reason(exc))
+        result, reason = _check(n, R, A, B, params, cap)
+        if result is not None:
+            cycles = result.shrink_cycles
+            self.cycle_histogram[min(cycles, HIST_BUCKETS - 1)] += 1
+            self.rule_usage[result.squeeze_rule] += 1
+            if self.max_cycles_witness is None or cycles > self.max_cycles:
+                self.max_cycles = cycles
+                self.max_cycles_witness = _witness(n, R, A, B)
+            if hunt and cycles >= 4:
+                self.cycle_witnesses_total += 1
+                if cycles >= 5:
+                    self.ge5_total += 1
+                if len(self.cycle_witnesses) < WITNESS_CAP:
+                    self.cycle_witnesses.append(_witness(n, R, A, B, cycles=cycles))
+        if reason is not None:
+            self._fail(n, R, A, B, reason)
+
+    def add_modulus(self, n: int, R: int, hunt: bool,
+                    params: ModulusParams | str) -> None:
+        """Run every (A, B) pair of modulus R through the bit-sliced kernel
+        and tally them, in the order ``add`` would, lane ``A*R + B`` by lane.
+
+        A lane that breaks a sliced check or the oracle is run again
+        through ``mulmod_checked``, whose result and reason are recorded;
+        if that run passes, the lane fails as a disagreement. A str
+        ``params``, or an exception from the sliced kernel, fails every
+        lane with that reason.
+        """
+        self.instances += R * R
+        if isinstance(params, str):
+            self._fail_modulus(n, R, params)
             return
-        cycles = result.shrink_cycles
-        self.cycle_histogram[min(cycles, HIST_BUCKETS - 1)] += 1
-        self.rule_usage[result.squeeze_rule] += 1
-        if self.max_cycles_witness is None or cycles > self.max_cycles:
-            self.max_cycles = cycles
-            self.max_cycles_witness = _witness(n, R, A, B)
-        if hunt and cycles >= 4:
-            self.cycle_witnesses_total += 1
-            if cycles >= 5:
-                self.ge5_total += 1
-            if len(self.cycle_witnesses) < WITNESS_CAP:
-                self.cycle_witnesses.append(_witness(n, R, A, B, cycles=cycles))
-        if not ok:
-            if result.p >= R or result.q >= R:
-                self._fail(n, R, A, B, "output not below modulus")
-            else:
-                self._fail(n, R, A, B, "residue mismatch")
+        cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
+        try:
+            run = sliced.run_modulus(params, cap)
+            suspects = run.flagged
+            for lane in exhaustive_mismatches(run.p, run.q, R):
+                suspects |= 1 << lane
+        except Exception as exc:
+            self._fail_modulus(n, R, _reason(exc))
+            return
+        cycles = [mask & ~suspects for mask in run.cycles]
+        cycles += [0] * (HIST_BUCKETS - len(cycles))
+        rules = [mask & ~suspects for mask in run.rules]
+        for lane in _lanes(suspects):
+            A, B = divmod(lane, R)
+            result, reason = _check(n, R, A, B, params, cap)
+            if result is not None:
+                cycles[result.shrink_cycles] |= 1 << lane
+                rules[result.squeeze_rule - 1] |= 1 << lane
+            self._fail(n, R, A, B, reason or SLICED_DISAGREES)
+
+        for count, mask in enumerate(cycles):
+            self.cycle_histogram[count] += mask.bit_count()
+        for rule, mask in enumerate(rules, 1):
+            self.rule_usage[rule] += mask.bit_count()
+        most = max((count for count, mask in enumerate(cycles) if mask), default=None)
+        if most is not None and (self.max_cycles_witness is None or most > self.max_cycles):
+            self.max_cycles = most
+            self.max_cycles_witness = _witness(n, R, *divmod(next(_lanes(cycles[most])), R))
+        if hunt:
+            heavy = reduce(or_, cycles[4:])
+            self.cycle_witnesses_total += heavy.bit_count()
+            self.ge5_total += (heavy & ~cycles[4]).bit_count()
+            room = WITNESS_CAP - len(self.cycle_witnesses)
+            for lane in itertools.islice(_lanes(heavy), room):
+                count = next(c for c in range(4, HIST_BUCKETS) if cycles[c] >> lane & 1)
+                self.cycle_witnesses.append(_witness(n, R, *divmod(lane, R), cycles=count))
 
     def _fail(self, n: int, R: int, A: int, B: int, reason: str) -> None:
         self.failures_total += 1
         if len(self.failures) < WITNESS_CAP:
             self.failures.append(_witness(n, R, A, B, reason=reason))
+
+    def _fail_modulus(self, n: int, R: int, reason: str) -> None:
+        """Fail every (A, B) pair of modulus R with the same reason."""
+        self.failures_total += R * R
+        for lane in range(min(R * R, WITNESS_CAP - len(self.failures))):
+            self.failures.append(_witness(n, R, *divmod(lane, R), reason=reason))
 
     def merge(self, other: "SweepReport") -> None:
         """Fold in the tally of a shard that comes later in enumeration order."""
@@ -250,10 +340,7 @@ def _run_modulus_task(task: tuple) -> SweepReport:
     """One exhaustive shard: every (A, B) pair of a single modulus."""
     hunt, n, R = task
     shard = SweepReport()
-    params = _params(R, n)
-    for A in range(R):
-        for B in range(R):
-            shard.add(n, R, A, B, hunt, params)
+    shard.add_modulus(n, R, hunt, _params(R, n))
     return shard
 
 

@@ -7,9 +7,11 @@ model cannot hide inside its own checker.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
 __all__ = [
+    "exhaustive_mismatches",
     "fold_pair",
     "ref_mulmod",
     "ref_mulmod_by_addition",
@@ -28,6 +30,33 @@ def fold_pair(p: int, q: int, R: int) -> int:
         raise ValueError(f"fold expects both entries in [0, {R})")
     total = p + q
     return total - R if total >= R else total
+
+
+def exhaustive_mismatches(p: Sequence[int], q: Sequence[int], R: int) -> list[int]:
+    """Lanes ``i = A*R + B`` of a run over every pair of modulus R whose
+    result pair ``(p[i], q[i])`` is not below R or does not fold to
+    ``(A * B) mod R``, in lane order.
+
+    Each row of R lanes (one A) is folded the way fold_pair folds and
+    compared whole with its reference residues; only a row that differs
+    is searched lane by lane.
+    """
+    bad = []
+    for A in range(R):
+        lo = A * R
+        p_row, q_row = p[lo : lo + R], q[lo : lo + R]
+        want = [A * B % R for B in range(R)]
+        if max(p_row) < R and max(q_row) < R:
+            got = [s - R if s >= R else s for s in map(add, p_row, q_row)]
+            if got == want:
+                continue
+        bad.extend(
+            lo + B
+            for B in range(R)
+            if not (p_row[B] < R and q_row[B] < R)
+            or fold_pair(p_row[B], q_row[B], R) != want[B]
+        )
+    return bad
 
 
 def ref_mulmod(A: int, B: int, R: int) -> int:

@@ -1,0 +1,269 @@
+"""Bit-sliced exhaustive kernel: every (A, B) pair of one modulus at once.
+
+Every kernel operation is a bitwise function of a few register bit
+positions; nothing propagates a carry or compares whole numbers. So the
+R * R instances of one modulus can run side by side: lane ``i = A*R + B``
+is one instance, and each register bit is a "plane", a Python int whose
+bit i is that register bit of lane i (bitslicing, as in Biham's DES
+implementation). A register of n+1 bits is a list of n+1 planes, index j
+holding bit j. Shifting a register is re-indexing its list; every other
+operation is one bitwise operation per plane over all lanes.
+
+Where a rule applies to some lanes only, it is a mask of lanes, and so is
+every seam check of ``pipeline.mulmod``: a lane that breaks one is
+flagged, not raised on, and the caller re-runs it through the scalar
+kernel to learn the reason. Nothing here computes an expected residue:
+the caller checks the un-sliced outputs against the reference arithmetic.
+"""
+
+from __future__ import annotations
+
+import sys
+from functools import reduce
+from operator import or_
+from typing import NamedTuple, Sequence
+
+from .bitcore import maj2of3
+from .modparams import ModulusParams
+
+__all__ = ["SlicedRun", "run_modulus", "unslice"]
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class SlicedRun(NamedTuple):
+    """What one modulus's lanes did, as lane masks and per-lane outputs.
+
+    ``checks`` pairs each seam or rule check that some lane broke with the
+    mask of those lanes, in the order ``pipeline.mulmod`` makes the
+    checks; each check is named by the start of the message with which
+    ``mulmod`` raises on it. ``cycles[c]`` holds the lanes whose shrink
+    fired c rules, and ``rules[r - 1]`` those whose squeeze fired rule r;
+    on a flagged lane they mean nothing. ``p`` and ``q`` are the per-lane
+    outputs in the unshifted domain, as wide as the modulus plus one bit.
+    """
+
+    checks: tuple[tuple[str, int], ...]
+    cycles: tuple[int, ...]
+    rules: tuple[int, ...]
+    p: Sequence[int]
+    q: Sequence[int]
+
+    @property
+    def flagged(self) -> int:
+        """The lanes that broke any check."""
+        return reduce(or_, (lanes for _, lanes in self.checks), 0)
+
+
+def _repeat(pattern: int, period: int, lanes: int) -> int:
+    """``pattern`` (``period`` bits wide) repeated across ``lanes`` lanes."""
+    width = period
+    while width < lanes:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern & ((1 << lanes) - 1)
+
+
+def _operand_planes(params: ModulusParams) -> tuple[list[int], list[int]]:
+    """Planes of A (k bits) and of the shifted multiplicand (n bits)."""
+    R, k, shift = params.modulus, params.k, params.shift
+    lanes = R * R
+    # A stays put for R lanes at a time, so its bit i alternates in runs
+    # of R * 2**i lanes; B counts 0..R-1 within each of those runs.
+    a = []
+    for i in range(k):
+        run = R << i
+        a.append(_repeat(((1 << run) - 1) << run, 2 * run, lanes))
+    b = [0] * params.n
+    for j in range(k):
+        run = 1 << j
+        b[shift + j] = _repeat(_repeat(((1 << run) - 1) << run, 2 * run, R), R, lanes)
+    return a, b
+
+
+def _csa(x: list[int], y: list[int], z: list[int]) -> tuple[list[int], list[int], int]:
+    """Carry-save addition of three registers of equal width.
+
+    Returns the sum and the carry planes, the carry shifted up one plane
+    and cut to the width, and the carry bit that fell off the top.
+    """
+    s = [xj ^ yj ^ zj for xj, yj, zj in zip(x, y, z)]
+    c = [maj2of3(xj, yj, zj) for xj, yj, zj in zip(x, y, z)]
+    return s, [0] + c[:-1], c[-1]
+
+
+def _select(mask: int, new: list[int], old: list[int]) -> list[int]:
+    """``new`` on the lanes in ``mask``, ``old`` elsewhere."""
+    return [o ^ ((o ^ m) & mask) for m, o in zip(new, old)]
+
+
+def _mux(choices: tuple[tuple[int, int], ...], width: int) -> list[int]:
+    """The planes of a register holding ``value`` on the lanes of ``mask``
+    for each disjoint (mask, value) choice, and 0 on every other lane."""
+    planes = [0] * width
+    for mask, value in choices:
+        for j in range(width):
+            if value >> j & 1:
+                planes[j] |= mask
+    return planes
+
+
+def _top_up(p: list[int], q: list[int], positions: tuple[int, ...]) -> None:
+    """``bitcore.top_up`` at the given positions, in place."""
+    for j in positions:
+        p[j], q[j] = p[j] | q[j], p[j] & q[j]
+
+
+def _below(planes: list[int], bound: int, ones: int) -> int:
+    """Lanes whose register is below ``bound``: a bit-serial comparator
+    scanning from the top bit down."""
+    below, equal = 0, ones
+    for j in range(len(planes) - 1, -1, -1):
+        if bound >> j & 1:
+            below |= equal & ~planes[j]
+            equal &= planes[j]
+        else:
+            equal &= ~planes[j]
+    return below
+
+
+def _low_bits(p: list[int], q: list[int], shift: int) -> int:
+    """Lanes with a set bit below position ``shift`` in either register."""
+    low = 0
+    for j in range(shift):
+        low |= p[j] | q[j]
+    return low
+
+
+def unslice(planes: Sequence[int], lanes: int) -> memoryview:
+    """Per-lane values: bit j of value i is bit i of ``planes[j]``.
+
+    Each group of eight planes becomes one byte per lane (a plane's binary
+    digits, mapped to bytes 0 and 1 and shifted into place), and the
+    groups are interleaved into lanes of 1, 2, 4 or 8 bytes.
+    """
+    width = next(w for w in _LANE_FORMATS if 8 * w >= len(planes))
+    buf = bytearray(width * lanes)
+    for group in range(0, len(planes), 8):
+        acc = 0
+        for j, plane in enumerate(planes[group : group + 8]):
+            digits = format(plane, f"0{lanes}b").encode("ascii").translate(_BITS)
+            acc |= int.from_bytes(digits, "big") << j
+        offset = group // 8 if sys.byteorder == "little" else width - 1 - group // 8
+        buf[offset::width] = acc.to_bytes(lanes, "little")
+    return memoryview(buf).cast(_LANE_FORMATS[width])
+
+
+def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
+    """Run every (A, B) pair of one modulus through the kernel at once.
+
+    The stages are those of ``pipeline.mulmod`` at the given shrink cycle
+    cap; each of its seam and rule checks flags the lanes that break it.
+    """
+    n, k, shift = params.n, params.k, params.shift
+    lanes = params.modulus**2
+    ones = (1 << lanes) - 1
+    a_planes, b_planes = _operand_planes(params)
+    checks = []
+
+    def check(name: str, broken: int) -> None:
+        if broken:
+            checks.append((name, broken))
+
+    # The loop: predict the overflow count from seven top bits (the
+    # formula of mainloop.lcu), then double, add the partial product and
+    # add the predicted count's constant.
+    rx = params.rx  # rx[0] is 0
+    p = [0] * (n + 1)
+    q = [0] * (n + 1)
+    for i in range(k - 1, -1, -1):
+        z = [a_planes[i] & bj for bj in b_planes] + [0]
+        pn, pn1, pn2 = p[n], p[n - 1], p[n - 2]
+        qn, qn1, qn2 = q[n], q[n - 1], q[n - 2]
+        s4 = pn1 ^ qn1
+        s5 = pn ^ qn
+        c4 = pn1 & qn1
+        q5 = s4 & maj2of3(pn2, qn2, z[n - 1])
+        f0 = q5 ^ s5 ^ c4
+        f1 = (pn & qn) ^ maj2of3(s5, c4, q5)
+        ry = _mux(
+            ((f0 & ~f1, rx[1]), (f1 & ~f0, rx[2]), (f0 & f1, rx[3])), n + 1
+        )
+        s, c, _ = _csa([0] + p[:n], [0] + q[:n], z)
+        p, q, _ = _csa(s, c, ry)
+    check("nonzero low bits after main loop", _low_bits(p, q, shift))
+
+    # Shrink: each cycle tops up the two top positions and fires one rule
+    # on the lanes that have not reached the exit shape. A lane still
+    # firing in cycle cycle_cap + 1 needed more than the cap.
+    cycles = [0] * (cycle_cap + 1)
+    cycling = ones
+    for cycle in range(cycle_cap + 1):
+        _top_up(p, q, (n - 1, n))
+        pn, qn = p[n], q[n]
+        pq_next = p[n - 1] & q[n - 1]
+        fire = pn | pq_next
+        cycles[cycle] = cycling & ~fire
+        cycling = fire
+        if not fire:
+            break
+        r1 = pn & qn
+        r2 = pn & pq_next & ~qn
+        r3 = pn & ~(qn | pq_next)
+        r4 = pq_next & ~pn
+        const = _mux(((r1 | r2, rx[1]), (r3 | r4, params.rn)), n + 1)
+        s, c, dropped = _csa(p, q, const)
+        # Rule 1 lets the adder drop exactly one doubled span; the others
+        # drop nothing and clear only set top bits.
+        check("rule 1 expected to discard", r1 & ~dropped)
+        check("adder lost a bit outside rule 1", (r2 | r3 | r4) & dropped)
+        check("rule 2 clearing unset top bits", r2 & ~(s[n] & c[n]))
+        check("rule 3 clearing an unset top bit", r3 & ~s[n])
+        check("rule 4 clearing an unset top bit", r4 & ~c[n])
+        s[n] &= ~(r2 | r3)
+        c[n] &= ~(r2 | r4)
+        p = _select(fire, s, p)
+        q = _select(fire, c, q)
+        if cycle == cycle_cap:
+            check("shrink needed more than", fire)
+            break
+    check("nonzero low bits after shrink", _low_bits(p, q, shift))
+
+    # Squeeze: entry shape, top-up below the top bit, one of six rules,
+    # and one carry-save addition on the lanes of rules 2 and 3.
+    hi, lo = n - 1, n - 2
+    check("squeeze entered with a set top bit", p[n] | q[n])
+    check("squeeze entered with both next-to-top bits set", p[hi] & q[hi])
+    _top_up(p, q, (lo, hi))
+    p_hi, p_lo, q_lo = p[hi], p[lo], q[lo]
+    rest = p_hi & ~q_lo
+    r2 = p_hi & q_lo
+    if params.r_bit:
+        r3 = r4 = 0
+        r5, r6 = rest & ~p_lo, rest & p_lo
+    else:
+        r3, r4 = rest & p_lo, rest & ~p_lo
+        r5 = r6 = 0
+    rules = (ones & ~p_hi, r2, r3, r4, r5, r6)
+    p[hi] = p_hi & ~(r2 | r3 | r4)
+    p[lo] = (p_lo & ~(r2 | r3 | r6)) | r4
+    q[lo] = (q_lo & ~r2) | r4 | r6
+    const = _mux(((r2, params.rn), (r3, params.rm)), n + 1)
+    s, c, _ = _csa(p, q, const)
+    p = _select(r2 | r3, s, p)
+    q = _select(r2 | r3, c, q)
+    bound = params.modulus_shifted
+    check(
+        "squeeze exit above the shifted modulus",
+        ones & ~(_below(p, bound, ones) & _below(q, bound, ones)),
+    )
+    check("nonzero low bits after squeeze", _low_bits(p, q, shift))
+
+    return SlicedRun(
+        checks=tuple(checks),
+        cycles=tuple(cycles),
+        rules=rules,
+        p=unslice(p[shift:], lanes),
+        q=unslice(q[shift:], lanes),
+    )

@@ -10,9 +10,9 @@ from csmulmod import (
     hunt_shrink_cycles,
     random_sweep,
 )
-from csmulmod import harness
+from csmulmod import harness, sliced
 from csmulmod.cli import EXIT_VERIFICATION, main
-from csmulmod.harness import WITNESS_CAP
+from csmulmod.harness import SLICED_DISAGREES, WITNESS_CAP
 from csmulmod.modparams import precompute
 
 
@@ -39,7 +39,7 @@ class TestExhaustiveSweep:
 
     def test_instance_cap(self):
         with pytest.raises(ContractViolation, match="instance cap"):
-            exhaustive_sweep(SweepConfig(k_min=3, k_max=9))
+            exhaustive_sweep(SweepConfig(k_min=3, k_max=11))
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation, match="k >= 3"):
@@ -155,16 +155,69 @@ class TestUnexpectedErrors:
             return inner(A, B, R, n, **kwargs)
 
         monkeypatch.setattr(harness, "mulmod_checked", faulty)
-        report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
-        assert report.instances == 126
+        report = random_sweep(SweepConfig(n=3, count=60, seed=4))  # draws (5, 2, 3) once
+        assert report.instances == 60
         assert report.failures_total == 1
         assert not report.ok()
         assert report.failures == [
             {"n": 3, "r": "5", "a": "2", "b": "3", "reason": "ValueError: synthetic fault"}
         ]
-        assert sum(report.cycle_histogram.values()) == 125
-        assert main(["sweep", "--k-min", "3", "--k-max", "3"]) == EXIT_VERIFICATION
+        assert sum(report.cycle_histogram.values()) == 59
+        argv = ["random", "--n", "3", "--count", "60", "--seed", "4"]
+        assert main(argv) == EXIT_VERIFICATION
         assert "failures=1 " in capsys.readouterr().out
+
+    def test_sliced_kernel_fault_fails_its_modulus(self, monkeypatch, capsys):
+        inner = sliced.run_modulus
+
+        def faulty(params, cycle_cap):
+            if params.modulus == 5:
+                raise ValueError("synthetic fault")
+            return inner(params, cycle_cap)
+
+        monkeypatch.setattr(sliced, "run_modulus", faulty)
+        report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
+        assert report.instances == 126
+        assert report.failures_total == len(report.failures) == 25
+        assert report.failures == [
+            {"n": 3, "r": "5", "a": str(A), "b": str(B), "reason": "ValueError: synthetic fault"}
+            for A in range(5)
+            for B in range(5)
+        ]
+        assert sum(report.cycle_histogram.values()) == 126 - 25
+        assert main(["sweep", "--k-max", "3"]) == EXIT_VERIFICATION
+        assert "failures=25 " in capsys.readouterr().out
+
+    def test_corrupted_lane_is_judged_by_the_scalar_kernel(self, monkeypatch):
+        config = SweepConfig(k_min=3, k_max=3)
+        clean = exhaustive_sweep(config)
+        inner = sliced.run_modulus
+
+        def corrupting(params, cycle_cap):
+            run = inner(params, cycle_cap)
+            if params.modulus == 5:
+                run.p[2 * 5 + 3] ^= 1  # the lane of (A, B) = (2, 3)
+            return run
+
+        monkeypatch.setattr(sliced, "run_modulus", corrupting)
+        witness = {"n": 3, "r": "5", "a": "2", "b": "3"}
+        # the scalar kernel gets the lane right: the sliced kernel is at fault
+        report = exhaustive_sweep(config)
+        assert report.failures == [dict(witness, reason=SLICED_DISAGREES)]
+        assert report.cycle_histogram == clean.cycle_histogram
+        assert report.rule_usage == clean.rule_usage
+
+        # the scalar kernel gets it wrong too: its reason is the one recorded
+        checked = harness.mulmod_checked
+
+        def wrong(A, B, R, n, **kwargs):
+            result, ok = checked(A, B, R, n, **kwargs)
+            return result, ok and (R, A, B) != (5, 2, 3)
+
+        monkeypatch.setattr(harness, "mulmod_checked", wrong)
+        report = exhaustive_sweep(config)
+        assert report.failures == [dict(witness, reason="residue mismatch")]
+        assert report.cycle_histogram == clean.cycle_histogram
 
     def test_precompute_fault_fails_the_instances_that_need_it(self, monkeypatch, capsys):
         inner = harness.precompute

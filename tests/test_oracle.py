@@ -3,6 +3,7 @@ import random
 import pytest
 
 from csmulmod import (
+    exhaustive_mismatches,
     fold_pair,
     lcu,
     precompute,
@@ -52,6 +53,21 @@ class TestFoldPair:
             R = rng.randrange(4, 1 << 16)
             p, q = rng.randrange(R), rng.randrange(R)
             assert fold_pair(p, q, R) == (p + q) % R
+
+
+class TestExhaustiveMismatches:
+    def test_flags_exactly_the_wrong_lanes(self):
+        R = 7
+        # a correct split of each residue, lane A*R + B
+        p = [(A * B) % R // 2 for A in range(R) for B in range(R)]
+        q = [(A * B) % R - p[A * R + B] for A in range(R) for B in range(R)]
+        assert exhaustive_mismatches(p, q, R) == []
+        wrong = list(p)
+        wrong[3 * R + 5] = (wrong[3 * R + 5] + 1) % R  # wrong residue
+        wrong[4 * R + 2] += R  # right residue, entry not below R
+        wrong[6 * R + 6] = R - 1  # wrong residue in the last lane
+        assert exhaustive_mismatches(wrong, q, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
+        assert exhaustive_mismatches(q, wrong, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
 
 
 class TestReplayStepWide:

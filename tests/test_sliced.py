@@ -1,0 +1,177 @@
+"""The bit-sliced kernel against the scalar kernel, lane by lane.
+
+Exhaustive sweeps run only the sliced kernel, so these tests are what
+still compares every instance of the small widths with ``mulmod_checked``.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from csmulmod import (
+    InvariantViolation,
+    SweepReport,
+    exhaustive_mismatches,
+    harness,
+    mulmod_checked,
+    precompute,
+)
+from csmulmod.shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
+from csmulmod.sliced import run_modulus, unslice
+
+# (n, R) for every modulus of k=3..6 at n=k, and of k=3..5 at n=8
+FULL_WIDTH = [(k, R) for k in range(3, 7) for R in range(1 << (k - 1), 1 << k)]
+SHIFT_PATH = [(8, R) for k in range(3, 6) for R in range(1 << (k - 1), 1 << k)]
+
+
+def one_hot(masks, lanes):
+    """Per lane, the index of the one mask holding it (-1 for none)."""
+    return [v.bit_length() - 1 for v in unslice(masks, lanes)]
+
+
+def sliced_lanes(n, R, cap):
+    """Per lane (p, q, shrink cycles, squeeze rule, ok) from the sliced run."""
+    run = run_modulus(precompute(R, n), cap)
+    lanes = R * R
+    bad = set(exhaustive_mismatches(run.p, run.q, R))
+    flagged = unslice([run.flagged], lanes)
+    cycles = one_hot(run.cycles, lanes)
+    rules = one_hot(run.rules, lanes)
+    return [
+        (run.p[i], run.q[i], cycles[i], rules[i] + 1, not flagged[i] and i not in bad)
+        for i in range(lanes)
+    ]
+
+
+def scalar_lanes(n, R, cap):
+    params = precompute(R, n)
+    out = []
+    for A in range(R):
+        for B in range(R):
+            result, ok = mulmod_checked(A, B, R, n, params=params, shrink_cycle_cap=cap)
+            out.append((result.p, result.q, result.shrink_cycles, result.squeeze_rule, ok))
+    return out
+
+
+def tallies(moduli, hunt, tamper=lambda params: params):
+    """One report over the moduli from ``add_modulus``, and one from ``add``
+    over every instance of them, with the constant sets tampered."""
+    sliced, scalar = SweepReport(), SweepReport()
+    for n, R in moduli:
+        params = tamper(precompute(R, n))
+        sliced.add_modulus(n, R, hunt, params)
+        for A in range(R):
+            for B in range(R):
+                scalar.add(n, R, A, B, hunt, params)
+    return sliced, scalar
+
+
+def assert_same_tally(sliced, scalar):
+    assert sliced.to_json_bytes() == scalar.to_json_bytes()
+    assert sliced.ge5_total == scalar.ge5_total
+
+
+def test_every_lane_matches_the_scalar_kernel():
+    mismatched = [
+        (n, R)
+        for n, R in FULL_WIDTH + SHIFT_PATH
+        if sliced_lanes(n, R, NORMAL_CYCLE_CAP) != scalar_lanes(n, R, NORMAL_CYCLE_CAP)
+    ]
+    assert mismatched == []
+
+
+def test_hunt_shard_equals_the_scalar_tally():
+    for n, R in FULL_WIDTH + SHIFT_PATH:
+        shard = harness._run_modulus_task((True, n, R))
+        assert_same_tally(shard, tallies([(n, R)], True)[1])
+
+
+# Each breaks the constant set so that failures of the named kind occur.
+TAMPERS = {
+    "residue mismatch": lambda p: dataclasses.replace(
+        p, rn=(p.rn + (1 << p.shift)) & (p.mask >> 1)
+    ),
+    "InvariantViolation: nonzero low bits after main loop": lambda p: dataclasses.replace(
+        p, rx=(0, p.rx[1], p.rx[2] ^ 1, p.rx[3])
+    ),
+    "InvariantViolation: squeeze exit above the shifted modulus": lambda p: dataclasses.replace(
+        p, modulus_shifted=p.modulus_shifted - 3
+    ),
+    "InvariantViolation: shrink needed more than": lambda p: dataclasses.replace(
+        p, rn=p.mask >> 1
+    ),
+    "InvariantViolation: adder lost a bit outside rule 1": lambda p: dataclasses.replace(
+        p, rn=1 << p.n
+    ),
+    "InvariantViolation: nonzero low bits after squeeze": lambda p: dataclasses.replace(
+        p, rm=p.rm ^ 3
+    ),
+}
+# k=3..4 at n=k, and at n=7 for the shift path
+TAMPERED = [(k, R) for k in (3, 4) for R in range(1 << (k - 1), 1 << k)] + [
+    (7, R) for R in range(4, 16)
+]
+
+
+def first_checks(run, lanes):
+    """Per lane, the first check of the sliced run it broke, or None."""
+    first = [None] * lanes
+    for name, broken in run.checks:
+        for i, bit in enumerate(unslice([broken], lanes)):
+            if bit and first[i] is None:
+                first[i] = name
+    return first
+
+
+def scalar_raises(n, R, cap, params):
+    """Per lane, the message ``mulmod_checked`` raises with, or None."""
+    out = []
+    for A in range(R):
+        for B in range(R):
+            try:
+                mulmod_checked(A, B, R, n, params=params, shrink_cycle_cap=cap)
+            except InvariantViolation as exc:
+                out.append(str(exc))
+            else:
+                out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("reason", TAMPERS)
+@pytest.mark.parametrize("hunt", (False, True), ids=("verify", "hunt"))
+def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
+    cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
+    for n, R in TAMPERED:
+        params = TAMPERS[reason](precompute(R, n))
+        # each lane first breaks the check the scalar kernel raises on
+        first = first_checks(run_modulus(params, cap), R * R)
+        raised = scalar_raises(n, R, cap, params)
+        mismatched = [
+            (n, R, lane, check, message)
+            for lane, (check, message) in enumerate(zip(first, raised))
+            if (check is None) != (message is None)
+            or (message is not None and not message.startswith(check))
+        ]
+        assert mismatched == []
+    # witnesses, failures and their caps run on across moduli as in a shard
+    # that held them all
+    sliced, scalar = tallies(TAMPERED, hunt, TAMPERS[reason])
+    assert_same_tally(sliced, scalar)
+    assert any(failure["reason"].startswith(reason) for failure in sliced.failures)
+
+
+@pytest.mark.parametrize("planes", (1, 8, 9, 16, 17, 40))
+def test_unslice_round_trip(planes):
+    rng = random.Random(planes)
+    lanes = 301
+    values = [rng.getrandbits(planes) for _ in range(lanes)]
+    sliced = [sum((v >> j & 1) << i for i, v in enumerate(values)) for j in range(planes)]
+    assert list(unslice(sliced, lanes)) == values
+
+
+def test_hunt_cap_records_cycles_beyond_the_normal_cap():
+    params = TAMPERS["InvariantViolation: shrink needed more than"](precompute(14, 4))
+    run = run_modulus(params, HUNT_CYCLE_CAP)
+    assert len(run.cycles) == HUNT_CYCLE_CAP + 1
+    assert any(run.cycles[NORMAL_CYCLE_CAP + 1 :])
