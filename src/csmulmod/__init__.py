@@ -28,7 +28,6 @@ from .oracle import (
     exhaustive_mismatches,
     fold_pair,
     ref_mulmod,
-    ref_mulmod_by_addition,
     replay_step_wide,
 )
 from .pipeline import MulResult, RunTrace, mulmod, mulmod_checked
@@ -73,7 +72,6 @@ __all__ = [
     "qcu_apply",
     "random_sweep",
     "ref_mulmod",
-    "ref_mulmod_by_addition",
     "replay_step_wide",
     "run_loop",
     "run_shrink",

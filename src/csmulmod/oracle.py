@@ -7,6 +7,8 @@ model cannot hide inside its own checker.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from operator import add
 from typing import Sequence
 
@@ -14,9 +16,11 @@ __all__ = [
     "exhaustive_mismatches",
     "fold_pair",
     "ref_mulmod",
-    "ref_mulmod_by_addition",
     "replay_step_wide",
 ]
+
+# array typecode of an unsigned field, by its width in bytes
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def fold_pair(p: int, q: int, R: int) -> int:
@@ -37,10 +41,87 @@ def exhaustive_mismatches(p: Sequence[int], q: Sequence[int], R: int) -> list[in
     result pair ``(p[i], q[i])`` is not below R or does not fold to
     ``(A * B) mod R``, in lane order.
 
-    Each row of R lanes (one A) is folded the way fold_pair folds and
-    compared whole with its reference residues; only a row that differs
-    is searched lane by lane.
+    The whole run is checked at once on packed fields (``_fields_agree``);
+    only a run that fails there is searched row by row.
     """
+    if _fields_agree(p, q, R):
+        return []
+    return _search_rows(p, q, R)
+
+
+def _field_bytes(R: int) -> int | None:
+    """The narrowest field, in bytes, whose top bit can guard a compare
+    with R (``R <= 2**(F-1)``); None when R needs more than 64 bits."""
+    return next((w for w in _FIELD_CODES if R <= 1 << (8 * w - 1)), None)
+
+
+def _little(fields: array) -> bytes:
+    """The array's bytes, each field least significant byte first."""
+    if sys.byteorder != "little":
+        fields.byteswap()
+    return fields.tobytes()
+
+
+def _packed(values: Sequence[int], width: int) -> int | None:
+    """``values`` as one int whose field i (``width`` bytes) is values[i],
+    or None when some value does not fit a field.
+
+    A memoryview whose lanes are fields of that width is read through its
+    bytes, not value by value.
+    """
+    code = _FIELD_CODES[width]
+    if isinstance(values, memoryview) and values.format == code:
+        values = values.tobytes()
+    try:
+        return int.from_bytes(_little(array(code, values)), "little")
+    except (OverflowError, TypeError):
+        return None
+
+
+def _fields_agree(p: Sequence[int], q: Sequence[int], R: int) -> bool:
+    """Whether every lane's pair is below R and folds to ``(A * B) mod R``,
+    computed field-wise on packed ints.
+
+    Each field has F bits with ``R <= 2**(F-1)``, and its top bit is a
+    guard: a value x below 2**(F-1) is at least R exactly when
+    x + 2**(F-1) - R sets it. Neither that sum nor a pair's sum (below 2R)
+    reaches the next field. The pairs are folded with one packed add and
+    a field-wise conditional subtract of R; expected row A is row A-1 plus
+    (0, 1, ..., R-1), conditionally reduced the same way.
+    """
+    lanes = R * R
+    width = _field_bytes(R)
+    if width is None or len(p) != lanes or len(q) != lanes:
+        return False
+    P, Q = _packed(p, width), _packed(q, width)
+    if P is None or Q is None:
+        return False
+    F = 8 * width
+    half = 1 << (F - 1)
+    one = b"\1" + bytes(width - 1)
+    low = int.from_bytes(one * lanes, "little")
+    guard, lift = low * half, low * (half - R)
+    if (P | Q) & guard or (P + lift) & guard or (Q + lift) & guard:
+        return False
+    S = P + Q
+    S -= (((S + lift) & guard) >> (F - 1)) * R
+
+    row_low = int.from_bytes(one * R, "little")
+    row_guard, row_lift = row_low * half, row_low * (half - R)
+    ramp = int.from_bytes(_little(array(_FIELD_CODES[width], range(R))), "little")
+    rows = []
+    row = 0
+    for _ in range(R):
+        rows.append(row.to_bytes(width * R, "little"))
+        row += ramp
+        row -= (((row + row_lift) & row_guard) >> (F - 1)) * R
+    return S.to_bytes(width * lanes, "little") == b"".join(rows)
+
+
+def _search_rows(p: Sequence[int], q: Sequence[int], R: int) -> list[int]:
+    """``exhaustive_mismatches`` row by row: each row of R lanes (one A) is
+    folded the way fold_pair folds and compared whole with its reference
+    residues; only a row that differs is searched lane by lane."""
     bad = []
     for A in range(R):
         lo = A * R
@@ -64,28 +145,6 @@ def ref_mulmod(A: int, B: int, R: int) -> int:
     if R <= 0:
         raise ValueError(f"modulus must be positive, got {R}")
     return (A * B) % R
-
-
-def ref_mulmod_by_addition(A: int, B: int, R: int) -> int:
-    """Second opinion on ref_mulmod: accumulate B repeatedly, A times.
-
-    Structurally different from multiplication followed by division, so
-    the two implementations cross-check each other. Only usable for small
-    A; the tests run it over every instance of bit length five or less.
-    """
-    if R <= 0:
-        raise ValueError(f"modulus must be positive, got {R}")
-    if A < 0 or B < 0:
-        raise ValueError("operands must be non-negative")
-    b = B
-    while b >= R:
-        b -= R
-    acc = 0
-    for _ in range(A):
-        acc += b
-        if acc >= R:
-            acc -= R
-    return acc
 
 
 def replay_step_wide(

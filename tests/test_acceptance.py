@@ -3,7 +3,7 @@
 One test per criterion, each printing a single PASS/FAIL line (visible
 with ``pytest -s``). Criteria that share an expensive enumeration reuse
 one cached run. Set CSMULMOD_NIGHTLY=1 to extend the exhaustive widths
-of AC1 and AC4 from 6 to 10 bits.
+of AC1 and AC4 from 6 to 11 bits.
 """
 
 import functools
@@ -29,7 +29,7 @@ from csmulmod import (
 )
 
 JOBS = min(4, os.cpu_count() or 1)
-K_MAX = 10 if os.environ.get("CSMULMOD_NIGHTLY") else 6
+K_MAX = 11 if os.environ.get("CSMULMOD_NIGHTLY") else 6
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

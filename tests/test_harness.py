@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,11 @@ from csmulmod import harness, sliced
 from csmulmod.cli import EXIT_VERIFICATION, main
 from csmulmod.harness import SLICED_DISAGREES, WITNESS_CAP
 from csmulmod.modparams import precompute
+
+
+def _instances(k_min: int, k_max: int) -> int:
+    """How many instances an exhaustive sweep of the k range runs."""
+    return sum(R * R for k in range(k_min, k_max + 1) for R in range(1 << (k - 1), 1 << k))
 
 
 class TestExhaustiveSweep:
@@ -39,7 +49,7 @@ class TestExhaustiveSweep:
 
     def test_instance_cap(self):
         with pytest.raises(ContractViolation, match="instance cap"):
-            exhaustive_sweep(SweepConfig(k_min=3, k_max=11))
+            exhaustive_sweep(SweepConfig(k_min=3, k_max=12))
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation, match="k >= 3"):
@@ -66,6 +76,40 @@ class TestDeterminism:
             serial = sweep(SweepConfig(k_min=3, k_max=4, jobs=1))
             parallel = sweep(SweepConfig(k_min=3, k_max=4, jobs=2))
             assert serial.to_json_bytes() == parallel.to_json_bytes()
+
+    def test_pool_above_the_serial_cutoff_does_not_change_the_report(self, monkeypatch):
+        assert _instances(7, 7) >= harness.SERIAL_BELOW
+        pools = []
+        real_pool = multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        for sweep in (exhaustive_sweep, hunt_shrink_cycles):
+            serial = sweep(SweepConfig(k_min=7, k_max=7, jobs=1))
+            parallel = sweep(SweepConfig(k_min=7, k_max=7, jobs=2))
+            assert serial.to_json_bytes() == parallel.to_json_bytes()
+        assert pools == [{"processes": 2}] * 2
+
+    def test_sweep_below_the_serial_cutoff_starts_no_pool(self, monkeypatch):
+        assert _instances(3, 6) < harness.SERIAL_BELOW
+        serial = [
+            sweep(SweepConfig(k_min=3, k_max=6, jobs=1))
+            for sweep in (exhaustive_sweep, hunt_shrink_cycles)
+        ]
+
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        for sweep, expected in zip((exhaustive_sweep, hunt_shrink_cycles), serial):
+            report = sweep(SweepConfig(k_min=3, k_max=6, jobs=2))
+            assert report.to_json_bytes() == expected.to_json_bytes()
+        # random sweeps keep their pool at any size
+        with pytest.raises(RuntimeError, match="a pool was started"):
+            random_sweep(SweepConfig(n=16, count=20, seed=1, jobs=2))
 
     def test_random_repeat_and_parallelism(self):
         runs = [
@@ -253,6 +297,25 @@ class TestUnexpectedErrors:
 
         assert main(["sweep", "--k-max", "3"]) == EXIT_VERIFICATION
         assert "failures=25 " in capsys.readouterr().out
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", ("csmulmod", "csmulmod.cli"))
+    def test_import_loads_neither_sliced_nor_multiprocessing(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            f"import sys, {module}; "
+            "print(sorted({'csmulmod.sliced', 'multiprocessing'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        ).stdout
+        assert out.strip() == "[]"
 
 
 def _shard(start: int, count: int, max_cycles: int | None = None) -> SweepReport:

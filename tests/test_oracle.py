@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -6,11 +7,28 @@ from csmulmod import (
     exhaustive_mismatches,
     fold_pair,
     lcu,
+    oracle,
     precompute,
     ref_mulmod,
-    ref_mulmod_by_addition,
     replay_step_wide,
 )
+
+
+def ref_mulmod_by_addition(A: int, B: int, R: int) -> int:
+    """Second opinion on ref_mulmod: accumulate B repeatedly, A times.
+
+    Structurally different from multiplication followed by division, so
+    the two implementations cross-check each other.
+    """
+    b = B
+    while b >= R:
+        b -= R
+    acc = 0
+    for _ in range(A):
+        acc += b
+        if acc >= R:
+            acc -= R
+    return acc
 
 
 class TestRefMulmod:
@@ -68,6 +86,86 @@ class TestExhaustiveMismatches:
         wrong[6 * R + 6] = R - 1  # wrong residue in the last lane
         assert exhaustive_mismatches(wrong, q, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
         assert exhaustive_mismatches(q, wrong, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
+
+
+def split_residues(R):
+    """Per lane A*R + B, a pair (p, q) below R congruent to (A*B) mod R,
+    split so that p + q reaches R on some lanes and not on others."""
+    p, q = [], []
+    for A in range(R):
+        for B in range(R):
+            p.append((A + B) % R)
+            q.append((A * B - p[-1]) % R)
+    return p, q
+
+
+def per_lane_mismatches(p, q, R):
+    """The lanes a per-lane fold_pair/ref_mulmod check rejects."""
+    return [
+        i
+        for i in range(R * R)
+        if not (p[i] < R and q[i] < R) or fold_pair(p[i], q[i], R) != ref_mulmod(*divmod(i, R), R)
+    ]
+
+
+# (R, lane format) as the sliced kernel un-slices k+1 planes: 1-byte lanes
+# of k=3, k=6 and k=7 at n=7 (R=64 and R=127), and 2-byte lanes of k=8
+# (R=128 also fits 8-bit fields, so its lanes are read value by value)
+LANE_LAYOUTS = [(5, "B"), (63, "B"), (64, "B"), (127, "B"), (128, "H"), (200, "H")]
+
+
+def corrupt_positions(R):
+    """Lane 0, the two edges (B=0, B=R-1) of a middle row, a middle lane of
+    the top row, and the last lane R*R-1."""
+    mid = R // 2
+    return [0, mid * R, mid * R + R - 1, (R - 1) * R + mid, R * R - 1]
+
+
+def corruptions(value, R):
+    """Wrong values for one field: at least R with the residue kept, the
+    register maximum 2**(k+1) - 1, and below R with the residue moved."""
+    return {
+        "ge_r_same_residue": value + R,
+        "register_max": (1 << (R.bit_length() + 1)) - 1,
+        "residue_off_by_one": (value + 1) % R,
+    }
+
+
+class TestPackedCheck:
+    @pytest.mark.parametrize("R, fmt", LANE_LAYOUTS)
+    def test_clean_run_passes_on_packed_fields(self, R, fmt):
+        p, q = split_residues(R)
+        assert any(a + b >= R for a, b in zip(p, q))
+        assert oracle._fields_agree(p, q, R)
+        assert oracle._fields_agree(memoryview(array(fmt, p)), memoryview(array(fmt, q)), R)
+        assert exhaustive_mismatches(memoryview(array(fmt, p)), q, R) == []
+        # lanes past R*R are not part of the run
+        assert exhaustive_mismatches(p + [R], q + [0], R) == []
+
+    @pytest.mark.parametrize("R, fmt", LANE_LAYOUTS)
+    def test_single_corrupted_fields(self, R, fmt):
+        clean_p, clean_q = split_residues(R)
+        for lane in corrupt_positions(R):
+            for side in (0, 1):
+                for kind, value in corruptions((clean_p, clean_q)[side][lane], R).items():
+                    pair = [list(clean_p), list(clean_q)]
+                    pair[side][lane] = value
+                    want = per_lane_mismatches(*pair, R)
+                    assert want == [lane], (R, lane, side, kind)
+                    views = [memoryview(array(fmt, values)) for values in pair]
+                    assert exhaustive_mismatches(*views, R) == want, (R, lane, side, kind)
+                    assert exhaustive_mismatches(*pair, R) == want, (R, lane, side, kind)
+
+    @pytest.mark.parametrize("R, fmt", LANE_LAYOUTS)
+    def test_many_corrupted_fields_in_lane_order(self, R, fmt):
+        p, q = split_residues(R)
+        for lane, kind in zip(corrupt_positions(R), ("ge_r_same_residue", "register_max") * 3):
+            values = p if lane % 2 else q
+            values[lane] = corruptions(values[lane], R)[kind]
+        want = per_lane_mismatches(p, q, R)
+        assert want == sorted(set(corrupt_positions(R)))
+        assert exhaustive_mismatches(memoryview(array(fmt, p)), memoryview(array(fmt, q)), R) == want
+        assert exhaustive_mismatches(p, q, R) == want
 
 
 class TestReplayStepWide:
