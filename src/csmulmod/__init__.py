@@ -17,7 +17,7 @@ from .harness import (
     hunt_shrink_cycles,
     random_sweep,
 )
-from .mainloop import Accumulator, StepTrace, lcu, loop_step, run_loop
+from .mainloop import Accumulator, StepTrace, lcu, run_loop
 from .modparams import (
     ModulusParams,
     precompute,
@@ -64,7 +64,6 @@ __all__ = [
     "fold_pair",
     "hunt_shrink_cycles",
     "lcu",
-    "loop_step",
     "maj2of3",
     "mulmod",
     "mulmod_checked",

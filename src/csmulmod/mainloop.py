@@ -20,7 +20,6 @@ __all__ = [
     "Accumulator",
     "StepTrace",
     "lcu",
-    "loop_step",
     "run_loop",
 ]
 
@@ -91,50 +90,17 @@ def lcu(
     return (f1 << 1) | f0
 
 
-def loop_step(
-    acc: Accumulator,
-    a_i: int,
-    b_shifted: int,
-    params: ModulusParams,
-    i: int = -1,
-    trace: bool = False,
-) -> tuple[Accumulator, StepTrace | None]:
-    """Run one iteration: double, add the partial product, reduce.
-
-    ``b_shifted`` is the n-bit register from shift_left_operand. The first
-    addition sums the doubled registers (masked back to n+1 bits) with the
-    partial product; the second adds the reduction constant selected by
-    the predicted overflow count. The step's record is built only when
-    ``trace`` is set; ``i`` only labels it.
-    """
-    n = params.n
-    mask = params.mask
-    p, q = acc.p, acc.q
-    f = lcu(
-        ((p >> n) & 1, (p >> (n - 1)) & 1, (p >> (n - 2)) & 1),
-        ((q >> n) & 1, (q >> (n - 1)) & 1, (q >> (n - 2)) & 1),
-        a_i & (b_shifted >> (n - 1)),
+# The predicted overflow count for every seven-bit predictor input, indexed
+# by (p_n p_n-1 p_n-2 q_n q_n-1 q_n-2 b_top) read as a binary number, so
+# the loop looks it up with two shifts instead of extracting seven bits.
+_F_TABLE = tuple(
+    lcu(
+        ((x >> 6) & 1, (x >> 5) & 1, (x >> 4) & 1),
+        ((x >> 3) & 1, (x >> 2) & 1, (x >> 1) & 1),
+        x & 1,
     )
-    z = b_shifted if a_i else 0
-    s, c = csa((p << 1) & mask, (q << 1) & mask, z, mask)
-    ry = params.rx[f]
-    p2, q2 = csa(s, c, ry, mask)
-    out = Accumulator(p2, q2, n)
-    if not trace:
-        return out, None
-    return out, StepTrace(
-        i=i,
-        a_i=a_i,
-        p_in=p,
-        q_in=q,
-        s=s,
-        c=c,
-        f=f,
-        ry=ry,
-        p_out=p2,
-        q_out=q2,
-        discarded=2 * (p + q) + z + ry - (p2 + q2),
-    )
+    for x in range(128)
+)
 
 
 def run_loop(
@@ -149,16 +115,48 @@ def run_loop(
     leading zeros in A; starting from the zero pair this realizes the
     doubling expansion of A * B. On exit p + q is congruent to
     A * B_shifted modulo the shifted modulus.
+
+    Each step doubles the pair, adds the partial product (``B_shifted``,
+    the n-bit register from shift_left_operand, or zero) in one carry-save
+    addition masked to n+1 bits, then adds the reduction constant selected
+    by the overflow count that ``lcu`` predicts from the pair's top three
+    bits and the partial product's top bit. A record of every step is
+    built only when ``trace`` is set.
     """
     check_int("A", A)
     if A < 0:
         raise ContractViolation(f"A >= 0 violated (A={A})")
     if A >= params.modulus:
         raise ContractViolation(f"A < R violated (A={A}, R={params.modulus})")
-    acc = Accumulator(0, 0, params.n)
+    n = params.n
+    mask = params.mask
+    rx = params.rx
+    top = n - 2
+    b_top = (B_shifted >> (n - 1)) & 1
+    p = q = 0
     traces: list[StepTrace] | None = [] if trace else None
     for i in range(params.k - 1, -1, -1):
-        acc, st = loop_step(acc, (A >> i) & 1, B_shifted, params, i, trace)
+        a_i = (A >> i) & 1
+        f = _F_TABLE[((p >> top) << 4) | ((q >> top) << 1) | (a_i & b_top)]
+        z = B_shifted if a_i else 0
+        s, c = csa((p << 1) & mask, (q << 1) & mask, z, mask)
+        ry = rx[f]
+        p2, q2 = csa(s, c, ry, mask)
         if traces is not None:
-            traces.append(st)
-    return acc, traces
+            traces.append(
+                StepTrace(
+                    i=i,
+                    a_i=a_i,
+                    p_in=p,
+                    q_in=q,
+                    s=s,
+                    c=c,
+                    f=f,
+                    ry=ry,
+                    p_out=p2,
+                    q_out=q2,
+                    discarded=2 * (p + q) + z + ry - (p2 + q2),
+                )
+            )
+        p, q = p2, q2
+    return Accumulator(p, q, n), traces

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from csmulmod import (
-    Accumulator,
     ContractViolation,
+    csa,
     lcu,
-    loop_step,
+    mulmod,
     precompute,
     ref_mulmod,
     replay_step_wide,
@@ -56,64 +56,126 @@ class TestLcu:
             assert exclusion_identities_hold(*bits)
 
 
-class TestLoopStep:
+def top3(v, n):
+    return ((v >> n) & 1, (v >> (n - 1)) & 1, (v >> (n - 2)) & 1)
+
+
+def reference_loop(A, b, params):
+    """The loop written step by step from ``lcu`` on explicit bit triples,
+    as the reference the table-driven ``run_loop`` must match."""
+    n, mask = params.n, params.mask
+    p = q = 0
+    for i in range(params.k - 1, -1, -1):
+        a_i = (A >> i) & 1
+        f = lcu(top3(p, n), top3(q, n), a_i & (b >> (n - 1)))
+        s, c = csa((p << 1) & mask, (q << 1) & mask, b if a_i else 0, mask)
+        p, q = csa(s, c, params.rx[f], mask)
+    return p, q
+
+
+class TestLoopRecords:
     def test_first_step_loads_the_multiplicand(self):
         params = precompute(13, 4)
-        acc = Accumulator(0, 0, 4)
-        b = shift_left_operand(11, params)
-        acc2, trace = loop_step(acc, 1, b, params, trace=True)
-        assert (acc2.p, acc2.q, acc2.n) == (11, 0, 4)
-        assert (trace.s, trace.c, trace.f, trace.ry) == (11, 0, 0, 0)
-        assert trace.discarded == 0
+        _, traces = run_loop(8, shift_left_operand(11, params), params, trace=True)
+        first = traces[0]
+        assert (first.i, first.a_i, first.p_in, first.q_in) == (3, 1, 0, 0)
+        assert (first.p_out, first.q_out) == (11, 0)
+        assert (first.s, first.c, first.f, first.ry) == (11, 0, 0, 0)
+        assert first.discarded == 0
 
     def test_zero_bit_keeps_zero_state(self):
         params = precompute(13, 4)
-        acc = Accumulator(0, 0, 4)
-        acc2, trace = loop_step(acc, 0, shift_left_operand(11, params), params, trace=True)
-        assert (acc2.p, acc2.q) == (0, 0)
-        assert trace.f == 0
-
-    def test_record_built_only_when_traced(self):
-        params = precompute(13, 4)
         b = shift_left_operand(11, params)
-        acc = Accumulator(0b10110, 0b01100, 4)
-        plain, none = loop_step(acc, 1, b, params)
-        traced, record = loop_step(acc, 1, b, params, trace=True)
-        assert none is None and plain == traced
-        assert (record.p_out, record.q_out) == (plain.p, plain.q)
+        for A in range(8):  # top bit clear: the first step adds nothing
+            _, traces = run_loop(A, b, params, trace=True)
+            first = traces[0]
+            assert first.a_i == 0
+            assert (first.p_out, first.q_out, first.f) == (0, 0, 0)
+        _, traces = run_loop(0, b, params, trace=True)
+        assert all((st.p_out, st.q_out, st.f) == (0, 0, 0) for st in traces)
+
+    def test_untraced_equals_traced_and_records_chain(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(3, 40)
+            R = rng.randrange(4, 1 << rng.randint(3, n))
+            params = precompute(R, n)
+            A = rng.randrange(R)
+            b = shift_left_operand(rng.randrange(R), params)
+            plain, none = run_loop(A, b, params)
+            traced, traces = run_loop(A, b, params, trace=True)
+            assert none is None and plain == traced
+            assert [st.i for st in traces] == list(range(params.k - 1, -1, -1))
+            assert (traces[0].p_in, traces[0].q_in) == (0, 0)
+            for st, nxt in zip(traces, traces[1:]):
+                assert (st.p_out, st.q_out) == (nxt.p_in, nxt.q_in)
+            assert (traces[-1].p_out, traces[-1].q_out) == (plain.p, plain.q)
 
     def test_step_contracts_randomized(self):
-        # residue preservation, drop accounting, predictor independence,
-        # and the exclusion identities on random live states
+        # drop accounting, residue preservation, cleared low bits, the wide
+        # replay and the exclusion identities on every record of random runs
         rng = random.Random(99)
-        for _ in range(1500):
+        for _ in range(250):
             n = rng.randint(3, 12)
             k = rng.randint(3, n)
             R = rng.randrange(max(4, 1 << (k - 1)), 1 << k)
             params = precompute(R, n)
             m = n + 1
-            mask_low = (1 << params.shift) - 1
-            p = rng.randrange(1 << m) & ~mask_low
-            q = rng.randrange(1 << m) & ~mask_low
-            a_i = rng.randint(0, 1)
-            B = rng.randrange(R)
-            b = shift_left_operand(B, params)
-            acc2, tr = loop_step(Accumulator(p, q, n), a_i, b, params, trace=True)
             span2 = 1 << m
             rs = params.modulus_shifted
-            assert tr.f < 4
-            assert tr.discarded == tr.f * span2
-            assert (tr.p_out, tr.q_out) == (acc2.p, acc2.q)
-            assert acc2.p >> m == 0 and acc2.q >> m == 0
-            assert (tr.p_out + tr.q_out) % rs == (2 * (p + q) + a_i * b) % rs
-            drops = replay_step_wide(p, q, a_i, b, params.rx, n)
-            assert set(drops) == {tr.f * span2}
-            assert exclusion_identities_hold(
-                (p >> n) & 1, (p >> (n - 1)) & 1, (p >> (n - 2)) & 1,
-                (q >> n) & 1, (q >> (n - 1)) & 1, (q >> (n - 2)) & 1,
-                a_i & (b >> (n - 1)) & 1,
-            )
-            assert tr.p_out & mask_low == 0 and tr.q_out & mask_low == 0
+            mask_low = (1 << params.shift) - 1
+            b = shift_left_operand(rng.randrange(R), params)
+            _, traces = run_loop(rng.randrange(R), b, params, trace=True)
+            for tr in traces:
+                p, q, a_i = tr.p_in, tr.q_in, tr.a_i
+                assert tr.f < 4
+                assert tr.discarded == tr.f * span2
+                assert tr.p_out >> m == 0 and tr.q_out >> m == 0
+                assert (tr.p_out + tr.q_out) % rs == (2 * (p + q) + a_i * b) % rs
+                assert tr.p_out & mask_low == 0 and tr.q_out & mask_low == 0
+                drops = replay_step_wide(p, q, a_i, b, params.rx, n)
+                assert set(drops) == {tr.f * span2}
+                assert exclusion_identities_hold(
+                    *top3(p, n), *top3(q, n), a_i & (b >> (n - 1)) & 1
+                )
+
+
+class TestLoopDifferential:
+    """Untraced run_loop, traced run_loop, mulmod's loop records and the
+    step-by-step reference all end on the same pair."""
+
+    @staticmethod
+    def check(A, B, R, n, params):
+        b = shift_left_operand(B, params)
+        plain, _ = run_loop(A, b, params)
+        traced, _ = run_loop(A, b, params, trace=True)
+        last = mulmod(A, B, R, n, trace=True, params=params).traces.steps[-1]
+        pair = (plain.p, plain.q)
+        assert pair == (traced.p, traced.q) == (last.p_out, last.q_out)
+        assert pair == reference_loop(A, b, params), (A, B, R, n)
+        assert (plain.p + plain.q) % params.modulus_shifted == (
+            A * b % params.modulus_shifted
+        )
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_every_instance_small(self, k, wide):
+        n = 8 if wide else k
+        for R in range(1 << (k - 1), 1 << k):
+            params = precompute(R, n)
+            for A in range(R):
+                for B in range(R):
+                    self.check(A, B, R, n, params)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_random_wide(self, n):
+        rng = random.Random(n)
+        for j in range(200):
+            # every other instance has a shorter modulus (k < n)
+            k = n if j % 2 == 0 else rng.randint(3, n - 1)
+            R = rng.randrange(max(4, 1 << (k - 1)), 1 << k)
+            params = precompute(R, n)
+            self.check(rng.randrange(R), rng.randrange(R), R, n, params)
 
 
 class TestRunLoop:

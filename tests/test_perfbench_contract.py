@@ -11,7 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from csmulmod import BitVec
+from csmulmod import (
+    BitVec,
+    fold_pair,
+    precompute,
+    qcu_apply,
+    ref_mulmod,
+    run_loop,
+    run_shrink,
+    shift_left_operand,
+    shift_right_result,
+    squeeze_topup,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -66,3 +77,23 @@ def test_swapped_globals_exist(module_name, name):
 
 def test_bitvec_init_is_swappable():
     assert inspect.isfunction(BitVec.__dict__["__init__"])
+
+
+def test_replay_call_shapes():
+    # the stage-by-stage replay in perfbench/tracing.py, on one instance
+    # with a shifted modulus (k=6 at n=9)
+    A, B, R, n = 37, 50, 53, 9
+    params = precompute(R, n)
+    b = shift_left_operand(B, params)
+    result = run_loop(A, b, params)
+    assert isinstance(result, tuple) and len(result) == 2 and result[1] is None
+    acc = result[0]
+    assert type(acc.p) is int and type(acc.q) is int
+    acc, shrink = run_shrink(acc, params)
+    assert type(acc.p) is int and type(acc.q) is int
+    assert isinstance(shrink.cycles, int)
+    acc, squeeze = qcu_apply(squeeze_topup(acc), params)
+    assert type(acc.p) is int and type(acc.q) is int
+    assert isinstance(squeeze.rule, int)
+    p, q = shift_right_result(acc.p, acc.q, params)
+    assert p < R and q < R and fold_pair(p, q, R) == ref_mulmod(A, B, R)
