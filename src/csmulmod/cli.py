@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import ContractViolation, InvariantViolation
@@ -216,7 +217,24 @@ def _emit_report(report: SweepReport, args) -> int:
     return EXIT_OK if report.ok() else EXIT_VERIFICATION
 
 
+def _check_out(path: str) -> None:
+    """Reject an ``--out`` path that cannot be opened for writing, before
+    a sweep spends its time; a file created by the probe is removed."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as exc:
+        raise ContractViolation(
+            f"--out cannot be written: {path!r} ({exc.strerror})"
+        ) from None
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sweep(args) -> int:
+    if args.out:
+        _check_out(args.out)
     config = SweepConfig(
         k_min=args.k_min,
         k_max=args.k_max,

@@ -1,13 +1,20 @@
-"""Bit-sliced exhaustive kernel: every (A, B) pair of one modulus at once.
+"""Bit-sliced exhaustive kernel: every (A, B) pair of many moduli at once.
 
 Every kernel operation is a bitwise function of a few register bit
 positions; nothing propagates a carry or compares whole numbers. So the
-R * R instances of one modulus can run side by side: lane ``i = A*R + B``
-is one instance, and each register bit is a "plane", a Python int whose
-bit i is that register bit of lane i (bitslicing, as in Biham's DES
-implementation). A register of n+1 bits is a list of n+1 planes, index j
-holding bit j. Shifting a register is re-indexing its list; every other
-operation is one bitwise operation per plane over all lanes.
+R * R instances of a modulus can run side by side: lane ``i = A*R + B``
+of its segment is one instance, and each register bit is a "plane", a
+Python int whose bit i is that register bit of lane i (bitslicing, as in
+Biham's DES implementation). A register of n+1 bits is a list of n+1
+planes, index j holding bit j. Shifting a register is re-indexing its
+list; every other operation is one bitwise operation per plane over all
+lanes.
+
+Lanes of different moduli of one width share a pass: each modulus owns a
+contiguous segment of lanes, and each of its constants is a list of
+planes too, holding the segment's lanes wherever the constant has a 1
+bit. Selecting a constant is then a masking of planes, never a branch on
+a modulus.
 
 Where a rule applies to some lanes only, it is a mask of lanes, and so is
 every seam check of ``pipeline.mulmod``: a lane that breaks one is
@@ -20,13 +27,14 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
+from itertools import accumulate, compress
 from operator import or_
 from typing import NamedTuple, Sequence
 
 from .bitcore import maj2of3
 from .modparams import ModulusParams
 
-__all__ = ["SlicedRun", "run_modulus", "unslice"]
+__all__ = ["SlicedRun", "run_moduli", "unslice"]
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -42,6 +50,7 @@ class SlicedRun(NamedTuple):
     fired c rules, and ``rules[r - 1]`` those whose squeeze fired rule r;
     on a flagged lane they mean nothing. ``p`` and ``q`` are the per-lane
     outputs in the unshifted domain, as wide as the modulus plus one bit.
+    Lane ``A*R + B`` of every mask and output is the instance (A, B).
     """
 
     checks: tuple[tuple[str, int], ...]
@@ -65,21 +74,47 @@ def _repeat(pattern: int, period: int, lanes: int) -> int:
     return pattern & ((1 << lanes) - 1)
 
 
-def _operand_planes(params: ModulusParams) -> tuple[list[int], list[int]]:
-    """Planes of A (k bits) and of the shifted multiplicand (n bits)."""
-    R, k, shift = params.modulus, params.k, params.shift
-    lanes = R * R
-    # A stays put for R lanes at a time, so its bit i alternates in runs
-    # of R * 2**i lanes; B counts 0..R-1 within each of those runs.
-    a = []
-    for i in range(k):
-        run = R << i
-        a.append(_repeat(((1 << run) - 1) << run, 2 * run, lanes))
-    b = [0] * params.n
-    for j in range(k):
-        run = 1 << j
-        b[shift + j] = _repeat(_repeat(((1 << run) - 1) << run, 2 * run, R), R, lanes)
-    return a, b
+def _alternating(run: int, lanes: int) -> int:
+    """Runs of ``run`` clear lanes and ``run`` set lanes, across ``lanes``."""
+    return _repeat(((1 << run) - 1) << run, 2 * run, lanes)
+
+
+def _operand_planes(
+    batch: Sequence[ModulusParams], offsets: list[int]
+) -> tuple[list[int], list[int]]:
+    """Planes of A (k bits) and of the shifted multiplicand (n bits), each
+    modulus's lanes from its offset on."""
+    k, shift = batch[0].k, batch[0].shift
+    a, b = [], []
+    for params, offset in zip(batch, offsets):
+        R = params.modulus
+        lanes = R * R
+        # A stays put for R lanes at a time, so its bit i alternates in runs
+        # of R * 2**i lanes; B counts 0..R-1 within each of those runs.
+        a_m = [_alternating(R << i, lanes) for i in range(k)]
+        b_m = [_repeat(_alternating(1 << j, R), R, lanes) for j in range(k)]
+        a.append([plane << offset for plane in a_m] if offset else a_m)
+        b.append([plane << offset for plane in b_m] if offset else b_m)
+    a = [reduce(or_, planes) for planes in zip(*a)]
+    b = [reduce(or_, planes) for planes in zip(*b)]
+    return a, [0] * shift + b
+
+
+def _constant_planes(values: Sequence[int], segments: list[int], width: int) -> list[int]:
+    """Planes of a constant per modulus: plane j holds the lanes of every
+    segment whose modulus's constant has bit j set (bits from ``width`` up
+    are cut off, as a register of that width would cut them).
+
+    A plane of every lane is -1, all ones in two's complement: it means
+    the same in any bitwise operation, and ``_mux`` and ``_below`` tell it
+    apart at no cost and skip its masking. In a batch of one modulus every
+    plane is 0 or -1.
+    """
+    planes = []
+    for j in range(width):
+        has = [value >> j & 1 for value in values]
+        planes.append(-1 if all(has) else reduce(or_, compress(segments, has), 0))
+    return planes
 
 
 def _csa(x: list[int], y: list[int], z: list[int]) -> tuple[list[int], list[int], int]:
@@ -89,7 +124,7 @@ def _csa(x: list[int], y: list[int], z: list[int]) -> tuple[list[int], list[int]
     and cut to the width, and the carry bit that fell off the top.
     """
     s = [xj ^ yj ^ zj for xj, yj, zj in zip(x, y, z)]
-    c = [maj2of3(xj, yj, zj) for xj, yj, zj in zip(x, y, z)]
+    c = [(xj & yj) | (zj & (xj | yj)) for xj, yj, zj in zip(x, y, z)]
     return s, [0] + c[:-1], c[-1]
 
 
@@ -98,14 +133,15 @@ def _select(mask: int, new: list[int], old: list[int]) -> list[int]:
     return [o ^ ((o ^ m) & mask) for m, o in zip(new, old)]
 
 
-def _mux(choices: tuple[tuple[int, int], ...], width: int) -> list[int]:
-    """The planes of a register holding ``value`` on the lanes of ``mask``
-    for each disjoint (mask, value) choice, and 0 on every other lane."""
+def _mux(choices: tuple[tuple[int, list[int]], ...], width: int) -> list[int]:
+    """The planes of a register holding, for each disjoint (mask, constant)
+    choice, the constant (given as planes) on the lanes of mask, and 0 on
+    every other lane."""
     planes = [0] * width
-    for mask, value in choices:
-        for j in range(width):
-            if value >> j & 1:
-                planes[j] |= mask
+    for mask, constant in choices:
+        for j, plane in enumerate(constant):
+            if plane:
+                planes[j] |= mask if plane == -1 else mask & plane
     return planes
 
 
@@ -115,16 +151,20 @@ def _top_up(p: list[int], q: list[int], positions: tuple[int, ...]) -> None:
         p[j], q[j] = p[j] | q[j], p[j] & q[j]
 
 
-def _below(planes: list[int], bound: int, ones: int) -> int:
-    """Lanes whose register is below ``bound``: a bit-serial comparator
-    scanning from the top bit down."""
+def _below(planes: list[int], bound: list[int], ones: int) -> int:
+    """Lanes whose register is below their ``bound`` (given as planes): a
+    bit-serial comparator scanning from the top bit down."""
     below, equal = 0, ones
     for j in range(len(planes) - 1, -1, -1):
-        if bound >> j & 1:
-            below |= equal & ~planes[j]
-            equal &= planes[j]
+        x, b = planes[j], bound[j]
+        if b == -1:
+            below |= equal & ~x
+            equal &= x
+        elif b:
+            below |= equal & b & ~x
+            equal &= ~(x ^ b)
         else:
-            equal &= ~planes[j]
+            equal &= ~x
     return below
 
 
@@ -155,16 +195,32 @@ def unslice(planes: Sequence[int], lanes: int) -> memoryview:
     return memoryview(buf).cast(_LANE_FORMATS[width])
 
 
-def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
-    """Run every (A, B) pair of one modulus through the kernel at once.
+def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun]:
+    """Run every (A, B) pair of each modulus in ``batch`` through the
+    kernel at once; one ``SlicedRun`` per modulus, in batch order.
 
-    The stages are those of ``pipeline.mulmod`` at the given shrink cycle
-    cap; each of its seam and rule checks flags the lanes that break it.
+    The moduli must share one width (k, n). Each owns the segment of
+    lanes that starts after the R * R lanes of those before it. The stages
+    are those of ``pipeline.mulmod`` at the given shrink cycle cap; each of
+    its seam and rule checks flags the lanes that break it.
     """
-    n, k, shift = params.n, params.k, params.shift
-    lanes = params.modulus**2
+    n, k, shift = batch[0].n, batch[0].k, batch[0].shift
+    if any((params.n, params.k) != (n, k) for params in batch):
+        raise ValueError("a batch must share one width (k, n)")
+    sizes = [params.modulus**2 for params in batch]
+    *offsets, lanes = accumulate(sizes, initial=0)
     ones = (1 << lanes) - 1
-    a_planes, b_planes = _operand_planes(params)
+    segments = [((1 << size) - 1) << offset for size, offset in zip(sizes, offsets)]
+
+    def planes(values: list[int]) -> list[int]:
+        return _constant_planes(values, segments, n + 1)
+
+    rx = [planes([p.rx[f] for p in batch]) for f in (1, 2, 3)]
+    rn = planes([p.rn for p in batch])
+    rm = planes([p.rm for p in batch])
+    bound = planes([p.modulus_shifted for p in batch])
+    r_bit = reduce(or_, (seg for p, seg in zip(batch, segments) if p.r_bit), 0)
+    a_planes, b_planes = _operand_planes(batch, offsets)
     checks = []
 
     def check(name: str, broken: int) -> None:
@@ -174,7 +230,6 @@ def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
     # The loop: predict the overflow count from seven top bits (the
     # formula of mainloop.lcu), then double, add the partial product and
     # add the predicted count's constant.
-    rx = params.rx  # rx[0] is 0
     p = [0] * (n + 1)
     q = [0] * (n + 1)
     for i in range(k - 1, -1, -1):
@@ -188,10 +243,13 @@ def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
         f0 = q5 ^ s5 ^ c4
         f1 = (pn & qn) ^ maj2of3(s5, c4, q5)
         ry = _mux(
-            ((f0 & ~f1, rx[1]), (f1 & ~f0, rx[2]), (f0 & f1, rx[3])), n + 1
+            ((f0 & ~f1, rx[0]), (f1 & ~f0, rx[1]), (f0 & f1, rx[2])), n + 1
         )
         s, c, _ = _csa([0] + p[:n], [0] + q[:n], z)
         p, q, _ = _csa(s, c, ry)
+    # Planes are dropped once no later stage reads them: a batch's peak
+    # memory is a count of live planes.
+    del a_planes, b_planes, z, ry
     check("nonzero low bits after main loop", _low_bits(p, q, shift))
 
     # Shrink: each cycle tops up the two top positions and fires one rule
@@ -212,7 +270,7 @@ def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
         r2 = pn & pq_next & ~qn
         r3 = pn & ~(qn | pq_next)
         r4 = pq_next & ~pn
-        const = _mux(((r1 | r2, rx[1]), (r3 | r4, params.rn)), n + 1)
+        const = _mux(((r1 | r2, rx[0]), (r3 | r4, rn)), n + 1)
         s, c, dropped = _csa(p, q, const)
         # Rule 1 lets the adder drop exactly one doubled span; the others
         # drop nothing and clear only set top bits.
@@ -228,10 +286,12 @@ def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
         if cycle == cycle_cap:
             check("shrink needed more than", fire)
             break
+    del rx
     check("nonzero low bits after shrink", _low_bits(p, q, shift))
 
     # Squeeze: entry shape, top-up below the top bit, one of six rules,
-    # and one carry-save addition on the lanes of rules 2 and 3.
+    # and one carry-save addition on the lanes of rules 2 and 3. The r_bit
+    # plane picks rules 5/6 on its lanes and rules 3/4 on the others.
     hi, lo = n - 1, n - 2
     check("squeeze entered with a set top bit", p[n] | q[n])
     check("squeeze entered with both next-to-top bits set", p[hi] & q[hi])
@@ -239,31 +299,48 @@ def run_modulus(params: ModulusParams, cycle_cap: int) -> SlicedRun:
     p_hi, p_lo, q_lo = p[hi], p[lo], q[lo]
     rest = p_hi & ~q_lo
     r2 = p_hi & q_lo
-    if params.r_bit:
-        r3 = r4 = 0
-        r5, r6 = rest & ~p_lo, rest & p_lo
-    else:
-        r3, r4 = rest & p_lo, rest & ~p_lo
-        r5 = r6 = 0
+    r34 = rest & ~r_bit
+    r56 = rest & r_bit
+    r3, r4 = r34 & p_lo, r34 & ~p_lo
+    r5, r6 = r56 & ~p_lo, r56 & p_lo
     rules = (ones & ~p_hi, r2, r3, r4, r5, r6)
     p[hi] = p_hi & ~(r2 | r3 | r4)
     p[lo] = (p_lo & ~(r2 | r3 | r6)) | r4
     q[lo] = (q_lo & ~r2) | r4 | r6
-    const = _mux(((r2, params.rn), (r3, params.rm)), n + 1)
+    const = _mux(((r2, rn), (r3, rm)), n + 1)
     s, c, _ = _csa(p, q, const)
     p = _select(r2 | r3, s, p)
     q = _select(r2 | r3, c, q)
-    bound = params.modulus_shifted
     check(
         "squeeze exit above the shifted modulus",
         ones & ~(_below(p, bound, ones) & _below(q, bound, ones)),
     )
     check("nonzero low bits after squeeze", _low_bits(p, q, shift))
+    del rn, rm, bound, s, c, const
 
-    return SlicedRun(
-        checks=tuple(checks),
-        cycles=tuple(cycles),
-        rules=rules,
-        p=unslice(p[shift:], lanes),
-        q=unslice(q[shift:], lanes),
-    )
+    # One un-slicing per batch; each modulus reads its segment's slice.
+    p_out = unslice(p[shift:], lanes)
+    q_out = unslice(q[shift:], lanes)
+    runs = []
+    for offset, size in zip(offsets, sizes):
+        segment = (1 << size) - 1
+        end = offset + size
+
+        def cut(mask: int) -> int:
+            # No mask holds a lane past the batch, so the top segment
+            # needs no masking (and a batch of one modulus no cutting).
+            if offset:
+                mask >>= offset
+            return mask & segment if end < lanes else mask
+
+        mine = ((name, cut(broken)) for name, broken in checks)
+        runs.append(
+            SlicedRun(
+                checks=tuple((name, broken) for name, broken in mine if broken),
+                cycles=tuple(map(cut, cycles)),
+                rules=tuple(map(cut, rules)),
+                p=p_out[offset:end],
+                q=q_out[offset:end],
+            )
+        )
+    return runs

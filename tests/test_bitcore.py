@@ -82,6 +82,7 @@ class TestCsa:
             for x, y, z in itertools.product(range(1 << m), repeat=3):
                 s, c = csa(x, y, z, mask)
                 assert s <= mask and c <= mask
+                assert c == (maj2of3(x, y, z) << 1) & mask
                 votes = bit(x, m - 1) + bit(y, m - 1) + bit(z, m - 1)
                 lost = (1 << m) if votes >= 2 else 0
                 assert x + y + z - (s + c) == lost

@@ -1,4 +1,5 @@
 import json
+import time
 
 from csmulmod import InvariantViolation
 from csmulmod.cli import main
@@ -133,6 +134,35 @@ class TestSweepCommands:
         code, out, _ = run_cli(capsys, "hunt", "--k-min", "3", "--k-max", "4")
         assert code == 0
         assert "max_shrink_cycles" in out
+
+    def test_unwritable_out_is_rejected_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        from csmulmod import harness
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "_execute", no_sweep)
+        bad = str(tmp_path / "missing" / "report.json")
+        for argv in (
+            ("sweep", "--k-max", "3"),
+            ("hunt", "--k-max", "3"),
+            ("random", "--n", "8", "--count", "5", "--seed", "1"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--out", bad)
+            assert code == 1
+            assert err.startswith("error: --out cannot be written")
+            assert out == ""
+        code, _, err = run_cli(capsys, "sweep", "--k-max", "3", "--out", str(tmp_path))
+        assert code == 1 and "--out" in err
+
+    def test_instance_cap_rejects_at_once_and_leaves_no_report(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "sweep", "--k-max", "40", "--out", str(out_file))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert "instance cap exceeded" in err
+        assert not out_file.exists()
 
 
 class TestExitCodes:

@@ -50,6 +50,25 @@ class TestExhaustiveSweep:
     def test_instance_cap(self):
         with pytest.raises(ContractViolation, match="instance cap"):
             exhaustive_sweep(SweepConfig(k_min=3, k_max=12))
+        # the count in the message is exact, here and from a higher k_min
+        for k_min, k_max in ((3, 12), (12, 12), (5, 13)):
+            count = _instances(k_min, k_max)
+            with pytest.raises(ContractViolation, match=f"would run {count} instances,"):
+                exhaustive_sweep(SweepConfig(k_min=k_min, k_max=k_max))
+
+    def test_batches_partition_each_width_within_the_lane_budget(self):
+        budget = harness.BATCH_LANES
+        for k, n in ((3, 3), (6, 6), (7, 7), (7, 9), (8, 8), (9, 9)):
+            tasks = harness._batches(k, n, True)
+            assert {(hunt, width) for hunt, width, _ in tasks} == {(True, n)}
+            moduli = [list(batch) for _, _, batch in tasks]
+            assert sum(moduli, []) == list(range(1 << (k - 1), 1 << k))
+            lanes = [sum(R * R for R in batch) for batch in moduli]
+            for batch, size in zip(moduli, lanes):
+                assert batch and (size <= budget or len(batch) == 1)
+            # a batch closes only when its next modulus would not fit
+            for batch, size, following in zip(moduli, lanes, moduli[1:]):
+                assert size + following[0] ** 2 > budget
 
     def test_config_validation(self):
         with pytest.raises(ContractViolation, match="k >= 3"):
@@ -212,14 +231,14 @@ class TestUnexpectedErrors:
         assert "failures=1 " in capsys.readouterr().out
 
     def test_sliced_kernel_fault_fails_its_modulus(self, monkeypatch, capsys):
-        inner = sliced.run_modulus
+        inner = sliced.run_moduli
 
-        def faulty(params, cycle_cap):
-            if params.modulus == 5:
+        def faulty(batch, cycle_cap):
+            if any(params.modulus == 5 for params in batch):
                 raise ValueError("synthetic fault")
-            return inner(params, cycle_cap)
+            return inner(batch, cycle_cap)
 
-        monkeypatch.setattr(sliced, "run_modulus", faulty)
+        monkeypatch.setattr(sliced, "run_moduli", faulty)
         report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
         assert report.instances == 126
         assert report.failures_total == len(report.failures) == 25
@@ -235,15 +254,16 @@ class TestUnexpectedErrors:
     def test_corrupted_lane_is_judged_by_the_scalar_kernel(self, monkeypatch):
         config = SweepConfig(k_min=3, k_max=3)
         clean = exhaustive_sweep(config)
-        inner = sliced.run_modulus
+        inner = sliced.run_moduli
 
-        def corrupting(params, cycle_cap):
-            run = inner(params, cycle_cap)
-            if params.modulus == 5:
-                run.p[2 * 5 + 3] ^= 1  # the lane of (A, B) = (2, 3)
-            return run
+        def corrupting(batch, cycle_cap):
+            runs = inner(batch, cycle_cap)
+            for params, run in zip(batch, runs):
+                if params.modulus == 5:
+                    run.p[2 * 5 + 3] ^= 1  # the lane of (A, B) = (2, 3)
+            return runs
 
-        monkeypatch.setattr(sliced, "run_modulus", corrupting)
+        monkeypatch.setattr(sliced, "run_moduli", corrupting)
         witness = {"n": 3, "r": "5", "a": "2", "b": "3"}
         # the scalar kernel gets the lane right: the sliced kernel is at fault
         report = exhaustive_sweep(config)
@@ -274,7 +294,7 @@ class TestUnexpectedErrors:
             return inner(R, n)
 
         clean = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
-        clean_r5 = harness._run_modulus_task((False, 3, 5))
+        clean_r5 = harness._run_batch_task((False, 3, [5]))
         monkeypatch.setattr(harness, "precompute", faulty)
         report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
         assert calls == [4, 5, 6, 7]  # once per modulus, not per instance

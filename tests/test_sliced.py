@@ -5,6 +5,7 @@ still compares every instance of the small widths with ``mulmod_checked``.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from csmulmod import (
     precompute,
 )
 from csmulmod.shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
-from csmulmod.sliced import run_modulus, unslice
+from csmulmod.sliced import run_moduli, unslice
 
 # (n, R) for every modulus of k=3..6 at n=k, and of k=3..5 at n=8
 FULL_WIDTH = [(k, R) for k in range(3, 7) for R in range(1 << (k - 1), 1 << k)]
@@ -32,7 +33,7 @@ def one_hot(masks, lanes):
 
 def sliced_lanes(n, R, cap):
     """Per lane (p, q, shrink cycles, squeeze rule, ok) from the sliced run."""
-    run = run_modulus(precompute(R, n), cap)
+    run = run_moduli([precompute(R, n)], cap)[0]
     lanes = R * R
     bad = set(exhaustive_mismatches(run.p, run.q, R))
     flagged = unslice([run.flagged], lanes)
@@ -54,16 +55,25 @@ def scalar_lanes(n, R, cap):
     return out
 
 
+def by_width(moduli):
+    """(n, [R, ...]) for each run of ``moduli``, (n, R) pairs, of one width
+    (k, n): the batches a sweep would make with no lane budget."""
+    groups = itertools.groupby(moduli, lambda m: (m[0], m[1].bit_length()))
+    return [(n, [R for _, R in group]) for (n, _), group in groups]
+
+
 def tallies(moduli, hunt, tamper=lambda params: params):
-    """One report over the moduli from ``add_modulus``, and one from ``add``
-    over every instance of them, with the constant sets tampered."""
+    """One report over the moduli from ``add_moduli``, a batch per run of
+    one width, and one from ``add`` over every instance of them, with the
+    constant sets tampered."""
     sliced, scalar = SweepReport(), SweepReport()
-    for n, R in moduli:
-        params = tamper(precompute(R, n))
-        sliced.add_modulus(n, R, hunt, params)
-        for A in range(R):
-            for B in range(R):
-                scalar.add(n, R, A, B, hunt, params)
+    for n, group in by_width(moduli):
+        batch = [(R, tamper(precompute(R, n))) for R in group]
+        sliced.add_moduli(n, hunt, batch)
+        for R, params in batch:
+            for A in range(R):
+                for B in range(R):
+                    scalar.add(n, R, A, B, hunt, params)
     return sliced, scalar
 
 
@@ -83,7 +93,7 @@ def test_every_lane_matches_the_scalar_kernel():
 
 def test_hunt_shard_equals_the_scalar_tally():
     for n, R in FULL_WIDTH + SHIFT_PATH:
-        shard = harness._run_modulus_task((True, n, R))
+        shard = harness._run_batch_task((True, n, [R]))
         assert_same_tally(shard, tallies([(n, R)], True)[1])
 
 
@@ -145,7 +155,7 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
     for n, R in TAMPERED:
         params = TAMPERS[reason](precompute(R, n))
         # each lane first breaks the check the scalar kernel raises on
-        first = first_checks(run_modulus(params, cap), R * R)
+        first = first_checks(run_moduli([params], cap)[0], R * R)
         raised = scalar_raises(n, R, cap, params)
         mismatched = [
             (n, R, lane, check, message)
@@ -161,6 +171,46 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
     assert any(failure["reason"].startswith(reason) for failure in sliced.failures)
 
 
+def fields(run):
+    """A run's checks, cycles, rules and outputs, the outputs as lists."""
+    return run.checks, run.cycles, run.rules, list(run.p), list(run.q)
+
+
+@pytest.mark.parametrize("cap", (NORMAL_CYCLE_CAP, HUNT_CYCLE_CAP))
+def test_batch_equals_its_moduli_run_alone(cap):
+    for n, moduli in by_width(FULL_WIDTH + SHIFT_PATH):
+        batch = [precompute(R, n) for R in moduli]
+        runs = run_moduli(batch, cap)
+        assert len(runs) == len(batch)
+        for params, run in zip(batch, runs):
+            alone = run_moduli([params], cap)[0]
+            assert fields(run) == fields(alone), (n, params.modulus)
+    with pytest.raises(ValueError, match="one width"):
+        run_moduli([precompute(7, 3), precompute(8, 4)], cap)
+
+
+@pytest.mark.parametrize("reason", TAMPERS)
+def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
+    failures = 0
+    for n, moduli in by_width(TAMPERED):
+        # not first or last, and with r_bit 0 so that rule 3 reads rm
+        middle = moduli[len(moduli) // 2 - 1]
+
+        def tamper(params):
+            return TAMPERS[reason](params) if params.modulus == middle else params
+
+        batch = [tamper(precompute(R, n)) for R in moduli]
+        for params, run in zip(batch, run_moduli(batch, NORMAL_CYCLE_CAP)):
+            alone = run_moduli([params], NORMAL_CYCLE_CAP)[0]
+            assert fields(run) == fields(alone), (n, params.modulus)
+            assert not run.checks or params.modulus == middle
+        sliced, scalar = tallies([(n, R) for R in moduli], False, tamper)
+        assert_same_tally(sliced, scalar)
+        assert {failure["r"] for failure in sliced.failures} <= {format(middle, "X")}
+        failures += sliced.failures_total
+    assert failures
+
+
 @pytest.mark.parametrize("planes", (1, 8, 9, 16, 17, 40))
 def test_unslice_round_trip(planes):
     rng = random.Random(planes)
@@ -172,6 +222,6 @@ def test_unslice_round_trip(planes):
 
 def test_hunt_cap_records_cycles_beyond_the_normal_cap():
     params = TAMPERS["InvariantViolation: shrink needed more than"](precompute(14, 4))
-    run = run_modulus(params, HUNT_CYCLE_CAP)
+    run = run_moduli([params], HUNT_CYCLE_CAP)[0]
     assert len(run.cycles) == HUNT_CYCLE_CAP + 1
     assert any(run.cycles[NORMAL_CYCLE_CAP + 1 :])
