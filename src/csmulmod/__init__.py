@@ -37,7 +37,6 @@ from .shrink import (
     ShrinkCycle,
     ShrinkReport,
     run_shrink,
-    scu_select,
     shrink_cycle,
 )
 from .squeeze import SqueezeReport, qcu_apply, squeeze_topup
@@ -74,7 +73,6 @@ __all__ = [
     "replay_step_wide",
     "run_loop",
     "run_shrink",
-    "scu_select",
     "shift_left_operand",
     "shift_right_result",
     "shrink_cycle",

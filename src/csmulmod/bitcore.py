@@ -5,7 +5,9 @@ width lives in the mask ``(1 << width) - 1`` (``ModulusParams.mask``,
 computed once per modulus), which the caller passes to the one operation
 that can grow a value, the carry-save adder. Its truncation is the only
 lossy step (it can erase the single documented top majority bit). Top-up
-takes a mask too: the positions it treats.
+takes a mask too: the positions it treats. ``maj2of3`` and ``top_up`` are
+bitwise, so they are right on the lane planes of the bit-sliced kernel as
+well as on packed registers (there a top-up mask of -1 treats every lane).
 """
 
 from __future__ import annotations

@@ -47,8 +47,9 @@ __all__ = [
 INSTANCE_CAP = 3_000_000_000  # k <= 11 runs 2,861,214,706 instances
 # Exhaustive sweeps of fewer instances run in-process whatever ``jobs``
 # says. Measured on 2 vCPUs, serial against a 2-worker pool: k=3..6 (85,330
-# instances) 29 vs 42 ms, 462,042 instances 116 vs 138 ms, k=7 (605,536)
-# 124 vs 110 ms, k=3..7 (690,866) 158 vs 132 ms.
+# instances) 29 vs 42 ms, 462,042 instances 116 vs 138 ms; with batched
+# shards (medians of 24 alternating pairs) k=7 (605,536) 98 vs 81 ms and
+# k=3..7 (690,866) 106 vs 97 ms, the pool faster in 21 and 12 of 24.
 SERIAL_BELOW = 500_000
 # An exhaustive shard runs consecutive moduli of one width through one
 # sliced-kernel call, up to this many lanes (R * R per modulus) in all.
@@ -401,10 +402,11 @@ def _run_random_chunk(task: tuple) -> SweepReport:
 
 def _execute(tasks: list, worker, config: SweepConfig, mode: str,
              started: float, jobs: int) -> SweepReport:
-    """Run the shards over ``jobs`` workers (in-process for one) and merge
-    them in task order."""
+    """Run the shards over ``jobs`` workers, never more than there are
+    shards (in-process for one), and merge them in task order."""
     report = SweepReport(config=config.canonical(mode), seed=config.seed)
-    if jobs == 1 or len(tasks) <= 1:
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         for shard in map(worker, tasks):
             report.merge(shard)
     else:

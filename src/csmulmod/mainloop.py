@@ -11,8 +11,9 @@ constant keeps the pair in the right residue class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .bitcore import csa
+from .bitcore import csa, maj2of3
 from .errors import ContractViolation
 from .modparams import ModulusParams, check_int
 
@@ -20,6 +21,7 @@ __all__ = [
     "Accumulator",
     "StepTrace",
     "lcu",
+    "predict",
     "run_loop",
 ]
 
@@ -60,33 +62,39 @@ class StepTrace:
     discarded: int
 
 
-def lcu(
-    p_top3: tuple[int, int, int],
-    q_top3: tuple[int, int, int],
-    b_top: int,
-) -> int:
+def predict(
+    pn: int, pn1: int, pn2: int, qn: int, qn1: int, qn2: int, b_top: int
+) -> tuple[int, int]:
     """Predict the overflow count of one loop step from seven register bits.
 
     Inputs are the top three bits of each accumulator register, most
     significant first, plus the top bit of the incoming partial product
     (the multiplier bit ANDed with bit n-1 of the shifted multiplicand).
-    The result counts the units of 2**(n+1) that the step's truncations
-    will drop; it is always below 4, and it does not depend on which
+    The result ``(f0, f1)``, low bit first, counts the units of 2**(n+1)
+    that the step's truncations will drop; it does not depend on which
     reduction constant the step adds, which is what lets the constant be
-    selected before the additions run.
+    selected before the additions run. Written only with ``&``, ``|`` and
+    ``^``, so the bits may be 0/1 ints or lane planes of the bit-sliced
+    kernel alike.
     """
-    pn, pn1, pn2 = p_top3
-    qn, qn1, qn2 = q_top3
     # Intermediate bits of the untruncated additions, derived positionally:
-    # s4/c4 sit at the register edge, s5/c5 one above it.
+    # s4/c4 sit at the register edge, s5/c5 one above it, and the first
+    # majority is the carry into the edge.
     s4 = pn1 ^ qn1
     s5 = pn ^ qn
-    c3 = (pn2 & qn2) | (b_top & (pn2 | qn2))
     c4 = pn1 & qn1
-    c5 = pn & qn
-    q5 = s4 & c3
-    f0 = q5 ^ s5 ^ c4
-    f1 = c5 ^ ((s5 & c4) | (q5 & (s5 | c4)))
+    q5 = s4 & maj2of3(pn2, qn2, b_top)
+    return q5 ^ s5 ^ c4, (pn & qn) ^ maj2of3(s5, c4, q5)
+
+
+def lcu(
+    p_top3: tuple[int, int, int],
+    q_top3: tuple[int, int, int],
+    b_top: int,
+) -> int:
+    """The count ``predict`` gives for the top three bits of each register
+    and the partial product's top bit, as one int; it is always below 4."""
+    f0, f1 = predict(*p_top3, *q_top3, b_top)
     return (f1 << 1) | f0
 
 
@@ -94,12 +102,7 @@ def lcu(
 # by (p_n p_n-1 p_n-2 q_n q_n-1 q_n-2 b_top) read as a binary number, so
 # the loop looks it up with two shifts instead of extracting seven bits.
 _F_TABLE = tuple(
-    lcu(
-        ((x >> 6) & 1, (x >> 5) & 1, (x >> 4) & 1),
-        ((x >> 3) & 1, (x >> 2) & 1, (x >> 1) & 1),
-        x & 1,
-    )
-    for x in range(128)
+    lcu(bits[:3], bits[3:6], bits[6]) for bits in product((0, 1), repeat=7)
 )
 
 

@@ -23,8 +23,8 @@ __all__ = [
     "ShrinkCycle",
     "ShrinkReport",
     "run_shrink",
-    "scu_select",
     "shrink_cycle",
+    "shrink_rules",
 ]
 
 # The proven bound on rule firings per reduction, and the looser cap used
@@ -57,34 +57,40 @@ class ShrinkReport:
     snapshots: tuple[ShrinkCycle, ...]
 
 
-def scu_select(p: int, q: int, n: int) -> int | None:
-    """Pick the first matching rule, or None when the exit shape is reached.
+# What the clearing rules 2, 3 and 4 report when a bit they clear is unset.
+CLEAR_FAULTS = (
+    "rule 2 clearing unset top bits",
+    "rule 3 clearing an unset top bit",
+    "rule 4 clearing an unset top bit",
+)
 
-    ``p`` and ``q`` are (n+1)-bit registers. Expects the cycle's top-up to
-    have already run, so a set top bit can only live in p and a doubly-set
-    next-to-top pair means both registers carry weight there. Priority
-    order:
+
+def shrink_rules(
+    pn: int, qn: int, pq_next: int
+) -> tuple[tuple[int, int, int, int], int, int]:
+    """Select the rule from p's and q's top bits and their ANDed
+    next-to-top bit: ``(rules, clear_p, clear_q)``.
+
+    ``rules`` holds one mask per rule 1..4, at most one of them set, and
+    ``clear_p`` and ``clear_q`` say whether the rule clears p's and q's top
+    bit after its addition. Expects the cycle's top-up to have already run,
+    so a set top bit can only live in p and a doubly-set next-to-top pair
+    means both registers carry weight there. Priority order:
 
         1: both top bits set            (overflow itself pays the 2-span debt)
         2: top bit and both next bits   (add double-span constant, clear tops)
         3: top bit alone                (add one-span constant, clear p's top)
         4: both next-to-top bits        (add one-span constant, clear q's top)
 
-    None means p and q both fit in n bits and their ANDed next-to-top bit
-    is clear, which is exactly the condition the next stage requires.
+    No rule means p and q both fit in n bits and their ANDed next-to-top
+    bit is clear, which is exactly the condition the next stage requires.
+    Written only with ``&``, ``|`` and ``x & ~y``, so the arguments may be
+    0/1 bits or lane planes of the bit-sliced kernel alike.
     """
-    pn = (p >> n) & 1
-    qn = (q >> n) & 1
-    pq_next = ((p & q) >> (n - 1)) & 1
-    if pn & qn:
-        return 1
-    if pn & pq_next:
-        return 2
-    if pn:
-        return 3
-    if pq_next:
-        return 4
-    return None
+    r2 = pn & pq_next & ~qn
+    r3 = pn & ~(qn | pq_next)
+    r4 = pq_next & ~pn
+    return (pn & qn, r2, r3, r4), r2 | r3, r2 | r4
 
 
 def shrink_cycle(
@@ -101,15 +107,16 @@ def shrink_cycle(
     """
     n = params.n
     p, q = top_up(acc.p, acc.q, 3 << (n - 1))
-    rule = scu_select(p, q, n)
-    if rule is None:
+    rules, clear_p, clear_q = shrink_rules(
+        (p >> n) & 1, (q >> n) & 1, ((p & q) >> (n - 1)) & 1
+    )
+    if 1 not in rules:
         return Accumulator(p, q, n), None
+    rule = rules.index(1) + 1
 
     const = params.rx[1] if rule <= 2 else params.rn
     s, c = csa(p, q, const, params.mask)
     dropped = p + q + const - (s + c)
-    top = 1 << n
-
     if rule == 1:
         # No bits cleared: the adder's own truncation drops exactly one
         # doubled span, balanced by the double-span constant just added.
@@ -117,22 +124,13 @@ def shrink_cycle(
             raise InvariantViolation(
                 f"rule 1 expected to discard {2 * params.beta}, got {dropped}"
             )
-        out_p, out_q = s, c
-    else:
-        if dropped:
-            raise InvariantViolation("adder lost a bit outside rule 1")
-        if rule == 2:
-            if not s & c & top:
-                raise InvariantViolation("rule 2 clearing unset top bits")
-            out_p, out_q = s & ~top, c & ~top
-        elif rule == 3:
-            if not s & top:
-                raise InvariantViolation("rule 3 clearing an unset top bit")
-            out_p, out_q = s & ~top, c
-        else:
-            if not c & top:
-                raise InvariantViolation("rule 4 clearing an unset top bit")
-            out_p, out_q = s, c & ~top
+    elif dropped:
+        raise InvariantViolation("adder lost a bit outside rule 1")
+    if (clear_p & ~(s >> n)) | (clear_q & ~(c >> n)):
+        raise InvariantViolation(CLEAR_FAULTS[rule - 2])
+    # Each bit cleared is set, so flipping it clears it.
+    out_p = s ^ (clear_p << n)
+    out_q = c ^ (clear_q << n)
     return Accumulator(out_p, out_q, n), ShrinkCycle(
         topup_p=p, topup_q=q, rule=rule, p=out_p, q=out_q
     )

@@ -31,8 +31,11 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import NamedTuple, Sequence
 
-from .bitcore import maj2of3
+from .bitcore import top_up
+from .mainloop import predict
 from .modparams import ModulusParams
+from .shrink import CLEAR_FAULTS, shrink_rules
+from .squeeze import squeeze_rules
 
 __all__ = ["SlicedRun", "run_moduli", "unslice"]
 
@@ -145,12 +148,6 @@ def _mux(choices: tuple[tuple[int, list[int]], ...], width: int) -> list[int]:
     return planes
 
 
-def _top_up(p: list[int], q: list[int], positions: tuple[int, ...]) -> None:
-    """``bitcore.top_up`` at the given positions, in place."""
-    for j in positions:
-        p[j], q[j] = p[j] | q[j], p[j] & q[j]
-
-
 def _below(planes: list[int], bound: list[int], ones: int) -> int:
     """Lanes whose register is below their ``bound`` (given as planes): a
     bit-serial comparator scanning from the top bit down."""
@@ -227,21 +224,14 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun
         if broken:
             checks.append((name, broken))
 
-    # The loop: predict the overflow count from seven top bits (the
-    # formula of mainloop.lcu), then double, add the partial product and
-    # add the predicted count's constant.
+    # The loop: predict the overflow count from seven top bits
+    # (mainloop.predict on planes), then double, add the partial product
+    # and add the predicted count's constant.
     p = [0] * (n + 1)
     q = [0] * (n + 1)
     for i in range(k - 1, -1, -1):
         z = [a_planes[i] & bj for bj in b_planes] + [0]
-        pn, pn1, pn2 = p[n], p[n - 1], p[n - 2]
-        qn, qn1, qn2 = q[n], q[n - 1], q[n - 2]
-        s4 = pn1 ^ qn1
-        s5 = pn ^ qn
-        c4 = pn1 & qn1
-        q5 = s4 & maj2of3(pn2, qn2, z[n - 1])
-        f0 = q5 ^ s5 ^ c4
-        f1 = (pn & qn) ^ maj2of3(s5, c4, q5)
+        f0, f1 = predict(p[n], p[n - 1], p[n - 2], q[n], q[n - 1], q[n - 2], z[n - 1])
         ry = _mux(
             ((f0 & ~f1, rx[0]), (f1 & ~f0, rx[1]), (f0 & f1, rx[2])), n + 1
         )
@@ -252,35 +242,32 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun
     del a_planes, b_planes, z, ry
     check("nonzero low bits after main loop", _low_bits(p, q, shift))
 
-    # Shrink: each cycle tops up the two top positions and fires one rule
-    # on the lanes that have not reached the exit shape. A lane still
-    # firing in cycle cycle_cap + 1 needed more than the cap.
+    # Shrink: each cycle tops up the two top positions (mask -1 treats
+    # every lane) and fires one rule on the lanes that have not reached the
+    # exit shape. A lane still firing in cycle cycle_cap + 1 needed more
+    # than the cap.
     cycles = [0] * (cycle_cap + 1)
     cycling = ones
     for cycle in range(cycle_cap + 1):
-        _top_up(p, q, (n - 1, n))
-        pn, qn = p[n], q[n]
-        pq_next = p[n - 1] & q[n - 1]
-        fire = pn | pq_next
+        for j in (n - 1, n):
+            p[j], q[j] = top_up(p[j], q[j], -1)
+        (r1, r2, r3, r4), clear_p, clear_q = shrink_rules(p[n], q[n], p[n - 1] & q[n - 1])
+        fire = r1 | r2 | r3 | r4
         cycles[cycle] = cycling & ~fire
         cycling = fire
         if not fire:
             break
-        r1 = pn & qn
-        r2 = pn & pq_next & ~qn
-        r3 = pn & ~(qn | pq_next)
-        r4 = pq_next & ~pn
         const = _mux(((r1 | r2, rx[0]), (r3 | r4, rn)), n + 1)
         s, c, dropped = _csa(p, q, const)
         # Rule 1 lets the adder drop exactly one doubled span; the others
         # drop nothing and clear only set top bits.
         check("rule 1 expected to discard", r1 & ~dropped)
         check("adder lost a bit outside rule 1", (r2 | r3 | r4) & dropped)
-        check("rule 2 clearing unset top bits", r2 & ~(s[n] & c[n]))
-        check("rule 3 clearing an unset top bit", r3 & ~s[n])
-        check("rule 4 clearing an unset top bit", r4 & ~c[n])
-        s[n] &= ~(r2 | r3)
-        c[n] &= ~(r2 | r4)
+        unset = (clear_p & ~s[n]) | (clear_q & ~c[n])
+        for name, rule in zip(CLEAR_FAULTS, (r2, r3, r4)):
+            check(name, rule & unset)
+        s[n] &= ~clear_p
+        c[n] &= ~clear_q
         p = _select(fire, s, p)
         q = _select(fire, c, q)
         if cycle == cycle_cap:
@@ -295,18 +282,10 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun
     hi, lo = n - 1, n - 2
     check("squeeze entered with a set top bit", p[n] | q[n])
     check("squeeze entered with both next-to-top bits set", p[hi] & q[hi])
-    _top_up(p, q, (lo, hi))
-    p_hi, p_lo, q_lo = p[hi], p[lo], q[lo]
-    rest = p_hi & ~q_lo
-    r2 = p_hi & q_lo
-    r34 = rest & ~r_bit
-    r56 = rest & r_bit
-    r3, r4 = r34 & p_lo, r34 & ~p_lo
-    r5, r6 = r56 & ~p_lo, r56 & p_lo
-    rules = (ones & ~p_hi, r2, r3, r4, r5, r6)
-    p[hi] = p_hi & ~(r2 | r3 | r4)
-    p[lo] = (p_lo & ~(r2 | r3 | r6)) | r4
-    q[lo] = (q_lo & ~r2) | r4 | r6
+    for j in (lo, hi):
+        p[j], q[j] = top_up(p[j], q[j], -1)
+    rules, (p[hi], p[lo], q[lo]) = squeeze_rules(p[hi], p[lo], q[lo], r_bit, ones)
+    r2, r3 = rules[1], rules[2]
     const = _mux(((r2, rn), (r3, rm)), n + 1)
     s, c, _ = _csa(p, q, const)
     p = _select(r2 | r3, s, p)

@@ -21,6 +21,7 @@ from .modparams import ModulusParams
 __all__ = [
     "SqueezeReport",
     "qcu_apply",
+    "squeeze_rules",
     "squeeze_topup",
 ]
 
@@ -65,15 +66,15 @@ def squeeze_topup(acc: Accumulator) -> Accumulator:
     return Accumulator(p, q, n)
 
 
-def qcu_apply(
-    acc: Accumulator, params: ModulusParams
-) -> tuple[Accumulator, SqueezeReport]:
-    """Apply exactly one of the six final reduction rules.
+def squeeze_rules(
+    p_hi: int, p_lo: int, q_lo: int, r_bit: int, ones: int
+) -> tuple[tuple[int, ...], tuple[int, int, int]]:
+    """Select the rule and edit its bits: ``(rules, (p_hi, p_lo, q_lo))``.
 
     Selection keys on three accumulator bits (p's bits n-1 and n-2, q's
-    bit n-2, all post-top-up) plus the modulus guide bit, in priority
-    order; the conditions cover every combination, so exactly one rule
-    fires:
+    bit n-2, all post-top-up) plus the modulus guide bit ``r_bit``, in
+    priority order; the conditions cover every combination, so exactly one
+    of the six masks in ``rules`` is set:
 
         1: p bit n-1 clear                      done, no action
         2: q bit n-2 set                        clear the three bits, add rn
@@ -82,43 +83,59 @@ def qcu_apply(
         5: guide 1, p bit n-2 clear             done, no action
         6: guide 1, p bit n-2 set               rebalance bits, no addition
 
+    The second item holds the three bits after the rule's edits. Written
+    only with ``&``, ``|`` and ``x & ~y``, so the arguments may be 0/1 bits
+    (``ones`` = 1) or lane planes of the bit-sliced kernel (``ones`` holding
+    every lane) alike; rule 1 needs ``ones`` for its complement.
+    """
+    r2 = p_hi & q_lo
+    rest = p_hi & ~q_lo
+    r34 = rest & ~r_bit
+    r56 = rest & r_bit
+    r3, r4 = r34 & p_lo, r34 & ~p_lo
+    r5, r6 = r56 & ~p_lo, r56 & p_lo
+    return (ones & ~p_hi, r2, r3, r4, r5, r6), (
+        p_hi & ~(r2 | r3 | r4),
+        (p_lo & ~(r2 | r3 | r6)) | r4,
+        (q_lo & ~r2) | r4 | r6,
+    )
+
+
+def qcu_apply(
+    acc: Accumulator, params: ModulusParams
+) -> tuple[Accumulator, SqueezeReport]:
+    """Apply exactly one of the six final reduction rules of
+    ``squeeze_rules``: edit the three bits, then add rn (rule 2) or rm
+    (rule 3).
+
     Rules 4 and 6 move weight between the registers without changing the
     pair's exact integer sum; rules 2 and 3 subtract a fixed amount via
     the bit edits and add the constant congruent to it.
     """
     n = params.n
     p, q = acc.p, acc.q
-    hi = 1 << (n - 1)
-    lo = 1 << (n - 2)
-
-    if not p & hi:
-        rule = 1
-        edited = out = acc
-    elif q & lo:
-        rule = 2
-        edited = Accumulator(p & ~(hi | lo), q & ~lo, n)
-        out = Accumulator(*csa(edited.p, edited.q, params.rn, params.mask), n)
-    elif not params.r_bit and p & lo:
-        rule = 3
-        edited = Accumulator(p & ~(hi | lo), q, n)
-        out = Accumulator(*csa(edited.p, q, params.rm, params.mask), n)
-    elif not params.r_bit:
-        rule = 4
-        edited = out = Accumulator((p & ~hi) | lo, q | lo, n)
-    elif not p & lo:
-        rule = 5
-        edited = out = acc
+    lo = n - 2
+    p_top, q_lo = (p >> lo) & 3, (q >> lo) & 1
+    rules, (p_hi, p_lo, q_lo_edited) = squeeze_rules(
+        p_top >> 1, p_top & 1, q_lo, params.r_bit, 1
+    )
+    rule = rules.index(1) + 1
+    # The edits touch bits n-1 and n-2 only: flip those that changed.
+    edited_p = p ^ ((p_top ^ ((p_hi << 1) | p_lo)) << lo)
+    edited_q = q ^ ((q_lo ^ q_lo_edited) << lo)
+    if rule == 2 or rule == 3:
+        const = params.rn if rule == 2 else params.rm
+        out_p, out_q = csa(edited_p, edited_q, const, params.mask)
     else:
-        rule = 6
-        edited = out = Accumulator(p & ~lo, q | lo, n)
+        out_p, out_q = edited_p, edited_q
 
     report = SqueezeReport(
         rule=rule,
         entry_p=p,
         entry_q=q,
-        edited_p=edited.p,
-        edited_q=edited.q,
-        exit_p=out.p,
-        exit_q=out.q,
+        edited_p=edited_p,
+        edited_q=edited_q,
+        exit_p=out_p,
+        exit_q=out_q,
     )
-    return out, report
+    return Accumulator(out_p, out_q, n), report

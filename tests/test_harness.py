@@ -112,6 +112,38 @@ class TestDeterminism:
             assert serial.to_json_bytes() == parallel.to_json_bytes()
         assert pools == [{"processes": 2}] * 2
 
+    def test_pool_never_gets_more_workers_than_shards(self, monkeypatch):
+        # The pool is a fake that records its size and runs the shards
+        # in-process: no process is started at such a jobs value.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, worker, tasks, chunksize=1):
+                return map(worker, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(harness, "SERIAL_BELOW", 0)
+        sweeps = (
+            (random_sweep, dict(n=8, count=2, seed=1), 2),
+            (exhaustive_sweep, dict(k_min=3, k_max=5),
+             sum(len(harness._batches(k, k, False)) for k in (3, 4, 5))),
+        )
+        for sweep, config, shards in sweeps:
+            serial = sweep(SweepConfig(**config, jobs=1)).to_json_bytes()
+            assert sizes == []
+            assert sweep(SweepConfig(**config, jobs=1000)).to_json_bytes() == serial
+            assert sizes == [shards]
+            sizes.clear()
+
     def test_sweep_below_the_serial_cutoff_starts_no_pool(self, monkeypatch):
         assert _instances(3, 6) < harness.SERIAL_BELOW
         serial = [

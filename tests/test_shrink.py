@@ -8,11 +8,11 @@ from csmulmod import (
     precompute,
     run_loop,
     run_shrink,
-    scu_select,
     shift_left_operand,
     shrink_cycle,
     top_up,
 )
+from csmulmod.shrink import shrink_rules
 
 P13 = precompute(13, 4)  # rn=3, rx[1]=6
 
@@ -25,33 +25,39 @@ def bit(v, i):
     return (v >> i) & 1
 
 
-class TestScuSelect:
+def select(p, q, n):
+    """The one-hot rule masks ``shrink_rules`` gives a post-top-up state."""
+    rules, _, _ = shrink_rules(bit(p, n), bit(q, n), bit(p & q, n - 1))
+    return rules
+
+
+class TestShrinkRules:
     def test_both_top_bits(self):
-        assert scu_select(0b10000, 0b10000, 4) == 1
+        assert select(0b10000, 0b10000, 4) == (1, 0, 0, 0)
 
     def test_top_bit_with_next_pair(self):
-        assert scu_select(0b11000, 0b01000, 4) == 2
+        assert select(0b11000, 0b01000, 4) == (0, 1, 0, 0)
 
     def test_top_bit_alone(self):
-        assert scu_select(0b10000, 0, 4) == 3
+        assert select(0b10000, 0, 4) == (0, 0, 1, 0)
 
     def test_next_pair_alone(self):
-        assert scu_select(0b01000, 0b01000, 4) == 4
+        assert select(0b01000, 0b01000, 4) == (0, 0, 0, 1)
 
     def test_done_on_zero(self):
-        assert scu_select(0, 0, 4) is None
+        assert select(0, 0, 4) == (0, 0, 0, 0)
 
     def test_done_is_exactly_the_exit_shape(self):
-        # on post-top-up states, None exactly when both top bits are clear
-        # and the next-to-top pair is not doubly set
+        # on post-top-up states, no rule exactly when both top bits are
+        # clear and the next-to-top pair is not doubly set
         for raw_p in range(32):
             for raw_q in range(32):
                 p, q = top_up(raw_p, raw_q, 0b11000)
-                rule = scu_select(p, q, 4)
+                rules = select(p, q, 4)
                 exit_shape = (
                     not bit(p, 4) and not bit(q, 4) and not (bit(p, 3) and bit(q, 3))
                 )
-                assert (rule is None) == exit_shape
+                assert (rules == (0, 0, 0, 0)) == exit_shape
 
 
 class TestShrinkCycle:
