@@ -51,10 +51,6 @@ def _parse_hex(text: str, name: str) -> int:
     return value
 
 
-def _hex(value: int) -> str:
-    return format(value, "X")
-
-
 def format_worksheet(st: StepTrace, n: int, b_shifted: int) -> str:
     """Render one loop iteration as the columnar bit worksheet.
 
@@ -128,8 +124,8 @@ def _cmd_mulmod(args) -> int:
 
 def _mulmod_json(result: MulResult) -> dict:
     doc = {
-        "p": _hex(result.p),
-        "q": _hex(result.q),
+        "p": f"{result.p:X}",
+        "q": f"{result.q:X}",
         "shrink_cycles": result.shrink_cycles,
         "squeeze_rule": result.squeeze_rule,
     }
@@ -140,37 +136,37 @@ def _mulmod_json(result: MulResult) -> dict:
                 {
                     "i": st.i,
                     "a_i": st.a_i,
-                    "p_in": _hex(st.p_in),
-                    "q_in": _hex(st.q_in),
-                    "s": _hex(st.s),
-                    "c": _hex(st.c),
+                    "p_in": f"{st.p_in:X}",
+                    "q_in": f"{st.q_in:X}",
+                    "s": f"{st.s:X}",
+                    "c": f"{st.c:X}",
                     "f": st.f,
-                    "ry": _hex(st.ry),
-                    "p_out": _hex(st.p_out),
-                    "q_out": _hex(st.q_out),
-                    "discarded": _hex(st.discarded),
+                    "ry": f"{st.ry:X}",
+                    "p_out": f"{st.p_out:X}",
+                    "q_out": f"{st.q_out:X}",
+                    "discarded": f"{st.discarded:X}",
                 }
                 for st in tr.steps
             ],
             "shrink": {
                 "cycles": tr.shrink.cycles,
                 "rules_fired": list(tr.shrink.rules_fired),
-                "entry": [_hex(tr.shrink.entry_p), _hex(tr.shrink.entry_q)],
-                "exit": [_hex(tr.shrink.exit_p), _hex(tr.shrink.exit_q)],
+                "entry": [f"{tr.shrink.entry_p:X}", f"{tr.shrink.entry_q:X}"],
+                "exit": [f"{tr.shrink.exit_p:X}", f"{tr.shrink.exit_q:X}"],
                 "snapshots": [
                     {
-                        "topup": [_hex(c.topup_p), _hex(c.topup_q)],
+                        "topup": [f"{c.topup_p:X}", f"{c.topup_q:X}"],
                         "rule": c.rule,
-                        "out": [_hex(c.p), _hex(c.q)],
+                        "out": [f"{c.p:X}", f"{c.q:X}"],
                     }
                     for c in tr.shrink.snapshots
                 ],
             },
             "squeeze": {
                 "rule": tr.squeeze.rule,
-                "entry": [_hex(tr.squeeze.entry_p), _hex(tr.squeeze.entry_q)],
-                "edited": [_hex(tr.squeeze.edited_p), _hex(tr.squeeze.edited_q)],
-                "exit": [_hex(tr.squeeze.exit_p), _hex(tr.squeeze.exit_q)],
+                "entry": [f"{tr.squeeze.entry_p:X}", f"{tr.squeeze.entry_q:X}"],
+                "edited": [f"{tr.squeeze.edited_p:X}", f"{tr.squeeze.edited_q:X}"],
+                "exit": [f"{tr.squeeze.exit_p:X}", f"{tr.squeeze.exit_q:X}"],
             },
         }
     return doc
@@ -183,13 +179,13 @@ def _cmd_precompute(args) -> int:
         "n": params.n,
         "k": params.k,
         "shift": params.shift,
-        "mod": _hex(params.modulus),
-        "mod_shifted": _hex(params.modulus_shifted),
-        "r_n": _hex(params.rn),
-        "r_m": _hex(params.rm),
-        "r_1": _hex(params.rx[1]),
-        "r_2": _hex(params.rx[2]),
-        "r_3": _hex(params.rx[3]),
+        "mod": f"{params.modulus:X}",
+        "mod_shifted": f"{params.modulus_shifted:X}",
+        "r_n": f"{params.rn:X}",
+        "r_m": f"{params.rm:X}",
+        "r_1": f"{params.rx[1]:X}",
+        "r_2": f"{params.rx[2]:X}",
+        "r_3": f"{params.rx[3]:X}",
         "r_bit": params.r_bit,
     }
     if args.json:

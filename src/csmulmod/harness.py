@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -403,9 +404,9 @@ def _run_random_chunk(task: tuple) -> SweepReport:
 def _execute(tasks: list, worker, config: SweepConfig, mode: str,
              started: float, jobs: int) -> SweepReport:
     """Run the shards over ``jobs`` workers, never more than there are
-    shards (in-process for one), and merge them in task order."""
+    shards or CPUs (in-process for one), and merge them in task order."""
     report = SweepReport(config=config.canonical(mode), seed=config.seed)
-    jobs = min(jobs, len(tasks))
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
         for shard in map(worker, tasks):
             report.merge(shard)

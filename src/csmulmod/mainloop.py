@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .bitcore import csa, maj2of3
+from .bitcore import maj2of3
 from .errors import ContractViolation
 from .modparams import ModulusParams, check_int
 
@@ -132,23 +132,38 @@ def run_loop(
     if A >= params.modulus:
         raise ContractViolation(f"A < R violated (A={A}, R={params.modulus})")
     n = params.n
+    k = params.k
     mask = params.mask
     rx = params.rx
     top = n - 2
     b_top = (B_shifted >> (n - 1)) & 1
     p = q = 0
     traces: list[StepTrace] | None = [] if trace else None
-    for i in range(params.k - 1, -1, -1):
-        a_i = (A >> i) & 1
-        f = _F_TABLE[((p >> top) << 4) | ((q >> top) << 1) | (a_i & b_top)]
-        z = B_shifted if a_i else 0
-        s, c = csa((p << 1) & mask, (q << 1) & mask, z, mask)
+    # A < R < 2**k, so the string has exactly k digits, most significant
+    # first. Both carry-save additions are written inline (the tests hold
+    # them to ``csa``). Doubling commutes with ``^`` and ``&``, so the
+    # doubled registers' sum and majority bits come from one shift of
+    # p ^ q and p & q. A clear bit adds a zero partial product: the first
+    # addition is then a half adder and b_top leaves the table index.
+    for bit in format(A, f"0{k}b"):
+        t = ((p ^ q) << 1) & mask
+        if bit == "1":
+            f = _F_TABLE[((p >> top) << 4) | ((q >> top) << 1) | b_top]
+            s = t ^ B_shifted
+            c = ((((p & q) << 1) | (B_shifted & t)) << 1) & mask
+        else:
+            f = _F_TABLE[((p >> top) << 4) | ((q >> top) << 1)]
+            s = t
+            c = ((p & q) << 2) & mask
         ry = rx[f]
-        p2, q2 = csa(s, c, ry, mask)
+        u = s ^ c
+        p2 = u ^ ry
+        q2 = (((s & c) | (ry & u)) << 1) & mask
         if traces is not None:
+            a_i = 1 if bit == "1" else 0
             traces.append(
                 StepTrace(
-                    i=i,
+                    i=k - 1 - len(traces),  # one record per step so far
                     a_i=a_i,
                     p_in=p,
                     q_in=q,
@@ -158,7 +173,7 @@ def run_loop(
                     ry=ry,
                     p_out=p2,
                     q_out=q2,
-                    discarded=2 * (p + q) + z + ry - (p2 + q2),
+                    discarded=2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
                 )
             )
         p, q = p2, q2

@@ -106,15 +106,17 @@ class TestDeterminism:
             return real_pool(*args, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
         for sweep in (exhaustive_sweep, hunt_shrink_cycles):
             serial = sweep(SweepConfig(k_min=7, k_max=7, jobs=1))
             parallel = sweep(SweepConfig(k_min=7, k_max=7, jobs=2))
             assert serial.to_json_bytes() == parallel.to_json_bytes()
         assert pools == [{"processes": 2}] * 2
 
-    def test_pool_never_gets_more_workers_than_shards(self, monkeypatch):
-        # The pool is a fake that records its size and runs the shards
-        # in-process: no process is started at such a jobs value.
+    @staticmethod
+    def _in_process_pool(monkeypatch) -> list:
+        """Replace the pool with a fake that records its size and runs the
+        shards in-process: no process is started at any jobs value."""
         sizes = []
 
         class InProcessPool:
@@ -131,6 +133,11 @@ class TestDeterminism:
                 return map(worker, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        return sizes
+
+    def test_pool_never_gets_more_workers_than_shards(self, monkeypatch):
+        sizes = self._in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1 << 20)
         monkeypatch.setattr(harness, "SERIAL_BELOW", 0)
         sweeps = (
             (random_sweep, dict(n=8, count=2, seed=1), 2),
@@ -143,6 +150,15 @@ class TestDeterminism:
             assert sweep(SweepConfig(**config, jobs=1000)).to_json_bytes() == serial
             assert sizes == [shards]
             sizes.clear()
+
+    def test_pool_never_gets_more_workers_than_cpus(self, monkeypatch):
+        sizes = self._in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = dict(n=8, count=20000, seed=1)
+        serial = random_sweep(SweepConfig(**config, jobs=1)).to_json_bytes()
+        assert sizes == []
+        assert random_sweep(SweepConfig(**config, jobs=1000)).to_json_bytes() == serial
+        assert sizes == [2]
 
     def test_sweep_below_the_serial_cutoff_starts_no_pool(self, monkeypatch):
         assert _instances(3, 6) < harness.SERIAL_BELOW

@@ -61,16 +61,22 @@ def top3(v, n):
 
 
 def reference_loop(A, b, params):
-    """The loop written step by step from ``lcu`` on explicit bit triples,
-    as the reference the table-driven ``run_loop`` must match."""
+    """The loop written step by step from ``lcu`` on explicit bit triples
+    and two ``csa`` calls, as the reference the table-driven, inline
+    ``run_loop`` must match. Returns each step's record fields as
+    (i, a_i, p_in, q_in, s, c, f, ry, p_out, q_out)."""
     n, mask = params.n, params.mask
     p = q = 0
+    steps = []
     for i in range(params.k - 1, -1, -1):
         a_i = (A >> i) & 1
         f = lcu(top3(p, n), top3(q, n), a_i & (b >> (n - 1)))
         s, c = csa((p << 1) & mask, (q << 1) & mask, b if a_i else 0, mask)
-        p, q = csa(s, c, params.rx[f], mask)
-    return p, q
+        ry = params.rx[f]
+        p_out, q_out = csa(s, c, ry, mask)
+        steps.append((i, a_i, p, q, s, c, f, ry, p_out, q_out))
+        p, q = p_out, q_out
+    return steps
 
 
 class TestLoopRecords:
@@ -148,11 +154,16 @@ class TestLoopDifferential:
     def check(A, B, R, n, params):
         b = shift_left_operand(B, params)
         plain, _ = run_loop(A, b, params)
-        traced, _ = run_loop(A, b, params, trace=True)
+        traced, traces = run_loop(A, b, params, trace=True)
         last = mulmod(A, B, R, n, trace=True, params=params).traces.steps[-1]
         pair = (plain.p, plain.q)
         assert pair == (traced.p, traced.q) == (last.p_out, last.q_out)
-        assert pair == reference_loop(A, b, params), (A, B, R, n)
+        records = [
+            (st.i, st.a_i, st.p_in, st.q_in, st.s, st.c, st.f, st.ry, st.p_out, st.q_out)
+            for st in traces
+        ]
+        assert records == reference_loop(A, b, params), (A, B, R, n)
+        assert pair == records[-1][-2:]
         assert (plain.p + plain.q) % params.modulus_shifted == (
             A * b % params.modulus_shifted
         )
@@ -176,6 +187,25 @@ class TestLoopDifferential:
             R = rng.randrange(max(4, 1 << (k - 1)), 1 << k)
             params = precompute(R, n)
             self.check(rng.randrange(R), rng.randrange(R), R, n, params)
+
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
+    def test_edge_operands(self, n):
+        # Both step branches at their edges: A all zeros, all ones below the
+        # top bit and alternating bits; B with bit k-1 (bit n-1 once
+        # shifted, the partial product's top bit) set and clear; the
+        # smallest and the largest modulus of each length, with k = n and
+        # k < n.
+        for k in (n, n // 2 + 1):
+            ones = (1 << k) - 1
+            alternating = (int(("10" * k)[:k], 2), int(("01" * k)[:k], 2))
+            for R in (1 << (k - 1), ones):
+                params = precompute(R, n)
+                operands = {0, R - 1, *alternating, (1 << (k - 1)) - 1, 1 << (k - 1)}
+                operands = sorted(v for v in operands if v < R)
+                for A in operands:
+                    for B in operands:
+                        self.check(A, B, R, n, params)
 
 
 class TestRunLoop:
