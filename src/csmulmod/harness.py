@@ -85,7 +85,8 @@ class SweepConfig:
     jobs: int = 1
 
     def resolved(self, mode: str) -> "SweepConfig":
-        """Fill mode-dependent defaults and validate the result."""
+        """Fill mode-dependent defaults, cap ``jobs`` at the CPU count and
+        validate the result."""
         cfg = self
         if mode == "random":
             if cfg.n is None:
@@ -99,7 +100,9 @@ class SweepConfig:
         else:
             k_min = cfg.k_min if cfg.k_min is not None else 3
             k_max = cfg.k_max if cfg.k_max is not None else 6
-        cfg = dataclasses.replace(cfg, k_min=k_min, k_max=k_max)
+        # The sweep cuts its shards for the workers it gets, not for more.
+        jobs = min(cfg.jobs, os.cpu_count() or 1)
+        cfg = dataclasses.replace(cfg, k_min=k_min, k_max=k_max, jobs=jobs)
         if cfg.k_min < 3:
             raise ContractViolation(f"k >= 3 violated (k_min={cfg.k_min})")
         if cfg.k_max < cfg.k_min:
@@ -404,9 +407,9 @@ def _run_random_chunk(task: tuple) -> SweepReport:
 def _execute(tasks: list, worker, config: SweepConfig, mode: str,
              started: float, jobs: int) -> SweepReport:
     """Run the shards over ``jobs`` workers, never more than there are
-    shards or CPUs (in-process for one), and merge them in task order."""
+    shards (in-process for one), and merge them in task order."""
     report = SweepReport(config=config.canonical(mode), seed=config.seed)
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         for shard in map(worker, tasks):
             report.merge(shard)

@@ -3,24 +3,23 @@
 Nothing here calls the kernel's register code: every function uses
 ordinary carry-propagating integer arithmetic, so a bug in the register
 model cannot hide inside its own checker.
+
+An exhaustive run is checked on packed ints, lane i in field i; the
+sliced kernel packs its outputs to the width ``field_bytes`` defines.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from operator import add
 from typing import Sequence
 
 __all__ = [
     "exhaustive_mismatches",
+    "field_bytes",
     "fold_pair",
     "ref_mulmod",
     "replay_step_wide",
 ]
-
-# array typecode of an unsigned field, by its width in bytes
-_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def fold_pair(p: int, q: int, R: int) -> int:
@@ -36,79 +35,57 @@ def fold_pair(p: int, q: int, R: int) -> int:
     return total - R if total >= R else total
 
 
-def exhaustive_mismatches(p: Sequence[int], q: Sequence[int], R: int) -> list[int]:
+def field_bytes(bits: int) -> int:
+    """Bytes per field of a packed int whose fields hold ``bits``-bit
+    values: the bits rounded up to whole bytes."""
+    return -(-bits // 8)
+
+
+def exhaustive_mismatches(P: int, Q: int, R: int) -> list[int]:
     """Lanes ``i = A*R + B`` of a run over every pair of modulus R whose
-    result pair ``(p[i], q[i])`` is not below R or does not fold to
-    ``(A * B) mod R``, in lane order.
+    result pair is not below R or does not fold to ``(A * B) mod R``, in
+    lane order.
 
-    The whole run is checked at once on packed fields (``_fields_agree``);
-    only a run that fails there is searched row by row.
+    In ``P`` and ``Q`` field i, least significant byte first, holds lane
+    i's entry; fields past lane R*R - 1 are not part of the run. R has k
+    bits and an entry k+1, so a field has ``field_bytes(k + 1)`` bytes:
+    F >= k+1 bits, and ``R <= 2**(F-1)``. The whole run is checked at once
+    on the packed ints (``_fields_agree``); only a run that fails there is
+    searched row by row.
     """
-    if _fields_agree(p, q, R):
+    width = field_bytes(R.bit_length() + 1)
+    if _fields_agree(P, Q, R, width):
         return []
-    return _search_rows(p, q, R)
+    return _search_rows(P, Q, R, width)
 
 
-def _field_bytes(R: int) -> int | None:
-    """The narrowest field, in bytes, whose top bit can guard a compare
-    with R (``R <= 2**(F-1)``); None when R needs more than 64 bits."""
-    return next((w for w in _FIELD_CODES if R <= 1 << (8 * w - 1)), None)
-
-
-def _little(fields: array) -> bytes:
-    """The array's bytes, each field least significant byte first."""
-    if sys.byteorder != "little":
-        fields.byteswap()
-    return fields.tobytes()
-
-
-def _packed(values: Sequence[int], width: int) -> int | None:
-    """``values`` as one int whose field i (``width`` bytes) is values[i],
-    or None when some value does not fit a field.
-
-    A memoryview whose lanes are fields of that width is read through its
-    bytes, not value by value.
-    """
-    code = _FIELD_CODES[width]
-    if isinstance(values, memoryview) and values.format == code:
-        values = values.tobytes()
-    try:
-        return int.from_bytes(_little(array(code, values)), "little")
-    except (OverflowError, TypeError):
-        return None
-
-
-def _fields_agree(p: Sequence[int], q: Sequence[int], R: int) -> bool:
+def _fields_agree(P: int, Q: int, R: int, width: int) -> bool:
     """Whether every lane's pair is below R and folds to ``(A * B) mod R``,
-    computed field-wise on packed ints.
+    computed field-wise on the packed ints.
 
-    Each field has F bits with ``R <= 2**(F-1)``, and its top bit is a
-    guard: a value x below 2**(F-1) is at least R exactly when
-    x + 2**(F-1) - R sets it. Neither that sum nor a pair's sum (below 2R)
-    reaches the next field. The pairs are folded with one packed add and
-    a field-wise conditional subtract of R; expected row A is row A-1 plus
-    (0, 1, ..., R-1), conditionally reduced the same way.
+    Each field has F = 8 * ``width`` bits with ``R <= 2**(F-1)``, and its
+    top bit is a guard: a value x below 2**(F-1) is at least R exactly
+    when x + 2**(F-1) - R sets it. Neither that sum nor a pair's sum
+    (below 2R) reaches the next field. The pairs are folded with one
+    packed add and a field-wise conditional subtract of R; expected row A
+    is row A-1 plus (0, 1, ..., R-1), conditionally reduced the same way.
     """
     lanes = R * R
-    width = _field_bytes(R)
-    if width is None or len(p) != lanes or len(q) != lanes:
-        return False
-    P, Q = _packed(p, width), _packed(q, width)
-    if P is None or Q is None:
-        return False
     F = 8 * width
     half = 1 << (F - 1)
     one = b"\1" + bytes(width - 1)
     low = int.from_bytes(one * lanes, "little")
     guard, lift = low * half, low * (half - R)
-    if (P | Q) & guard or (P + lift) & guard or (Q + lift) & guard:
+    if (P | Q) >> (F * lanes) or (P | Q) & guard or (P + lift) & guard or (Q + lift) & guard:
         return False
     S = P + Q
     S -= (((S + lift) & guard) >> (F - 1)) * R
 
     row_low = int.from_bytes(one * R, "little")
     row_guard, row_lift = row_low * half, row_low * (half - R)
-    ramp = int.from_bytes(_little(array(_FIELD_CODES[width], range(R))), "little")
+    # The ramp (0, 1, ..., R-1) is the sum of B * x**B with x = 2**F, and
+    # (x - 1) times that sum telescopes to (R-1) * x**R - (row_low - 1).
+    ramp = (((R - 1) << (F * R)) - row_low + 1) // ((1 << F) - 1)
     rows = []
     row = 0
     for _ in range(R):
@@ -118,14 +95,26 @@ def _fields_agree(p: Sequence[int], q: Sequence[int], R: int) -> bool:
     return S.to_bytes(width * lanes, "little") == b"".join(rows)
 
 
-def _search_rows(p: Sequence[int], q: Sequence[int], R: int) -> list[int]:
+def _search_rows(P: int, Q: int, R: int, width: int) -> list[int]:
     """``exhaustive_mismatches`` row by row: each row of R lanes (one A) is
     folded the way fold_pair folds and compared whole with its reference
     residues; only a row that differs is searched lane by lane."""
+    row_bytes = width * R
+    run = (1 << (8 * row_bytes * R)) - 1
+    p, q = ((packed & run).to_bytes(row_bytes * R, "little") for packed in (P, Q))
+
+    def fields(data: bytes, start: int) -> list[int]:
+        # Byte g of each field of the row is every width-th byte from g on.
+        stop = start + row_bytes
+        values = list(data[start:stop:width])
+        for g in range(1, width):
+            values = [v | b << 8 * g for v, b in zip(values, data[start + g : stop : width])]
+        return values
+
     bad = []
     for A in range(R):
         lo = A * R
-        p_row, q_row = p[lo : lo + R], q[lo : lo + R]
+        p_row, q_row = fields(p, A * row_bytes), fields(q, A * row_bytes)
         want = [A * B % R for B in range(R)]
         if max(p_row) < R and max(q_row) < R:
             got = [s - R if s >= R else s for s in map(add, p_row, q_row)]

@@ -20,12 +20,11 @@ Where a rule applies to some lanes only, it is a mask of lanes, and so is
 every seam check of ``pipeline.mulmod``: a lane that breaks one is
 flagged, not raised on, and the caller re-runs it through the scalar
 kernel to learn the reason. Nothing here computes an expected residue:
-the caller checks the un-sliced outputs against the reference arithmetic.
+the caller checks the outputs, packed by ``unslice``, against the oracle.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import reduce
 from itertools import accumulate, compress
 from operator import or_
@@ -34,13 +33,13 @@ from typing import NamedTuple, Sequence
 from .bitcore import top_up
 from .mainloop import predict
 from .modparams import ModulusParams
+from .oracle import field_bytes
 from .shrink import CLEAR_FAULTS, shrink_rules
 from .squeeze import squeeze_rules
 
 __all__ = ["SlicedRun", "run_moduli", "unslice"]
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class SlicedRun(NamedTuple):
@@ -51,16 +50,16 @@ class SlicedRun(NamedTuple):
     checks; each check is named by the start of the message with which
     ``mulmod`` raises on it. ``cycles[c]`` holds the lanes whose shrink
     fired c rules, and ``rules[r - 1]`` those whose squeeze fired rule r;
-    on a flagged lane they mean nothing. ``p`` and ``q`` are the per-lane
-    outputs in the unshifted domain, as wide as the modulus plus one bit.
+    on a flagged lane they mean nothing. ``p`` and ``q`` are the outputs
+    in the unshifted domain, k+1 bits per lane, packed by ``unslice``.
     Lane ``A*R + B`` of every mask and output is the instance (A, B).
     """
 
     checks: tuple[tuple[str, int], ...]
     cycles: tuple[int, ...]
     rules: tuple[int, ...]
-    p: Sequence[int]
-    q: Sequence[int]
+    p: int
+    q: int
 
     @property
     def flagged(self) -> int:
@@ -173,23 +172,24 @@ def _low_bits(p: list[int], q: list[int], shift: int) -> int:
     return low
 
 
-def unslice(planes: Sequence[int], lanes: int) -> memoryview:
-    """Per-lane values: bit j of value i is bit i of ``planes[j]``.
+def unslice(planes: Sequence[int], lanes: int) -> int:
+    """The lanes' values packed into one int: field i, of
+    ``oracle.field_bytes(len(planes))`` bytes, least significant byte
+    first, holds lane i, whose bit j is bit i of ``planes[j]``.
 
     Each group of eight planes becomes one byte per lane (a plane's binary
     digits, mapped to bytes 0 and 1 and shifted into place), and the
-    groups are interleaved into lanes of 1, 2, 4 or 8 bytes.
+    groups are interleaved into the fields, byte g of each from group g.
     """
-    width = next(w for w in _LANE_FORMATS if 8 * w >= len(planes))
+    width = field_bytes(len(planes))
     buf = bytearray(width * lanes)
     for group in range(0, len(planes), 8):
         acc = 0
         for j, plane in enumerate(planes[group : group + 8]):
             digits = format(plane, f"0{lanes}b").encode("ascii").translate(_BITS)
             acc |= int.from_bytes(digits, "big") << j
-        offset = group // 8 if sys.byteorder == "little" else width - 1 - group // 8
-        buf[offset::width] = acc.to_bytes(lanes, "little")
-    return memoryview(buf).cast(_LANE_FORMATS[width])
+        buf[group // 8 :: width] = acc.to_bytes(lanes, "little")
+    return int.from_bytes(buf, "little")
 
 
 def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun]:
@@ -297,20 +297,21 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun
     check("nonzero low bits after squeeze", _low_bits(p, q, shift))
     del rn, rm, bound, s, c, const
 
-    # One un-slicing per batch; each modulus reads its segment's slice.
+    # One un-slicing per batch; each modulus cuts its fields out as it cuts
+    # its lanes out of the masks.
     p_out = unslice(p[shift:], lanes)
     q_out = unslice(q[shift:], lanes)
+    field = 8 * field_bytes(k + 1)
     runs = []
     for offset, size in zip(offsets, sizes):
-        segment = (1 << size) - 1
         end = offset + size
 
-        def cut(mask: int) -> int:
-            # No mask holds a lane past the batch, so the top segment
+        def cut(packed: int, bits: int = 1) -> int:
+            # No value holds a lane past the batch, so the top segment
             # needs no masking (and a batch of one modulus no cutting).
             if offset:
-                mask >>= offset
-            return mask & segment if end < lanes else mask
+                packed >>= offset * bits
+            return packed & ((1 << size * bits) - 1) if end < lanes else packed
 
         mine = ((name, cut(broken)) for name, broken in checks)
         runs.append(
@@ -318,8 +319,8 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun
                 checks=tuple((name, broken) for name, broken in mine if broken),
                 cycles=tuple(map(cut, cycles)),
                 rules=tuple(map(cut, rules)),
-                p=p_out[offset:end],
-                q=q_out[offset:end],
+                p=cut(p_out, field),
+                q=cut(q_out, field),
             )
         )
     return runs

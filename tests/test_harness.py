@@ -114,10 +114,11 @@ class TestDeterminism:
         assert pools == [{"processes": 2}] * 2
 
     @staticmethod
-    def _in_process_pool(monkeypatch) -> list:
-        """Replace the pool with a fake that records its size and runs the
-        shards in-process: no process is started at any jobs value."""
-        sizes = []
+    def _in_process_pool(monkeypatch) -> tuple[list, list]:
+        """Replace the pool with a fake that records its size and how many
+        shards it gets, and runs them in-process: no process is started at
+        any jobs value."""
+        sizes, shards = [], []
 
         class InProcessPool:
             def __init__(self, processes):
@@ -130,13 +131,14 @@ class TestDeterminism:
                 return False
 
             def imap(self, worker, tasks, chunksize=1):
+                shards.append(len(tasks))
                 return map(worker, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        return sizes
+        return sizes, shards
 
     def test_pool_never_gets_more_workers_than_shards(self, monkeypatch):
-        sizes = self._in_process_pool(monkeypatch)
+        sizes, _ = self._in_process_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 1 << 20)
         monkeypatch.setattr(harness, "SERIAL_BELOW", 0)
         sweeps = (
@@ -152,13 +154,16 @@ class TestDeterminism:
             sizes.clear()
 
     def test_pool_never_gets_more_workers_than_cpus(self, monkeypatch):
-        sizes = self._in_process_pool(monkeypatch)
+        sizes, shards = self._in_process_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = dict(n=8, count=20000, seed=1)
         serial = random_sweep(SweepConfig(**config, jobs=1)).to_json_bytes()
         assert sizes == []
-        assert random_sweep(SweepConfig(**config, jobs=1000)).to_json_bytes() == serial
-        assert sizes == [2]
+        for jobs in (2, 1000):
+            assert random_sweep(SweepConfig(**config, jobs=jobs)).to_json_bytes() == serial
+        # the chunks are cut for the 2 workers that run, whatever jobs asks
+        assert sizes == [2, 2]
+        assert shards == [40, 40]
 
     def test_sweep_below_the_serial_cutoff_starts_no_pool(self, monkeypatch):
         assert _instances(3, 6) < harness.SERIAL_BELOW
@@ -306,9 +311,10 @@ class TestUnexpectedErrors:
 
         def corrupting(batch, cycle_cap):
             runs = inner(batch, cycle_cap)
-            for params, run in zip(batch, runs):
+            for i, params in enumerate(batch):
                 if params.modulus == 5:
-                    run.p[2 * 5 + 3] ^= 1  # the lane of (A, B) = (2, 3)
+                    # the 8-bit field of the lane of (A, B) = (2, 3)
+                    runs[i] = runs[i]._replace(p=runs[i].p ^ (1 << 8 * (2 * 5 + 3)))
             return runs
 
         monkeypatch.setattr(sliced, "run_moduli", corrupting)

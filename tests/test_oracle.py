@@ -1,5 +1,4 @@
 import random
-from array import array
 
 import pytest
 
@@ -73,19 +72,27 @@ class TestFoldPair:
             assert fold_pair(p, q, R) == (p + q) % R
 
 
+def pack(values, width):
+    """``values`` as one int, value i in field i of ``width`` bytes, least
+    significant byte first."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
 class TestExhaustiveMismatches:
     def test_flags_exactly_the_wrong_lanes(self):
         R = 7
-        # a correct split of each residue, lane A*R + B
+        # a correct split of each residue, lane A*R + B, in 1-byte fields
         p = [(A * B) % R // 2 for A in range(R) for B in range(R)]
         q = [(A * B) % R - p[A * R + B] for A in range(R) for B in range(R)]
-        assert exhaustive_mismatches(p, q, R) == []
+        Q = pack(q, 1)
+        assert exhaustive_mismatches(pack(p, 1), Q, R) == []
         wrong = list(p)
         wrong[3 * R + 5] = (wrong[3 * R + 5] + 1) % R  # wrong residue
         wrong[4 * R + 2] += R  # right residue, entry not below R
         wrong[6 * R + 6] = R - 1  # wrong residue in the last lane
-        assert exhaustive_mismatches(wrong, q, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
-        assert exhaustive_mismatches(q, wrong, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
+        W = pack(wrong, 1)
+        assert exhaustive_mismatches(W, Q, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
+        assert exhaustive_mismatches(Q, W, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
 
 
 def split_residues(R):
@@ -108,10 +115,10 @@ def per_lane_mismatches(p, q, R):
     ]
 
 
-# (R, lane format) as the sliced kernel un-slices k+1 planes: 1-byte lanes
-# of k=3, k=6 and k=7 at n=7 (R=64 and R=127), and 2-byte lanes of k=8
-# (R=128 also fits 8-bit fields, so its lanes are read value by value)
-LANE_LAYOUTS = [(5, "B"), (63, "B"), (64, "B"), (127, "B"), (128, "H"), (200, "H")]
+# (R, field bytes) as the sliced kernel packs k+1 planes: 1-byte fields of
+# k=3, k=6 and k=7 (R=64 and R=127), and 2-byte fields of k=8 (R=128 would
+# also meet R <= 2**(F-1) with F=8, but its 9-bit entries need 16)
+LANE_LAYOUTS = [(5, 1), (63, 1), (64, 1), (127, 1), (128, 2), (200, 2)]
 
 
 def corrupt_positions(R):
@@ -123,27 +130,28 @@ def corrupt_positions(R):
 
 def corruptions(value, R):
     """Wrong values for one field: at least R with the residue kept, the
-    register maximum 2**(k+1) - 1, and below R with the residue moved."""
+    register maximum 2**(k+1) - 1, the register's top bit k set (in the
+    second byte of a field at k=8), and below R with the residue moved."""
     return {
         "ge_r_same_residue": value + R,
         "register_max": (1 << (R.bit_length() + 1)) - 1,
+        "top_bit": value | 1 << R.bit_length(),
         "residue_off_by_one": (value + 1) % R,
     }
 
 
 class TestPackedCheck:
-    @pytest.mark.parametrize("R, fmt", LANE_LAYOUTS)
-    def test_clean_run_passes_on_packed_fields(self, R, fmt):
+    @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
+    def test_clean_run_passes_on_packed_fields(self, R, width):
         p, q = split_residues(R)
         assert any(a + b >= R for a, b in zip(p, q))
-        assert oracle._fields_agree(p, q, R)
-        assert oracle._fields_agree(memoryview(array(fmt, p)), memoryview(array(fmt, q)), R)
-        assert exhaustive_mismatches(memoryview(array(fmt, p)), q, R) == []
+        assert oracle._fields_agree(pack(p, width), pack(q, width), R, width)
+        assert exhaustive_mismatches(pack(p, width), pack(q, width), R) == []
         # lanes past R*R are not part of the run
-        assert exhaustive_mismatches(p + [R], q + [0], R) == []
+        assert exhaustive_mismatches(pack(p + [R], width), pack(q + [0], width), R) == []
 
-    @pytest.mark.parametrize("R, fmt", LANE_LAYOUTS)
-    def test_single_corrupted_fields(self, R, fmt):
+    @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
+    def test_single_corrupted_fields(self, R, width):
         clean_p, clean_q = split_residues(R)
         for lane in corrupt_positions(R):
             for side in (0, 1):
@@ -152,20 +160,18 @@ class TestPackedCheck:
                     pair[side][lane] = value
                     want = per_lane_mismatches(*pair, R)
                     assert want == [lane], (R, lane, side, kind)
-                    views = [memoryview(array(fmt, values)) for values in pair]
-                    assert exhaustive_mismatches(*views, R) == want, (R, lane, side, kind)
-                    assert exhaustive_mismatches(*pair, R) == want, (R, lane, side, kind)
+                    packed = [pack(values, width) for values in pair]
+                    assert exhaustive_mismatches(*packed, R) == want, (R, lane, side, kind)
 
-    @pytest.mark.parametrize("R, fmt", LANE_LAYOUTS)
-    def test_many_corrupted_fields_in_lane_order(self, R, fmt):
+    @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
+    def test_many_corrupted_fields_in_lane_order(self, R, width):
         p, q = split_residues(R)
         for lane, kind in zip(corrupt_positions(R), ("ge_r_same_residue", "register_max") * 3):
             values = p if lane % 2 else q
             values[lane] = corruptions(values[lane], R)[kind]
         want = per_lane_mismatches(p, q, R)
         assert want == sorted(set(corrupt_positions(R)))
-        assert exhaustive_mismatches(memoryview(array(fmt, p)), memoryview(array(fmt, q)), R) == want
-        assert exhaustive_mismatches(p, q, R) == want
+        assert exhaustive_mismatches(pack(p, width), pack(q, width), R) == want
 
 
 class TestReplayStepWide:

@@ -26,9 +26,22 @@ FULL_WIDTH = [(k, R) for k in range(3, 7) for R in range(1 << (k - 1), 1 << k)]
 SHIFT_PATH = [(8, R) for k in range(3, 6) for R in range(1 << (k - 1), 1 << k)]
 
 
+def unpack(packed, lanes, width):
+    """Per lane i, field i (``width`` bytes, least significant first) of a
+    packed int; a set bit past the last field raises."""
+    data = packed.to_bytes(width * lanes, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def lane_values(planes, lanes):
+    """Per lane, its value in ``planes`` as ``unslice`` packs it: bits
+    rounded up to whole bytes."""
+    return unpack(unslice(planes, lanes), lanes, -(-len(planes) // 8))
+
+
 def one_hot(masks, lanes):
     """Per lane, the index of the one mask holding it (-1 for none)."""
-    return [v.bit_length() - 1 for v in unslice(masks, lanes)]
+    return [v.bit_length() - 1 for v in lane_values(masks, lanes)]
 
 
 def sliced_lanes(n, R, cap):
@@ -36,11 +49,13 @@ def sliced_lanes(n, R, cap):
     run = run_moduli([precompute(R, n)], cap)[0]
     lanes = R * R
     bad = set(exhaustive_mismatches(run.p, run.q, R))
-    flagged = unslice([run.flagged], lanes)
+    width = R.bit_length() // 8 + 1  # k+1 bits in whole bytes
+    p, q = unpack(run.p, lanes, width), unpack(run.q, lanes, width)
+    flagged = lane_values([run.flagged], lanes)
     cycles = one_hot(run.cycles, lanes)
     rules = one_hot(run.rules, lanes)
     return [
-        (run.p[i], run.q[i], cycles[i], rules[i] + 1, not flagged[i] and i not in bad)
+        (p[i], q[i], cycles[i], rules[i] + 1, not flagged[i] and i not in bad)
         for i in range(lanes)
     ]
 
@@ -128,7 +143,7 @@ def first_checks(run, lanes):
     """Per lane, the first check of the sliced run it broke, or None."""
     first = [None] * lanes
     for name, broken in run.checks:
-        for i, bit in enumerate(unslice([broken], lanes)):
+        for i, bit in enumerate(lane_values([broken], lanes)):
             if bit and first[i] is None:
                 first[i] = name
     return first
@@ -171,11 +186,6 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
     assert any(failure["reason"].startswith(reason) for failure in sliced.failures)
 
 
-def fields(run):
-    """A run's checks, cycles, rules and outputs, the outputs as lists."""
-    return run.checks, run.cycles, run.rules, list(run.p), list(run.q)
-
-
 @pytest.mark.parametrize("cap", (NORMAL_CYCLE_CAP, HUNT_CYCLE_CAP))
 def test_batch_equals_its_moduli_run_alone(cap):
     for n, moduli in by_width(FULL_WIDTH + SHIFT_PATH):
@@ -184,7 +194,7 @@ def test_batch_equals_its_moduli_run_alone(cap):
         assert len(runs) == len(batch)
         for params, run in zip(batch, runs):
             alone = run_moduli([params], cap)[0]
-            assert fields(run) == fields(alone), (n, params.modulus)
+            assert run == alone, (n, params.modulus)
     with pytest.raises(ValueError, match="one width"):
         run_moduli([precompute(7, 3), precompute(8, 4)], cap)
 
@@ -202,7 +212,7 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
         batch = [tamper(precompute(R, n)) for R in moduli]
         for params, run in zip(batch, run_moduli(batch, NORMAL_CYCLE_CAP)):
             alone = run_moduli([params], NORMAL_CYCLE_CAP)[0]
-            assert fields(run) == fields(alone), (n, params.modulus)
+            assert run == alone, (n, params.modulus)
             assert not run.checks or params.modulus == middle
         sliced, scalar = tallies([(n, R) for R in moduli], False, tamper)
         assert_same_tally(sliced, scalar)
@@ -211,13 +221,30 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
     assert failures
 
 
-@pytest.mark.parametrize("planes", (1, 8, 9, 16, 17, 40))
+# up to 1,025 planes: the registers of a sliced n=1024 random sweep
+@pytest.mark.parametrize("planes", (1, 8, 9, 16, 17, 40, 65, 1025))
 def test_unslice_round_trip(planes):
     rng = random.Random(planes)
     lanes = 301
     values = [rng.getrandbits(planes) for _ in range(lanes)]
     sliced = [sum((v >> j & 1) << i for i, v in enumerate(values)) for j in range(planes)]
-    assert list(unslice(sliced, lanes)) == values
+    assert lane_values(sliced, lanes) == values
+
+
+def test_two_byte_fields_of_k8():
+    # k=8 is the first width whose k+1-bit outputs need 2-byte fields; a
+    # batch of two cuts each modulus's fields out of the packed outputs
+    batch = [precompute(R, 8) for R in (128, 255)]
+    for params, run in zip(batch, run_moduli(batch, NORMAL_CYCLE_CAP)):
+        R = params.modulus
+        lanes = R * R
+        assert run == run_moduli([params], NORMAL_CYCLE_CAP)[0], R
+        assert run.checks == ()
+        assert exhaustive_mismatches(run.p, run.q, R) == []
+        p, q = unpack(run.p, lanes, 2), unpack(run.q, lanes, 2)
+        for lane in random.Random(R).sample(range(lanes), 40):
+            result, ok = mulmod_checked(*divmod(lane, R), R, 8)
+            assert ok and (p[lane], q[lane]) == (result.p, result.q), (R, lane)
 
 
 def test_hunt_cap_records_cycles_beyond_the_normal_cap():
