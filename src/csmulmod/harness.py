@@ -54,11 +54,12 @@ INSTANCE_CAP = 3_000_000_000  # k <= 11 runs 2,861,214,706 instances
 SERIAL_BELOW = 500_000
 # An exhaustive shard runs consecutive moduli of one width through one
 # sliced-kernel call, up to this many lanes (R * R per modulus) in all.
-# Measured in-process on 2 vCPUs, medians of two rounds: a k=3..6 sweep
-# takes 35 ms at one modulus per call, 22 ms at 2**13 lanes, 19.7 ms at
-# 2**14, 18.7-18.9 ms at 2**15 and 19.2-19.4 ms at 2**16 and 2**17; k=7
-# is fastest from 2**15 to 2**16. Traced peak memory of the k=3..6 sweep
-# is 76 KiB alone, 488 KiB at 2**15 and 930 KiB at 2**16.
+# Measured in-process on 2 vCPUs, one process per sweep, the sizes taking
+# turns, medians of 8 rounds: a k=3..6 sweep takes 12.1 ms at 2**14 lanes,
+# 11.7 ms at 2**15 and 12.3 ms at 2**16 (2**15 fastest in 5 rounds); k=7
+# takes 62.5, 50.3 and 46.3 ms (2**16 fastest in 6). No size is fastest
+# in most of the 16 rounds. Traced peak memory of the k=3..6 sweep is
+# 259 KiB at 2**14, 692 KiB at 2**15 and 1,656 KiB at 2**16.
 BATCH_LANES = 1 << 15
 WITNESS_CAP = 100
 HIST_BUCKETS = 8  # shrink cycle counts 0..7

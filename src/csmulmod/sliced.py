@@ -25,7 +25,7 @@ the caller checks the outputs, packed by ``unslice``, against the oracle.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from operator import or_
 from typing import NamedTuple, Sequence
@@ -39,7 +39,9 @@ from .squeeze import squeeze_rules
 
 __all__ = ["SlicedRun", "run_moduli", "unslice"]
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+# The delta swaps of an 8x8 bit-matrix transpose of a 64-bit word, as
+# (shift, mask) pairs (Hacker's Delight, 7-3).
+_DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 class SlicedRun(NamedTuple):
@@ -172,24 +174,60 @@ def _low_bits(p: list[int], q: list[int], shift: int) -> int:
     return low
 
 
+# One entry: the p and q outputs of a batch are un-sliced in turn, over
+# the same lanes.
+@lru_cache(maxsize=1)
+def _swap_masks(words: int) -> tuple[tuple[int, int], ...]:
+    """``_DELTA_SWAPS`` with each mask repeated across ``words`` words."""
+    return tuple(
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
+        for shift, mask in _DELTA_SWAPS
+    )
+
+
+def _transpose8(x: int, words: int) -> int:
+    """Each of the ``words`` 64-bit words of ``x`` (least significant
+    first) transposed as an 8x8 bit matrix: bit 8r + c moves to 8c + r,
+    so byte r of a word becomes bit r of each of its bytes. Its own
+    inverse.
+
+    Every word is swapped at once: a mask repeated once per word keeps
+    each swap's shifted bits inside their word.
+    """
+    for shift, mask in _swap_masks(words):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x
+
+
 def unslice(planes: Sequence[int], lanes: int) -> int:
     """The lanes' values packed into one int: field i, of
     ``oracle.field_bytes(len(planes))`` bytes, least significant byte
     first, holds lane i, whose bit j is bit i of ``planes[j]``.
 
-    Each group of eight planes becomes one byte per lane (a plane's binary
-    digits, mapped to bytes 0 and 1 and shifted into place), and the
-    groups are interleaved into the fields, byte g of each from group g.
+    Each group of eight planes becomes one byte per lane by a bit-matrix
+    transpose: the planes' bytes are interleaved, byte m of plane j going
+    to byte 8m + j, so that each 64-bit word holds eight lanes of the
+    eight planes, and ``_transpose8`` turns every word into those lanes'
+    bytes. The groups are interleaved into the fields, byte g of each
+    from group g. A plane that is negative or has a bit at or above
+    ``lanes`` raises ``ValueError``.
     """
+    for j, plane in enumerate(planes):
+        if plane < 0 or plane.bit_length() > lanes:
+            raise ValueError(f"plane {j} is not a mask of {lanes} lanes")
     width = field_bytes(len(planes))
-    buf = bytearray(width * lanes)
+    words = -(-lanes // 8)
+    fields = bytearray(width * 8 * words)
     for group in range(0, len(planes), 8):
-        acc = 0
+        buf = bytearray(8 * words)
         for j, plane in enumerate(planes[group : group + 8]):
-            digits = format(plane, f"0{lanes}b").encode("ascii").translate(_BITS)
-            acc |= int.from_bytes(digits, "big") << j
-        buf[group // 8 :: width] = acc.to_bytes(lanes, "little")
-    return int.from_bytes(buf, "little")
+            buf[j::8] = plane.to_bytes(words, "little")
+        packed = _transpose8(int.from_bytes(buf, "little"), words)
+        if width == 1:
+            return packed
+        fields[group // 8 :: width] = packed.to_bytes(8 * words, "little")
+    return int.from_bytes(fields, "little")
 
 
 def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun]:

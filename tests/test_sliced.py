@@ -5,6 +5,7 @@ still compares every instance of the small widths with ``mulmod_checked``.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -12,8 +13,10 @@ import pytest
 
 from csmulmod import (
     InvariantViolation,
+    SweepConfig,
     SweepReport,
     exhaustive_mismatches,
+    exhaustive_sweep,
     harness,
     mulmod_checked,
     precompute,
@@ -221,14 +224,41 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
     assert failures
 
 
-# up to 1,025 planes: the registers of a sliced n=1024 random sweep
-@pytest.mark.parametrize("planes", (1, 8, 9, 16, 17, 40, 65, 1025))
-def test_unslice_round_trip(planes):
-    rng = random.Random(planes)
-    lanes = 301
+def naive_planes(values, planes):
+    """Plane j of per-lane ``values``, one lane at a time."""
+    return [
+        int("".join(str(v >> j & 1) for v in reversed(values)), 2)
+        for j in range(planes)
+    ]
+
+
+# lanes around a 64-bit word (eight lanes of eight planes) and one full
+# batch; planes around a group of eight, and up to 1,025 planes: the
+# registers of a sliced n=1024 random sweep
+@pytest.mark.parametrize(
+    "lanes, planes",
+    [
+        *itertools.product(
+            (1, 7, 8, 9, 63, 64, 65, 301, harness.BATCH_LANES), (1, 7, 8, 9, 16, 17, 65)
+        ),
+        (301, 40),
+        (301, 1025),
+    ],
+)
+def test_unslice_round_trip(lanes, planes):
+    rng = random.Random(lanes * 2048 + planes)
     values = [rng.getrandbits(planes) for _ in range(lanes)]
-    sliced = [sum((v >> j & 1) << i for i, v in enumerate(values)) for j in range(planes)]
-    assert lane_values(sliced, lanes) == values
+    assert lane_values(naive_planes(values, planes), lanes) == values
+
+
+@pytest.mark.parametrize("lanes", (9, 301))
+def test_unslice_rejects_a_plane_that_is_not_a_lane_mask(lanes):
+    ones = (1 << lanes) - 1
+    with pytest.raises(ValueError, match="plane 1 "):
+        unslice([ones, -1], lanes)
+    with pytest.raises(ValueError, match="plane 2 "):
+        unslice([ones, 0, 1 << lanes], lanes)
+    assert unslice([ones], lanes) == int.from_bytes(b"\1" * lanes, "little")
 
 
 def test_two_byte_fields_of_k8():
@@ -245,6 +275,14 @@ def test_two_byte_fields_of_k8():
         for lane in random.Random(R).sample(range(lanes), 40):
             result, ok = mulmod_checked(*divmod(lane, R), R, 8)
             assert ok and (p[lane], q[lane]) == (result.p, result.q), (R, lane)
+
+
+def test_k8_report_bytes():
+    # every k=8 modulus runs alone in 2-byte fields, whose second byte is
+    # a transpose group of one plane; the golden digests stop at k=6
+    report = exhaustive_sweep(SweepConfig(k_min=8, k_max=8, jobs=1))
+    digest = hashlib.sha256(report.to_json_bytes()).hexdigest()
+    assert digest == "662b2d0c1bed888a89c6615ed36b4c2f7785b059e25cc17f34e51ba87ff16fa8"
 
 
 def test_hunt_cap_records_cycles_beyond_the_normal_cap():
