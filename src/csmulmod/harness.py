@@ -12,10 +12,11 @@ where a worker pool would cost more than it saves.
 An exhaustive shard is a batch of consecutive moduli of one width, up to
 ``BATCH_LANES`` instances in all (a bigger modulus is a batch alone),
 whose instances all run through one call of the bit-sliced kernel, one
-lane each. Each lane's outputs are checked against the reference
-arithmetic; a lane that fails either is run again through the scalar
-kernel, whose verdict the report records. Random shards run each
-instance through the scalar kernel.
+lane each. One oracle call checks every lane's outputs against the
+reference arithmetic, and the report tallies the batch once; a lane that
+fails either is run again through the scalar kernel, whose verdict the
+report records. Random shards run each instance through the scalar
+kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
@@ -53,13 +55,15 @@ INSTANCE_CAP = 3_000_000_000  # k <= 11 runs 2,861,214,706 instances
 # k=3..7 (690,866) 106 vs 97 ms, the pool faster in 21 and 12 of 24.
 SERIAL_BELOW = 500_000
 # An exhaustive shard runs consecutive moduli of one width through one
-# sliced-kernel call, up to this many lanes (R * R per modulus) in all.
-# Measured in-process on 2 vCPUs, one process per sweep, the sizes taking
-# turns, medians of 8 rounds: a k=3..6 sweep takes 12.1 ms at 2**14 lanes,
-# 11.7 ms at 2**15 and 12.3 ms at 2**16 (2**15 fastest in 5 rounds); k=7
-# takes 62.5, 50.3 and 46.3 ms (2**16 fastest in 6). No size is fastest
-# in most of the 16 rounds. Traced peak memory of the k=3..6 sweep is
-# 259 KiB at 2**14, 692 KiB at 2**15 and 1,656 KiB at 2**16.
+# sliced-kernel call, one oracle call and one tally, up to this many lanes
+# (R * R per modulus) in all. Measured in-process on 2 vCPUs, the two
+# sizes taking turns in one process, two runs of 20 rounds: a k=3..6
+# sweep is faster at 2**15 lanes than at 2**16 (median 5.6 against 6.0 ms,
+# in 19 and 17 rounds), a k=7 sweep at 2**16 (27.6 against 32.1 ms, in 17
+# and 20 rounds), so no size is fastest at both widths. (One process per
+# sweep, the VM's slow phases hide this: 2**16 was faster in 13 of 20
+# rounds at both widths.) Traced peak memory of the k=3..6 sweep is
+# 705 KiB at 2**15 and 1,669 KiB at 2**16.
 BATCH_LANES = 1 << 15
 WITNESS_CAP = 100
 HIST_BUCKETS = 8  # shrink cycle counts 0..7
@@ -165,29 +169,17 @@ def _check(n: int, R: int, A: int, B: int, params: ModulusParams,
     return result, "residue mismatch"
 
 
-def _sliced_runs(batch: list[ModulusParams], cap: int) -> list:
-    """Per modulus of a batch of one width: its ``sliced.SlicedRun`` and
-    the lanes to re-check (those it flagged and those the oracle rejects),
-    or the reason the kernel or the oracle raised on it. A batch that
-    raises is run again one modulus at a time, so that only the faulty
-    modulus fails."""
+def _sliced_run(batch: list[ModulusParams], cap: int) -> tuple:
+    """A batch of one width through the bit-sliced kernel: its
+    ``sliced.SlicedRun`` and the lanes to re-check, those it flagged and
+    those the oracle rejects."""
     from . import sliced  # imported here: random sweeps never need it
 
-    if not batch:
-        return []
-    try:
-        outcomes = []
-        for params, run in zip(batch, sliced.run_moduli(batch, cap)):
-            suspects = run.flagged
-            for lane in exhaustive_mismatches(run.p, run.q, params.modulus):
-                suspects |= 1 << lane
-            outcomes.append((run, suspects))
-        return outcomes
-    except Exception as exc:
-        # Any exception fails the modulus, not the sweep.
-        if len(batch) == 1:
-            return [_reason(exc)]
-    return [_sliced_runs([params], cap)[0] for params in batch]
+    run = sliced.run_moduli(batch, cap)
+    suspects = run.flagged
+    for lane in exhaustive_mismatches(run.p, run.q, [params.modulus for params in batch]):
+        suspects |= 1 << lane
+    return run, suspects
 
 
 def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
@@ -269,29 +261,50 @@ class SweepReport:
         through ``mulmod_checked``, whose result and reason are recorded;
         if that run passes, the lane fails as a disagreement. A str
         ``params`` (the reason ``_params`` could not build them), or an
-        exception from the sliced kernel on that modulus, fails every lane
-        of the modulus with that reason.
+        exception from the sliced kernel or the oracle on that modulus,
+        fails every lane of the modulus with that reason: a batch holding
+        such a modulus runs again one modulus at a time, so that only that
+        modulus fails.
         """
         cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
-        batch = [params for _, params in moduli if not isinstance(params, str)]
-        outcomes = iter(_sliced_runs(batch, cap))
-        for R, params in moduli:
-            self.instances += R * R
-            outcome = params if isinstance(params, str) else next(outcomes)
-            if isinstance(outcome, str):
-                self._fail_modulus(n, R, outcome)
+        reason = next((params for _, params in moduli if isinstance(params, str)), None)
+        if reason is None:
+            try:
+                run, suspects = _sliced_run([params for _, params in moduli], cap)
+            except Exception as exc:
+                # Any exception fails the modulus, not the sweep.
+                reason = _reason(exc)
             else:
-                self._tally_run(n, R, hunt, params, cap, *outcome)
+                self._tally_batch(n, cap, hunt, moduli, run, suspects)
+                return
+        if len(moduli) > 1:
+            for modulus in moduli:
+                self.add_moduli(n, hunt, [modulus])
+            return
+        R, _ = moduli[0]
+        self.instances += R * R
+        self._fail_modulus(n, R, reason)
 
-    def _tally_run(self, n: int, R: int, hunt: bool, params: ModulusParams,
-                   cap: int, run, suspects: int) -> None:
-        """Tally one modulus's sliced run, re-checking the ``suspects``
-        lanes through ``mulmod_checked``."""
+    def _tally_batch(self, n: int, cap: int, hunt: bool,
+                     moduli: list[tuple[int, ModulusParams]], run,
+                     suspects: int) -> None:
+        """Tally a batch's sliced run, re-checking the ``suspects`` lanes
+        through ``mulmod_checked``. The moduli own the run's segments, in
+        order."""
+        starts = list(itertools.accumulate((R * R for R, _ in moduli), initial=0))
+        self.instances += starts.pop()
+
+        def locate(lane: int) -> tuple[int, ModulusParams, int, int]:
+            """(R, params, A, B) of a batch lane."""
+            i = bisect_right(starts, lane) - 1
+            R, params = moduli[i]
+            return R, params, *divmod(lane - starts[i], R)
+
         cycles = [mask & ~suspects for mask in run.cycles]
         cycles += [0] * (HIST_BUCKETS - len(cycles))
         rules = [mask & ~suspects for mask in run.rules]
         for lane in _lanes(suspects):
-            A, B = divmod(lane, R)
+            R, params, A, B = locate(lane)
             result, reason = _check(n, R, A, B, params, cap)
             if result is not None:
                 cycles[result.shrink_cycles] |= 1 << lane
@@ -305,7 +318,8 @@ class SweepReport:
         most = max((count for count, mask in enumerate(cycles) if mask), default=None)
         if most is not None and (self.max_cycles_witness is None or most > self.max_cycles):
             self.max_cycles = most
-            self.max_cycles_witness = _witness(n, R, *divmod(next(_lanes(cycles[most])), R))
+            R, _, A, B = locate(next(_lanes(cycles[most])))
+            self.max_cycles_witness = _witness(n, R, A, B)
         if hunt:
             heavy = reduce(or_, cycles[4:])
             self.cycle_witnesses_total += heavy.bit_count()
@@ -313,7 +327,8 @@ class SweepReport:
             room = WITNESS_CAP - len(self.cycle_witnesses)
             for lane in itertools.islice(_lanes(heavy), room):
                 count = next(c for c in range(4, HIST_BUCKETS) if cycles[c] >> lane & 1)
-                self.cycle_witnesses.append(_witness(n, R, *divmod(lane, R), cycles=count))
+                R, _, A, B = locate(lane)
+                self.cycle_witnesses.append(_witness(n, R, A, B, cycles=count))
 
     def _fail(self, n: int, R: int, A: int, B: int, reason: str) -> None:
         self.failures_total += 1

@@ -4,12 +4,14 @@ Nothing here calls the kernel's register code: every function uses
 ordinary carry-propagating integer arithmetic, so a bug in the register
 model cannot hide inside its own checker.
 
-An exhaustive run is checked on packed ints, lane i in field i; the
-sliced kernel packs its outputs to the width ``field_bytes`` defines.
+An exhaustive run is checked on packed ints, lane i in field i, a whole
+batch of moduli at once; the sliced kernel packs its outputs to the
+width ``field_bytes`` defines.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 from typing import Sequence
 
@@ -41,63 +43,113 @@ def field_bytes(bits: int) -> int:
     return -(-bits // 8)
 
 
-def exhaustive_mismatches(P: int, Q: int, R: int) -> list[int]:
-    """Lanes ``i = A*R + B`` of a run over every pair of modulus R whose
-    result pair is not below R or does not fold to ``(A * B) mod R``, in
-    lane order.
+def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
+    """Lanes of a batch run over every pair of each modulus in ``moduli``
+    whose result pair is not below its R or does not fold to
+    ``(A * B) mod R``, in lane order.
 
-    In ``P`` and ``Q`` field i, least significant byte first, holds lane
-    i's entry; fields past lane R*R - 1 are not part of the run. R has k
-    bits and an entry k+1, so a field has ``field_bytes(k + 1)`` bytes:
-    F >= k+1 bits, and ``R <= 2**(F-1)``. The whole run is checked at once
-    on the packed ints (``_fields_agree``); only a run that fails there is
-    searched row by row.
+    Each modulus R owns a segment of R*R lanes, after those of the moduli
+    before it; lane ``A*R + B`` of the segment is the instance (A, B). In
+    ``P`` and ``Q`` field i, least significant byte first, holds lane i's
+    entry; fields past the last segment are not part of the run. An entry
+    has one bit more than the largest R, so a field has
+    ``field_bytes(R.bit_length() + 1)`` bytes: F bits, and every
+    ``R <= 2**(F-1)``. The whole batch is checked at once on the packed
+    ints (``_fields_agree``); only a batch that fails there is checked
+    modulus by modulus, and only a modulus that fails is searched row by
+    row.
     """
-    width = field_bytes(R.bit_length() + 1)
-    if _fields_agree(P, Q, R, width):
+    width = field_bytes(max(moduli).bit_length() + 1)
+    if _fields_agree(P, Q, moduli, width):
         return []
-    return _search_rows(P, Q, R, width)
+    bad, first = [], 0
+    for R in moduli:
+        shift, cut = 8 * width * first, (1 << 8 * width * R * R) - 1
+        p, q = (P >> shift) & cut, (Q >> shift) & cut
+        if not _fields_agree(p, q, [R], width):
+            bad += _search_rows(p, q, R, width, first)
+        first += R * R
+    return bad
 
 
-def _fields_agree(P: int, Q: int, R: int, width: int) -> bool:
-    """Whether every lane's pair is below R and folds to ``(A * B) mod R``,
-    computed field-wise on the packed ints.
+# One entry: a sweep's batches of one width need one or two sizes.
+@lru_cache(maxsize=1)
+def _guards(width: int, fields: int) -> int:
+    """The top bit of each of ``fields`` fields of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * fields, "little")
+
+
+def _fields_agree(P: int, Q: int, moduli: Sequence[int], width: int) -> bool:
+    """Whether every lane's pair is below its R and folds to
+    ``(A * B) mod R``: the pairs folded on the packed ints against the
+    expected residues, packed the same way."""
+    folded = _folded(P, Q, moduli, width)
+    return folded is not None and folded == _expected(moduli, width)
+
+
+def _folded(P: int, Q: int, moduli: Sequence[int], width: int) -> bytes | None:
+    """Each lane's pair folded to one residue, packed in fields of
+    ``width`` bytes; None if an entry is not below its R or a set bit lies
+    past the last lane.
 
     Each field has F = 8 * ``width`` bits with ``R <= 2**(F-1)``, and its
     top bit is a guard: a value x below 2**(F-1) is at least R exactly
     when x + 2**(F-1) - R sets it. Neither that sum nor a pair's sum
-    (below 2R) reaches the next field. The pairs are folded with one
-    packed add and a field-wise conditional subtract of R; expected row A
-    is row A-1 plus (0, 1, ..., R-1), conditionally reduced the same way.
+    (below 2R) reaches the next field. A constant holds each lane's R in
+    its field, so one pass serves every modulus of the batch. The pairs
+    are folded with one packed add and a field-wise conditional subtract
+    of R.
     """
-    lanes = R * R
+    F = 8 * width
+    lanes = sum(R * R for R in moduli)
+    if max(P.bit_length(), Q.bit_length()) > F * lanes:
+        return None
+    RR = int.from_bytes(
+        b"".join(R.to_bytes(width, "little") * (R * R) for R in moduli), "little"
+    )
+    # The guard bits of the next power of two of fields, so that the
+    # batches of a width share one or two patterns; no value masked with
+    # them has a bit past the last lane. The pattern is periodic: shifted
+    # down by whole fields it is the pattern of fewer fields.
+    fields = 1 << lanes.bit_length()
+    guard = _guards(width, fields)
+    lift = (guard >> F * (fields - lanes)) - RR
+    # A field with its guard bit set fails here on its own, so a lifted
+    # entry's carry into the next field cannot hide it.
+    if (P | Q | (P + lift) | (Q + lift)) & guard:
+        return None
+    S = P + Q
+    S -= ((((S + lift) & guard) >> (F - 1)) * ((1 << F) - 1)) & RR
+    return S.to_bytes(width * lanes, "little")
+
+
+def _expected(moduli: Sequence[int], width: int) -> bytes:
+    """``(A * B) mod R`` of every lane of the batch, packed as ``_folded``
+    packs: row A of a modulus is row A-1 plus (0, 1, ..., R-1), reduced
+    field-wise as ``_folded`` reduces."""
     F = 8 * width
     half = 1 << (F - 1)
     one = b"\1" + bytes(width - 1)
-    low = int.from_bytes(one * lanes, "little")
-    guard, lift = low * half, low * (half - R)
-    if (P | Q) >> (F * lanes) or (P | Q) & guard or (P + lift) & guard or (Q + lift) & guard:
-        return False
-    S = P + Q
-    S -= (((S + lift) & guard) >> (F - 1)) * R
-
-    row_low = int.from_bytes(one * R, "little")
-    row_guard, row_lift = row_low * half, row_low * (half - R)
-    # The ramp (0, 1, ..., R-1) is the sum of B * x**B with x = 2**F, and
-    # (x - 1) times that sum telescopes to (R-1) * x**R - (row_low - 1).
-    ramp = (((R - 1) << (F * R)) - row_low + 1) // ((1 << F) - 1)
     rows = []
-    row = 0
-    for _ in range(R):
-        rows.append(row.to_bytes(width * R, "little"))
-        row += ramp
-        row -= (((row + row_lift) & row_guard) >> (F - 1)) * R
-    return S.to_bytes(width * lanes, "little") == b"".join(rows)
+    for R in moduli:
+        row_low = int.from_bytes(one * R, "little")
+        row_guard, row_lift = row_low * half, row_low * (half - R)
+        # The ramp (0, 1, ..., R-1) is the sum of B * x**B with x = 2**F,
+        # and (x - 1) times that sum telescopes to
+        # (R-1) * x**R - (row_low - 1).
+        ramp = (((R - 1) << (F * R)) - row_low + 1) // ((1 << F) - 1)
+        row = 0
+        for _ in range(R):
+            rows.append(row.to_bytes(width * R, "little"))
+            row += ramp
+            row -= (((row + row_lift) & row_guard) >> (F - 1)) * R
+    return b"".join(rows)
 
 
-def _search_rows(P: int, Q: int, R: int, width: int) -> list[int]:
-    """``exhaustive_mismatches`` row by row: each row of R lanes (one A) is
-    folded the way fold_pair folds and compared whole with its reference
+def _search_rows(P: int, Q: int, R: int, width: int, first: int) -> list[int]:
+    """``exhaustive_mismatches`` of one modulus, whose lanes are numbered
+    from ``first`` on, row by row: each row of R lanes (one A) is folded
+    the way fold_pair folds and compared whole with its reference
     residues; only a row that differs is searched lane by lane."""
     row_bytes = width * R
     run = (1 << (8 * row_bytes * R)) - 1
@@ -113,7 +165,7 @@ def _search_rows(P: int, Q: int, R: int, width: int) -> list[int]:
 
     bad = []
     for A in range(R):
-        lo = A * R
+        lo = first + A * R
         p_row, q_row = fields(p, A * row_bytes), fields(q, A * row_bytes)
         want = [A * B % R for B in range(R)]
         if max(p_row) < R and max(q_row) < R:

@@ -21,6 +21,9 @@ every seam check of ``pipeline.mulmod``: a lane that breaks one is
 flagged, not raised on, and the caller re-runs it through the scalar
 kernel to learn the reason. Nothing here computes an expected residue:
 the caller checks the outputs, packed by ``unslice``, against the oracle.
+Nothing here splits a batch either: its masks and outputs cover every
+segment, and the caller maps a lane to its modulus by the segment
+offsets.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ _DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x000000
 
 
 class SlicedRun(NamedTuple):
-    """What one modulus's lanes did, as lane masks and per-lane outputs.
+    """What a batch's lanes did, as lane masks and per-lane outputs.
 
     ``checks`` pairs each seam or rule check that some lane broke with the
     mask of those lanes, in the order ``pipeline.mulmod`` makes the
@@ -54,7 +57,8 @@ class SlicedRun(NamedTuple):
     fired c rules, and ``rules[r - 1]`` those whose squeeze fired rule r;
     on a flagged lane they mean nothing. ``p`` and ``q`` are the outputs
     in the unshifted domain, k+1 bits per lane, packed by ``unslice``.
-    Lane ``A*R + B`` of every mask and output is the instance (A, B).
+    Lane ``A*R + B`` of a modulus's segment, in every mask and output, is
+    its instance (A, B).
     """
 
     checks: tuple[tuple[str, int], ...]
@@ -230,9 +234,9 @@ def unslice(planes: Sequence[int], lanes: int) -> int:
     return int.from_bytes(fields, "little")
 
 
-def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun]:
+def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     """Run every (A, B) pair of each modulus in ``batch`` through the
-    kernel at once; one ``SlicedRun`` per modulus, in batch order.
+    kernel at once; one ``SlicedRun`` for the batch.
 
     The moduli must share one width (k, n). Each owns the segment of
     lanes that starts after the R * R lanes of those before it. The stages
@@ -335,30 +339,10 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> list[SlicedRun
     check("nonzero low bits after squeeze", _low_bits(p, q, shift))
     del rn, rm, bound, s, c, const
 
-    # One un-slicing per batch; each modulus cuts its fields out as it cuts
-    # its lanes out of the masks.
-    p_out = unslice(p[shift:], lanes)
-    q_out = unslice(q[shift:], lanes)
-    field = 8 * field_bytes(k + 1)
-    runs = []
-    for offset, size in zip(offsets, sizes):
-        end = offset + size
-
-        def cut(packed: int, bits: int = 1) -> int:
-            # No value holds a lane past the batch, so the top segment
-            # needs no masking (and a batch of one modulus no cutting).
-            if offset:
-                packed >>= offset * bits
-            return packed & ((1 << size * bits) - 1) if end < lanes else packed
-
-        mine = ((name, cut(broken)) for name, broken in checks)
-        runs.append(
-            SlicedRun(
-                checks=tuple((name, broken) for name, broken in mine if broken),
-                cycles=tuple(map(cut, cycles)),
-                rules=tuple(map(cut, rules)),
-                p=cut(p_out, field),
-                q=cut(q_out, field),
-            )
-        )
-    return runs
+    return SlicedRun(
+        checks=tuple(checks),
+        cycles=tuple(cycles),
+        rules=rules,
+        p=unslice(p[shift:], lanes),
+        q=unslice(q[shift:], lanes),
+    )

@@ -308,34 +308,41 @@ class TestUnexpectedErrors:
         config = SweepConfig(k_min=3, k_max=3)
         clean = exhaustive_sweep(config)
         inner = sliced.run_moduli
-
-        def corrupting(batch, cycle_cap):
-            runs = inner(batch, cycle_cap)
-            for i, params in enumerate(batch):
-                if params.modulus == 5:
-                    # the 8-bit field of the lane of (A, B) = (2, 3)
-                    runs[i] = runs[i]._replace(p=runs[i].p ^ (1 << 8 * (2 * 5 + 3)))
-            return runs
-
-        monkeypatch.setattr(sliced, "run_moduli", corrupting)
-        witness = {"n": 3, "r": "5", "a": "2", "b": "3"}
-        # the scalar kernel gets the lane right: the sliced kernel is at fault
-        report = exhaustive_sweep(config)
-        assert report.failures == [dict(witness, reason=SLICED_DISAGREES)]
-        assert report.cycle_histogram == clean.cycle_histogram
-        assert report.rule_usage == clean.rule_usage
-
-        # the scalar kernel gets it wrong too: its reason is the one recorded
         checked = harness.mulmod_checked
+        # (6, 0, 0) is the first lane of a segment that does not start at lane 0
+        for instance in ((5, 2, 3), (6, 0, 0)):
+            R, A, B = instance
 
-        def wrong(A, B, R, n, **kwargs):
-            result, ok = checked(A, B, R, n, **kwargs)
-            return result, ok and (R, A, B) != (5, 2, 3)
+            def corrupting(batch, cycle_cap):
+                run = inner(batch, cycle_cap)
+                moduli = [params.modulus for params in batch]
+                if R in moduli:
+                    # the 8-bit field of the batch lane of (R, A, B), after
+                    # the lanes of the moduli before R
+                    lane = sum(m * m for m in moduli[: moduli.index(R)]) + A * R + B
+                    run = run._replace(p=run.p ^ (1 << 8 * lane))
+                return run
 
-        monkeypatch.setattr(harness, "mulmod_checked", wrong)
-        report = exhaustive_sweep(config)
-        assert report.failures == [dict(witness, reason="residue mismatch")]
-        assert report.cycle_histogram == clean.cycle_histogram
+            def wrong(a, b, r, n, **kwargs):
+                result, ok = checked(a, b, r, n, **kwargs)
+                return result, ok and (r, a, b) != instance
+
+            witness = {"n": 3, "r": str(R), "a": str(A), "b": str(B)}
+            with monkeypatch.context() as patch:
+                patch.setattr(sliced, "run_moduli", corrupting)
+                # the scalar kernel gets the lane right: the sliced kernel
+                # is at fault
+                report = exhaustive_sweep(config)
+                assert report.failures == [dict(witness, reason=SLICED_DISAGREES)]
+                assert report.cycle_histogram == clean.cycle_histogram
+                assert report.rule_usage == clean.rule_usage
+
+                # the scalar kernel gets it wrong too: its reason is the one
+                # recorded
+                patch.setattr(harness, "mulmod_checked", wrong)
+                report = exhaustive_sweep(config)
+                assert report.failures == [dict(witness, reason="residue mismatch")]
+                assert report.cycle_histogram == clean.cycle_histogram
 
     def test_precompute_fault_fails_the_instances_that_need_it(self, monkeypatch, capsys):
         inner = harness.precompute

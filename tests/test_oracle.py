@@ -85,14 +85,14 @@ class TestExhaustiveMismatches:
         p = [(A * B) % R // 2 for A in range(R) for B in range(R)]
         q = [(A * B) % R - p[A * R + B] for A in range(R) for B in range(R)]
         Q = pack(q, 1)
-        assert exhaustive_mismatches(pack(p, 1), Q, R) == []
+        assert exhaustive_mismatches(pack(p, 1), Q, [R]) == []
         wrong = list(p)
         wrong[3 * R + 5] = (wrong[3 * R + 5] + 1) % R  # wrong residue
         wrong[4 * R + 2] += R  # right residue, entry not below R
         wrong[6 * R + 6] = R - 1  # wrong residue in the last lane
         W = pack(wrong, 1)
-        assert exhaustive_mismatches(W, Q, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
-        assert exhaustive_mismatches(Q, W, R) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
+        assert exhaustive_mismatches(W, Q, [R]) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
+        assert exhaustive_mismatches(Q, W, [R]) == [3 * R + 5, 4 * R + 2, 6 * R + 6]
 
 
 def split_residues(R):
@@ -145,10 +145,10 @@ class TestPackedCheck:
     def test_clean_run_passes_on_packed_fields(self, R, width):
         p, q = split_residues(R)
         assert any(a + b >= R for a, b in zip(p, q))
-        assert oracle._fields_agree(pack(p, width), pack(q, width), R, width)
-        assert exhaustive_mismatches(pack(p, width), pack(q, width), R) == []
+        assert oracle._fields_agree(pack(p, width), pack(q, width), [R], width)
+        assert exhaustive_mismatches(pack(p, width), pack(q, width), [R]) == []
         # lanes past R*R are not part of the run
-        assert exhaustive_mismatches(pack(p + [R], width), pack(q + [0], width), R) == []
+        assert exhaustive_mismatches(pack(p + [R], width), pack(q + [0], width), [R]) == []
 
     @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
     def test_single_corrupted_fields(self, R, width):
@@ -161,7 +161,7 @@ class TestPackedCheck:
                     want = per_lane_mismatches(*pair, R)
                     assert want == [lane], (R, lane, side, kind)
                     packed = [pack(values, width) for values in pair]
-                    assert exhaustive_mismatches(*packed, R) == want, (R, lane, side, kind)
+                    assert exhaustive_mismatches(*packed, [R]) == want, (R, lane, side, kind)
 
     @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
     def test_many_corrupted_fields_in_lane_order(self, R, width):
@@ -171,7 +171,88 @@ class TestPackedCheck:
             values[lane] = corruptions(values[lane], R)[kind]
         want = per_lane_mismatches(p, q, R)
         assert want == sorted(set(corrupt_positions(R)))
-        assert exhaustive_mismatches(pack(p, width), pack(q, width), R) == want
+        assert exhaustive_mismatches(pack(p, width), pack(q, width), [R]) == want
+
+
+# (moduli, field bytes) of batches: every modulus of k=3, four of k=7 in
+# 1-byte fields, and R=128 and 129 in 2-byte fields (a sweep runs those
+# two alone: together they exceed its lane budget)
+BATCHES = [((4, 5, 6, 7), 1), ((64, 65, 100, 127), 1), ((128, 129), 2)]
+
+
+def split_batch(moduli):
+    """``split_residues`` of each modulus, one segment after another; and
+    where each segment starts."""
+    p, q, starts = [], [], []
+    for R in moduli:
+        starts.append(len(p))
+        p_R, q_R = split_residues(R)
+        p += p_R
+        q += q_R
+    return p, q, starts
+
+
+def batch_mismatches(p, q, moduli):
+    """The batch lanes a per-lane check with each segment's R rejects."""
+    bad, offset = [], 0
+    for R in moduli:
+        size = R * R
+        bad += [offset + lane for lane in per_lane_mismatches(p[offset:], q[offset:], R)]
+        offset += size
+    return bad
+
+
+class TestBatchCheck:
+    @pytest.mark.parametrize("moduli, width", BATCHES)
+    def test_clean_batch_passes(self, moduli, width):
+        p, q, _ = split_batch(moduli)
+        # in one pass: a batch that passes is never checked modulus by modulus
+        assert oracle._fields_agree(pack(p, width), pack(q, width), moduli, width)
+        assert exhaustive_mismatches(pack(p, width), pack(q, width), moduli) == []
+        # lanes past the last segment are not part of the run
+        P, Q = pack(p + [255], width), pack(q + [255], width)
+        assert exhaustive_mismatches(P, Q, moduli) == []
+
+    @pytest.mark.parametrize("moduli, width", BATCHES)
+    def test_entry_below_a_larger_neighbours_modulus_is_rejected(self, moduli, width):
+        # each field is checked against its own segment's R: an entry at
+        # least R in the segment of R fails at its lane and nowhere else,
+        # also where a later segment's R would allow it
+        p, q, starts = split_batch(moduli)
+        for R, start in zip(moduli[:-1], starts):
+            for lane in (start, start + R * R - 1):
+                for side in (p, q):
+                    kept = side[lane]
+                    for value in (R, kept + R, moduli[-1] - 1):
+                        side[lane] = value
+                        want = batch_mismatches(p, q, moduli)
+                        assert want == [lane], (moduli, R, lane, value)
+                        P, Q = pack(p, width), pack(q, width)
+                        assert not oracle._fields_agree(P, Q, moduli, width)
+                        assert exhaustive_mismatches(P, Q, moduli) == want, (moduli, R, lane, value)
+                    side[lane] = kept
+
+    @pytest.mark.parametrize("moduli, width", BATCHES)
+    def test_mismatches_in_several_moduli_in_lane_order(self, moduli, width):
+        p, q, starts = split_batch(moduli)
+        for R, start in zip(moduli, starts):
+            for lane, kind in zip(corrupt_positions(R), ("residue_off_by_one", "top_bit") * 3):
+                values = p if lane % 2 else q
+                values[start + lane] = corruptions(values[start + lane], R)[kind]
+        want = batch_mismatches(p, q, moduli)
+        assert want == sorted(
+            start + lane for R, start in zip(moduli, starts) for lane in set(corrupt_positions(R))
+        )
+        assert exhaustive_mismatches(pack(p, width), pack(q, width), moduli) == want
+
+    def test_one_width_in_two_byte_fields_for_the_whole_batch(self):
+        # the width follows the batch's largest modulus: R=128 needs 9-bit
+        # entries, so even a batch holding R=4 packs 2-byte fields
+        p, q, starts = split_batch((4, 128))
+        assert oracle._fields_agree(pack(p, 2), pack(q, 2), [4, 128], 2)
+        assert exhaustive_mismatches(pack(p, 2), pack(q, 2), [4, 128]) == []
+        p[starts[1] - 1] += 4
+        assert exhaustive_mismatches(pack(p, 2), pack(q, 2), [4, 128]) == [starts[1] - 1]
 
 
 class TestReplayStepWide:

@@ -18,11 +18,13 @@ from csmulmod import (
     exhaustive_mismatches,
     exhaustive_sweep,
     harness,
+    hunt_shrink_cycles,
     mulmod_checked,
     precompute,
 )
+from csmulmod.oracle import field_bytes
 from csmulmod.shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
-from csmulmod.sliced import run_moduli, unslice
+from csmulmod.sliced import SlicedRun, run_moduli, unslice
 
 # (n, R) for every modulus of k=3..6 at n=k, and of k=3..5 at n=8
 FULL_WIDTH = [(k, R) for k in range(3, 7) for R in range(1 << (k - 1), 1 << k)]
@@ -49,9 +51,9 @@ def one_hot(masks, lanes):
 
 def sliced_lanes(n, R, cap):
     """Per lane (p, q, shrink cycles, squeeze rule, ok) from the sliced run."""
-    run = run_moduli([precompute(R, n)], cap)[0]
+    run = run_moduli([precompute(R, n)], cap)
     lanes = R * R
-    bad = set(exhaustive_mismatches(run.p, run.q, R))
+    bad = set(exhaustive_mismatches(run.p, run.q, [R]))
     width = R.bit_length() // 8 + 1  # k+1 bits in whole bytes
     p, q = unpack(run.p, lanes, width), unpack(run.q, lanes, width)
     flagged = lane_values([run.flagged], lanes)
@@ -61,6 +63,32 @@ def sliced_lanes(n, R, cap):
         (p[i], q[i], cycles[i], rules[i] + 1, not flagged[i] and i not in bad)
         for i in range(lanes)
     ]
+
+
+def cut_segments(run, batch):
+    """A batch's run cut into one ``SlicedRun`` per modulus: its segment
+    of every mask and output shifted down to lane 0, and only the checks
+    that some lane of the segment broke."""
+    field = 8 * field_bytes(batch[0].k + 1)
+    runs, offset = [], 0
+    for params in batch:
+        size = params.modulus**2
+
+        def cut(packed, bits=1):
+            return (packed >> offset * bits) & ((1 << size * bits) - 1)
+
+        checks = ((name, cut(broken)) for name, broken in run.checks)
+        runs.append(
+            SlicedRun(
+                checks=tuple((name, broken) for name, broken in checks if broken),
+                cycles=tuple(map(cut, run.cycles)),
+                rules=tuple(map(cut, run.rules)),
+                p=cut(run.p, field),
+                q=cut(run.q, field),
+            )
+        )
+        offset += size
+    return runs
 
 
 def scalar_lanes(n, R, cap):
@@ -83,7 +111,8 @@ def by_width(moduli):
 def tallies(moduli, hunt, tamper=lambda params: params):
     """One report over the moduli from ``add_moduli``, a batch per run of
     one width, and one from ``add`` over every instance of them, with the
-    constant sets tampered."""
+    constant sets tampered; a tamper that returns a str stands for a
+    precompute that failed with that reason."""
     sliced, scalar = SweepReport(), SweepReport()
     for n, group in by_width(moduli):
         batch = [(R, tamper(precompute(R, n))) for R in group]
@@ -173,7 +202,7 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
     for n, R in TAMPERED:
         params = TAMPERS[reason](precompute(R, n))
         # each lane first breaks the check the scalar kernel raises on
-        first = first_checks(run_moduli([params], cap)[0], R * R)
+        first = first_checks(run_moduli([params], cap), R * R)
         raised = scalar_raises(n, R, cap, params)
         mismatched = [
             (n, R, lane, check, message)
@@ -193,10 +222,8 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
 def test_batch_equals_its_moduli_run_alone(cap):
     for n, moduli in by_width(FULL_WIDTH + SHIFT_PATH):
         batch = [precompute(R, n) for R in moduli]
-        runs = run_moduli(batch, cap)
-        assert len(runs) == len(batch)
-        for params, run in zip(batch, runs):
-            alone = run_moduli([params], cap)[0]
+        for params, run in zip(batch, cut_segments(run_moduli(batch, cap), batch)):
+            alone = run_moduli([params], cap)
             assert run == alone, (n, params.modulus)
     with pytest.raises(ValueError, match="one width"):
         run_moduli([precompute(7, 3), precompute(8, 4)], cap)
@@ -213,8 +240,9 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
             return TAMPERS[reason](params) if params.modulus == middle else params
 
         batch = [tamper(precompute(R, n)) for R in moduli]
-        for params, run in zip(batch, run_moduli(batch, NORMAL_CYCLE_CAP)):
-            alone = run_moduli([params], NORMAL_CYCLE_CAP)[0]
+        segments = cut_segments(run_moduli(batch, NORMAL_CYCLE_CAP), batch)
+        for params, run in zip(batch, segments):
+            alone = run_moduli([params], NORMAL_CYCLE_CAP)
             assert run == alone, (n, params.modulus)
             assert not run.checks or params.modulus == middle
         sliced, scalar = tallies([(n, R) for R in moduli], False, tamper)
@@ -222,6 +250,34 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
         assert {failure["r"] for failure in sliced.failures} <= {format(middle, "X")}
         failures += sliced.failures_total
     assert failures
+
+
+@pytest.mark.parametrize("reason", TAMPERS)
+@pytest.mark.parametrize("hunt", (False, True), ids=("verify", "hunt"))
+def test_failed_precompute_keeps_its_place_between_tampered_neighbours(reason, hunt):
+    fault = "ValueError: synthetic fault"
+    neighbour_failures = 0
+    for n, moduli in by_width(TAMPERED):
+        # a middle modulus whose precompute failed, between tampered
+        # neighbours: their failures come on either side of its own
+        i = len(moduli) // 2
+        middle, neighbours = moduli[i], {moduli[i - 1], moduli[i + 1]}
+
+        def tamper(params):
+            if params.modulus == middle:
+                return fault
+            return TAMPERS[reason](params) if params.modulus in neighbours else params
+
+        sliced, scalar = tallies([(n, R) for R in moduli], hunt, tamper)
+        assert_same_tally(sliced, scalar)
+        order = [int(failure["r"], 16) for failure in sliced.failures]
+        assert order == sorted(order)
+        if moduli[0] == 4:
+            # R=5's 25 lanes cannot fill the cap before R=6's turn
+            faulty = [failure["r"] for failure in sliced.failures if failure["reason"] == fault]
+            assert faulty == ["6"] * 36
+        neighbour_failures += sliced.failures_total - middle * middle
+    assert neighbour_failures
 
 
 def naive_planes(values, planes):
@@ -263,14 +319,16 @@ def test_unslice_rejects_a_plane_that_is_not_a_lane_mask(lanes):
 
 def test_two_byte_fields_of_k8():
     # k=8 is the first width whose k+1-bit outputs need 2-byte fields; a
-    # batch of two cuts each modulus's fields out of the packed outputs
+    # batch of two holds each modulus's fields in its segment
     batch = [precompute(R, 8) for R in (128, 255)]
-    for params, run in zip(batch, run_moduli(batch, NORMAL_CYCLE_CAP)):
+    whole = run_moduli(batch, NORMAL_CYCLE_CAP)
+    assert whole.checks == ()
+    assert exhaustive_mismatches(whole.p, whole.q, [128, 255]) == []
+    for params, run in zip(batch, cut_segments(whole, batch)):
         R = params.modulus
         lanes = R * R
-        assert run == run_moduli([params], NORMAL_CYCLE_CAP)[0], R
-        assert run.checks == ()
-        assert exhaustive_mismatches(run.p, run.q, R) == []
+        assert run == run_moduli([params], NORMAL_CYCLE_CAP), R
+        assert exhaustive_mismatches(run.p, run.q, [R]) == []
         p, q = unpack(run.p, lanes, 2), unpack(run.q, lanes, 2)
         for lane in random.Random(R).sample(range(lanes), 40):
             result, ok = mulmod_checked(*divmod(lane, R), R, 8)
@@ -285,8 +343,21 @@ def test_k8_report_bytes():
     assert digest == "662b2d0c1bed888a89c6615ed36b4c2f7785b059e25cc17f34e51ba87ff16fa8"
 
 
+def test_k7_report_bytes():
+    # k=7 is the widest width whose batches hold several moduli (2 to 8)
+    config = SweepConfig(k_min=7, k_max=7, jobs=1)
+    digests = [
+        hashlib.sha256(sweep(config).to_json_bytes()).hexdigest()
+        for sweep in (exhaustive_sweep, hunt_shrink_cycles)
+    ]
+    assert digests == [
+        "401526c625228e5b271e6a672fecd4718018148030933ab6c3124758dbcd1f84",
+        "3f2944845117d780d98b466bcd9ba8c098de238295a164552f1d81f9e65ec3e5",
+    ]
+
+
 def test_hunt_cap_records_cycles_beyond_the_normal_cap():
     params = TAMPERS["InvariantViolation: shrink needed more than"](precompute(14, 4))
-    run = run_moduli([params], HUNT_CYCLE_CAP)[0]
+    run = run_moduli([params], HUNT_CYCLE_CAP)
     assert len(run.cycles) == HUNT_CYCLE_CAP + 1
     assert any(run.cycles[NORMAL_CYCLE_CAP + 1 :])
