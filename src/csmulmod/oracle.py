@@ -12,7 +12,6 @@ width ``field_bytes`` defines.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 __all__ = [
@@ -55,20 +54,25 @@ def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
     has one bit more than the largest R, so a field has
     ``field_bytes(R.bit_length() + 1)`` bytes: F bits, and every
     ``R <= 2**(F-1)``. The whole batch is checked at once on the packed
-    ints (``_fields_agree``); only a batch that fails there is checked
-    modulus by modulus, and only a modulus that fails is searched row by
-    row.
+    ints (``_fields_agree``); only a batch that fails there is searched,
+    lane by lane, with ``fold_pair``.
     """
     width = field_bytes(max(moduli).bit_length() + 1)
     if _fields_agree(P, Q, moduli, width):
         return []
-    bad, first = [], 0
+    lanes = sum(R * R for R in moduli)
+    run = (1 << 8 * width * lanes) - 1
+    p, q = ((packed & run).to_bytes(width * lanes, "little") for packed in (P, Q))
+    bad, lane = [], 0
     for R in moduli:
-        shift, cut = 8 * width * first, (1 << 8 * width * R * R) - 1
-        p, q = (P >> shift) & cut, (Q >> shift) & cut
-        if not _fields_agree(p, q, [R], width):
-            bad += _search_rows(p, q, R, width, first)
-        first += R * R
+        for A in range(R):
+            for B in range(R):
+                field = slice(width * lane, width * (lane + 1))
+                x = int.from_bytes(p[field], "little")
+                y = int.from_bytes(q[field], "little")
+                if not (x < R and y < R and fold_pair(x, y, R) == A * B % R):
+                    bad.append(lane)
+                lane += 1
     return bad
 
 
@@ -144,41 +148,6 @@ def _expected(moduli: Sequence[int], width: int) -> bytes:
             row += ramp
             row -= (((row + row_lift) & row_guard) >> (F - 1)) * R
     return b"".join(rows)
-
-
-def _search_rows(P: int, Q: int, R: int, width: int, first: int) -> list[int]:
-    """``exhaustive_mismatches`` of one modulus, whose lanes are numbered
-    from ``first`` on, row by row: each row of R lanes (one A) is folded
-    the way fold_pair folds and compared whole with its reference
-    residues; only a row that differs is searched lane by lane."""
-    row_bytes = width * R
-    run = (1 << (8 * row_bytes * R)) - 1
-    p, q = ((packed & run).to_bytes(row_bytes * R, "little") for packed in (P, Q))
-
-    def fields(data: bytes, start: int) -> list[int]:
-        # Byte g of each field of the row is every width-th byte from g on.
-        stop = start + row_bytes
-        values = list(data[start:stop:width])
-        for g in range(1, width):
-            values = [v | b << 8 * g for v, b in zip(values, data[start + g : stop : width])]
-        return values
-
-    bad = []
-    for A in range(R):
-        lo = first + A * R
-        p_row, q_row = fields(p, A * row_bytes), fields(q, A * row_bytes)
-        want = [A * B % R for B in range(R)]
-        if max(p_row) < R and max(q_row) < R:
-            got = [s - R if s >= R else s for s in map(add, p_row, q_row)]
-            if got == want:
-                continue
-        bad.extend(
-            lo + B
-            for B in range(R)
-            if not (p_row[B] < R and q_row[B] < R)
-            or fold_pair(p_row[B], q_row[B], R) != want[B]
-        )
-    return bad
 
 
 def ref_mulmod(A: int, B: int, R: int) -> int:

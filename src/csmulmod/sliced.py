@@ -16,14 +16,14 @@ planes too, holding the segment's lanes wherever the constant has a 1
 bit. Selecting a constant is then a masking of planes, never a branch on
 a modulus.
 
-Where a rule applies to some lanes only, it is a mask of lanes, and so is
-every seam check of ``pipeline.mulmod``: a lane that breaks one is
-flagged, not raised on, and the caller re-runs it through the scalar
-kernel to learn the reason. Nothing here computes an expected residue:
-the caller checks the outputs, packed by ``unslice``, against the oracle.
-Nothing here splits a batch either: its masks and outputs cover every
-segment, and the caller maps a lane to its modulus by the segment
-offsets.
+Where a rule applies to some lanes only, it is a mask of lanes. Every
+seam check of ``pipeline.mulmod`` is one too, and all of them feed one
+mask of flagged lanes: a lane that breaks any check is flagged, not
+raised on, and the caller re-runs it through the scalar kernel to learn
+the reason. Nothing here computes an expected residue: the caller checks
+the outputs, packed by ``unslice``, against the oracle. Nothing here
+splits a batch either: its masks and outputs cover every segment, and
+the caller maps a lane to its modulus by the segment offsets.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .bitcore import top_up
 from .mainloop import predict
 from .modparams import ModulusParams
 from .oracle import field_bytes
-from .shrink import CLEAR_FAULTS, shrink_rules
+from .shrink import shrink_rules
 from .squeeze import squeeze_rules
 
 __all__ = ["SlicedRun", "run_moduli", "unslice"]
@@ -50,27 +50,20 @@ _DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x000000
 class SlicedRun(NamedTuple):
     """What a batch's lanes did, as lane masks and per-lane outputs.
 
-    ``checks`` pairs each seam or rule check that some lane broke with the
-    mask of those lanes, in the order ``pipeline.mulmod`` makes the
-    checks; each check is named by the start of the message with which
-    ``mulmod`` raises on it. ``cycles[c]`` holds the lanes whose shrink
-    fired c rules, and ``rules[r - 1]`` those whose squeeze fired rule r;
-    on a flagged lane they mean nothing. ``p`` and ``q`` are the outputs
-    in the unshifted domain, k+1 bits per lane, packed by ``unslice``.
-    Lane ``A*R + B`` of a modulus's segment, in every mask and output, is
-    its instance (A, B).
+    ``flagged`` holds the lanes that broke any seam or rule check of
+    ``pipeline.mulmod``, those on which ``mulmod_checked`` raises.
+    ``cycles[c]`` holds the lanes whose shrink fired c rules, and
+    ``rules[r - 1]`` those whose squeeze fired rule r; on a flagged lane
+    they mean nothing. ``p`` and ``q`` are the outputs in the unshifted
+    domain, k+1 bits per lane, packed by ``unslice``. Lane ``A*R + B`` of
+    a modulus's segment, in every mask and output, is its instance (A, B).
     """
 
-    checks: tuple[tuple[str, int], ...]
+    flagged: int
     cycles: tuple[int, ...]
     rules: tuple[int, ...]
     p: int
     q: int
-
-    @property
-    def flagged(self) -> int:
-        """The lanes that broke any check."""
-        return reduce(or_, (lanes for _, lanes in self.checks), 0)
 
 
 def _repeat(pattern: int, period: int, lanes: int) -> int:
@@ -114,9 +107,9 @@ def _constant_planes(values: Sequence[int], segments: list[int], width: int) -> 
     are cut off, as a register of that width would cut them).
 
     A plane of every lane is -1, all ones in two's complement: it means
-    the same in any bitwise operation, and ``_mux`` and ``_below`` tell it
-    apart at no cost and skip its masking. In a batch of one modulus every
-    plane is 0 or -1.
+    the same in any bitwise operation, and ``_mux`` tells it apart at no
+    cost and skips its masking. In a batch of one modulus every plane is
+    0 or -1.
     """
     planes = []
     for j in range(width):
@@ -159,14 +152,8 @@ def _below(planes: list[int], bound: list[int], ones: int) -> int:
     below, equal = 0, ones
     for j in range(len(planes) - 1, -1, -1):
         x, b = planes[j], bound[j]
-        if b == -1:
-            below |= equal & ~x
-            equal &= x
-        elif b:
-            below |= equal & b & ~x
-            equal &= ~(x ^ b)
-        else:
-            equal &= ~x
+        below |= equal & b & ~x
+        equal &= ~(x ^ b)
     return below
 
 
@@ -178,8 +165,8 @@ def _low_bits(p: list[int], q: list[int], shift: int) -> int:
     return low
 
 
-# One entry: the p and q outputs of a batch are un-sliced in turn, over
-# the same lanes.
+# One entry: the p and q outputs of a batch are un-sliced in turn, and a
+# sweep's batches of one width need only a few powers of two of words.
 @lru_cache(maxsize=1)
 def _swap_masks(words: int) -> tuple[tuple[int, int], ...]:
     """``_DELTA_SWAPS`` with each mask repeated across ``words`` words."""
@@ -196,9 +183,11 @@ def _transpose8(x: int, words: int) -> int:
     inverse.
 
     Every word is swapped at once: a mask repeated once per word keeps
-    each swap's shifted bits inside their word.
+    each swap's shifted bits inside their word. The masks span the next
+    power of two of words; ``x`` is not negative, so masking it cuts them
+    to its own words.
     """
-    for shift, mask in _swap_masks(words):
+    for shift, mask in _swap_masks(1 << (words - 1).bit_length()):
         t = (x ^ (x >> shift)) & mask
         x ^= t ^ (t << shift)
     return x
@@ -241,7 +230,7 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     The moduli must share one width (k, n). Each owns the segment of
     lanes that starts after the R * R lanes of those before it. The stages
     are those of ``pipeline.mulmod`` at the given shrink cycle cap; each of
-    its seam and rule checks flags the lanes that break it.
+    its seam and rule checks adds the lanes that break it to ``flagged``.
     """
     n, k, shift = batch[0].n, batch[0].k, batch[0].shift
     if any((params.n, params.k) != (n, k) for params in batch):
@@ -260,11 +249,6 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     bound = planes([p.modulus_shifted for p in batch])
     r_bit = reduce(or_, (seg for p, seg in zip(batch, segments) if p.r_bit), 0)
     a_planes, b_planes = _operand_planes(batch, offsets)
-    checks = []
-
-    def check(name: str, broken: int) -> None:
-        if broken:
-            checks.append((name, broken))
 
     # The loop: predict the overflow count from seven top bits
     # (mainloop.predict on planes), then double, add the partial product
@@ -282,7 +266,7 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     # Planes are dropped once no later stage reads them: a batch's peak
     # memory is a count of live planes.
     del a_planes, b_planes, z, ry
-    check("nonzero low bits after main loop", _low_bits(p, q, shift))
+    flagged = _low_bits(p, q, shift)
 
     # Shrink: each cycle tops up the two top positions (mask -1 treats
     # every lane) and fires one rule on the lanes that have not reached the
@@ -303,27 +287,26 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
         s, c, dropped = _csa(p, q, const)
         # Rule 1 lets the adder drop exactly one doubled span; the others
         # drop nothing and clear only set top bits.
-        check("rule 1 expected to discard", r1 & ~dropped)
-        check("adder lost a bit outside rule 1", (r2 | r3 | r4) & dropped)
+        flagged |= r1 & ~dropped
+        flagged |= (r2 | r3 | r4) & dropped
         unset = (clear_p & ~s[n]) | (clear_q & ~c[n])
-        for name, rule in zip(CLEAR_FAULTS, (r2, r3, r4)):
-            check(name, rule & unset)
+        flagged |= (r2 | r3 | r4) & unset
         s[n] &= ~clear_p
         c[n] &= ~clear_q
         p = _select(fire, s, p)
         q = _select(fire, c, q)
         if cycle == cycle_cap:
-            check("shrink needed more than", fire)
+            flagged |= fire
             break
     del rx
-    check("nonzero low bits after shrink", _low_bits(p, q, shift))
+    flagged |= _low_bits(p, q, shift)
 
     # Squeeze: entry shape, top-up below the top bit, one of six rules,
     # and one carry-save addition on the lanes of rules 2 and 3. The r_bit
     # plane picks rules 5/6 on its lanes and rules 3/4 on the others.
     hi, lo = n - 1, n - 2
-    check("squeeze entered with a set top bit", p[n] | q[n])
-    check("squeeze entered with both next-to-top bits set", p[hi] & q[hi])
+    flagged |= p[n] | q[n]
+    flagged |= p[hi] & q[hi]
     for j in (lo, hi):
         p[j], q[j] = top_up(p[j], q[j], -1)
     rules, (p[hi], p[lo], q[lo]) = squeeze_rules(p[hi], p[lo], q[lo], r_bit, ones)
@@ -332,15 +315,12 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     s, c, _ = _csa(p, q, const)
     p = _select(r2 | r3, s, p)
     q = _select(r2 | r3, c, q)
-    check(
-        "squeeze exit above the shifted modulus",
-        ones & ~(_below(p, bound, ones) & _below(q, bound, ones)),
-    )
-    check("nonzero low bits after squeeze", _low_bits(p, q, shift))
+    flagged |= ones & ~(_below(p, bound, ones) & _below(q, bound, ones))
+    flagged |= _low_bits(p, q, shift)
     del rn, rm, bound, s, c, const
 
     return SlicedRun(
-        checks=tuple(checks),
+        flagged=flagged,
         cycles=tuple(cycles),
         rules=rules,
         p=unslice(p[shift:], lanes),

@@ -214,6 +214,17 @@ class TestBatchCheck:
         assert exhaustive_mismatches(P, Q, moduli) == []
 
     @pytest.mark.parametrize("moduli, width", BATCHES)
+    def test_failing_batch_ignores_a_field_past_its_last_segment(self, moduli, width):
+        # the search of a batch that fails stops at its last segment too:
+        # only the real bad lane is reported, not the stray field after it
+        p, q, starts = split_batch(moduli)
+        bad = starts[-1] + 1
+        p[bad] += moduli[-1]
+        P, Q = pack(p + [255], width), pack(q + [255], width)
+        assert not oracle._fields_agree(P, Q, moduli, width)
+        assert exhaustive_mismatches(P, Q, moduli) == [bad]
+
+    @pytest.mark.parametrize("moduli, width", BATCHES)
     def test_entry_below_a_larger_neighbours_modulus_is_rejected(self, moduli, width):
         # each field is checked against its own segment's R: an entry at
         # least R in the segment of R fails at its lane and nowhere else,

@@ -67,8 +67,7 @@ def sliced_lanes(n, R, cap):
 
 def cut_segments(run, batch):
     """A batch's run cut into one ``SlicedRun`` per modulus: its segment
-    of every mask and output shifted down to lane 0, and only the checks
-    that some lane of the segment broke."""
+    of every mask and output shifted down to lane 0."""
     field = 8 * field_bytes(batch[0].k + 1)
     runs, offset = [], 0
     for params in batch:
@@ -77,10 +76,9 @@ def cut_segments(run, batch):
         def cut(packed, bits=1):
             return (packed >> offset * bits) & ((1 << size * bits) - 1)
 
-        checks = ((name, cut(broken)) for name, broken in run.checks)
         runs.append(
             SlicedRun(
-                checks=tuple((name, broken) for name, broken in checks if broken),
+                flagged=cut(run.flagged),
                 cycles=tuple(map(cut, run.cycles)),
                 rules=tuple(map(cut, run.rules)),
                 p=cut(run.p, field),
@@ -171,16 +169,6 @@ TAMPERED = [(k, R) for k in (3, 4) for R in range(1 << (k - 1), 1 << k)] + [
 ]
 
 
-def first_checks(run, lanes):
-    """Per lane, the first check of the sliced run it broke, or None."""
-    first = [None] * lanes
-    for name, broken in run.checks:
-        for i, bit in enumerate(lane_values([broken], lanes)):
-            if bit and first[i] is None:
-                first[i] = name
-    return first
-
-
 def scalar_raises(n, R, cap, params):
     """Per lane, the message ``mulmod_checked`` raises with, or None."""
     out = []
@@ -201,14 +189,13 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
     cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
     for n, R in TAMPERED:
         params = TAMPERS[reason](precompute(R, n))
-        # each lane first breaks the check the scalar kernel raises on
-        first = first_checks(run_moduli([params], cap), R * R)
+        # a lane is flagged exactly when the scalar kernel raises on it
+        flagged = lane_values([run_moduli([params], cap).flagged], R * R)
         raised = scalar_raises(n, R, cap, params)
         mismatched = [
-            (n, R, lane, check, message)
-            for lane, (check, message) in enumerate(zip(first, raised))
-            if (check is None) != (message is None)
-            or (message is not None and not message.startswith(check))
+            (n, R, lane, message)
+            for lane, (bit, message) in enumerate(zip(flagged, raised))
+            if bool(bit) != (message is not None)
         ]
         assert mismatched == []
     # witnesses, failures and their caps run on across moduli as in a shard
@@ -244,7 +231,7 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
         for params, run in zip(batch, segments):
             alone = run_moduli([params], NORMAL_CYCLE_CAP)
             assert run == alone, (n, params.modulus)
-            assert not run.checks or params.modulus == middle
+            assert not run.flagged or params.modulus == middle
         sliced, scalar = tallies([(n, R) for R in moduli], False, tamper)
         assert_same_tally(sliced, scalar)
         assert {failure["r"] for failure in sliced.failures} <= {format(middle, "X")}
@@ -322,7 +309,7 @@ def test_two_byte_fields_of_k8():
     # batch of two holds each modulus's fields in its segment
     batch = [precompute(R, 8) for R in (128, 255)]
     whole = run_moduli(batch, NORMAL_CYCLE_CAP)
-    assert whole.checks == ()
+    assert whole.flagged == 0
     assert exhaustive_mismatches(whole.p, whole.q, [128, 255]) == []
     for params, run in zip(batch, cut_segments(whole, batch)):
         R = params.modulus
