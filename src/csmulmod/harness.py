@@ -34,7 +34,7 @@ from operator import or_
 
 from . import __version__
 from .errors import ContractViolation
-from .modparams import ModulusParams, precompute
+from .modparams import ModulusParams, check_int, precompute
 from .oracle import exhaustive_mismatches
 from .pipeline import MulResult, mulmod_checked
 from .shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
@@ -90,8 +90,12 @@ class SweepConfig:
     jobs: int = 1
 
     def resolved(self, mode: str) -> "SweepConfig":
-        """Fill mode-dependent defaults, cap ``jobs`` at the CPU count and
-        validate the result."""
+        """Check that each set field is an int, fill mode-dependent
+        defaults, cap ``jobs`` at the CPU count and validate the result."""
+        # None leaves a field unset, except jobs, which has no unset value
+        for name in ("k_min", "k_max", "n", "count", "seed", "jobs"):
+            if getattr(self, name) is not None or name == "jobs":
+                check_int(name, getattr(self, name))
         cfg = self
         if mode == "random":
             if cfg.n is None:

@@ -129,25 +129,20 @@ def _folded(P: int, Q: int, moduli: Sequence[int], width: int) -> bytes | None:
 
 def _expected(moduli: Sequence[int], width: int) -> bytes:
     """``(A * B) mod R`` of every lane of the batch, packed as ``_folded``
-    packs: row A of a modulus is row A-1 plus (0, 1, ..., R-1), reduced
-    field-wise as ``_folded`` reduces."""
-    F = 8 * width
-    half = 1 << (F - 1)
-    one = b"\1" + bytes(width - 1)
-    rows = []
-    for R in moduli:
-        row_low = int.from_bytes(one * R, "little")
-        row_guard, row_lift = row_low * half, row_low * (half - R)
-        # The ramp (0, 1, ..., R-1) is the sum of B * x**B with x = 2**F,
-        # and (x - 1) times that sum telescopes to
-        # (R-1) * x**R - (row_low - 1).
-        ramp = (((R - 1) << (F * R)) - row_low + 1) // ((1 << F) - 1)
-        row = 0
-        for _ in range(R):
-            rows.append(row.to_bytes(width * R, "little"))
-            row += ramp
-            row -= (((row + row_lift) & row_guard) >> (F - 1)) * R
-    return b"".join(rows)
+    packs. Entry j of (0, 1, ..., R-1) repeated R times is j mod R, so row
+    A of a modulus, ``(A * B) mod R`` for B = 0..R-1, is every A-th entry
+    of that ramp from entry 0 on (row 0, whose step would be 0, is zeros).
+    Byte g of each field is read off the ramp of byte g of (0, ..., R-1).
+    """
+    table = bytearray(width * sum(R * R for R in moduli))
+    for g in range(width):
+        rows = []
+        for R in moduli:
+            ramp = bytes(j >> 8 * g & 255 for j in range(R)) * R
+            rows.append(bytes(R))
+            rows += (ramp[0 : A * R : A] for A in range(1, R))
+        table[g::width] = b"".join(rows)
+    return bytes(table)
 
 
 def ref_mulmod(A: int, B: int, R: int) -> int:

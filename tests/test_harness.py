@@ -81,6 +81,17 @@ class TestExhaustiveSweep:
             exhaustive_sweep(SweepConfig(k_min=3, k_max=3, jobs=0))
         default = SweepConfig().resolved("verify")
         assert (default.k_min, default.k_max) == (3, 6)
+        # a field that is not an int is the caller's error, named before
+        # any default is filled in: not a report of failed instances, not
+        # a bare TypeError, not a value taken as it is
+        valid = {"k_min": 3, "k_max": 3, "n": 8, "count": 2, "seed": 1, "jobs": 1}
+        for sweep in (exhaustive_sweep, hunt_shrink_cycles, random_sweep):
+            for name in valid:
+                for value in (float(valid[name]), True, str(valid[name])):
+                    config = SweepConfig(**{**valid, name: value})
+                    with pytest.raises(ContractViolation, match=f"^{name} must be an int"):
+                        sweep(config)
+            assert sweep(SweepConfig(**valid)).failures_total == 0
 
 
 class TestDeterminism:

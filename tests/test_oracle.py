@@ -119,6 +119,10 @@ def per_lane_mismatches(p, q, R):
 # k=3, k=6 and k=7 (R=64 and R=127), and 2-byte fields of k=8 (R=128 would
 # also meet R <= 2**(F-1) with F=8, but its 9-bit entries need 16)
 LANE_LAYOUTS = [(5, 1), (63, 1), (64, 1), (127, 1), (128, 2), (200, 2)]
+# 2-byte fields whose residues reach 256 and more, so that the second byte
+# of an expected field is not always 0 (R=511 has 261,121 lanes: too many
+# for the corruption loops over LANE_LAYOUTS)
+WIDE_RESIDUES = [(257, 2), (511, 2)]
 
 
 def corrupt_positions(R):
@@ -141,7 +145,7 @@ def corruptions(value, R):
 
 
 class TestPackedCheck:
-    @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
+    @pytest.mark.parametrize("R, width", LANE_LAYOUTS + WIDE_RESIDUES)
     def test_clean_run_passes_on_packed_fields(self, R, width):
         p, q = split_residues(R)
         assert any(a + b >= R for a, b in zip(p, q))
@@ -149,6 +153,18 @@ class TestPackedCheck:
         assert exhaustive_mismatches(pack(p, width), pack(q, width), [R]) == []
         # lanes past R*R are not part of the run
         assert exhaustive_mismatches(pack(p + [R], width), pack(q + [0], width), [R]) == []
+
+    @pytest.mark.parametrize("R, width", WIDE_RESIDUES)
+    def test_corrupted_field_above_255_is_its_lane(self, R, width):
+        # lane (1, 2) holds p = 3; 259 is below R and differs from it in
+        # the second byte only
+        p, q = split_residues(R)
+        lane = 1 * R + 2
+        p[lane] += 256
+        assert p[lane] == 259 and per_lane_mismatches(p, q, R) == [lane]
+        P, Q = pack(p, width), pack(q, width)
+        assert not oracle._fields_agree(P, Q, [R], width)
+        assert exhaustive_mismatches(P, Q, [R]) == [lane]
 
     @pytest.mark.parametrize("R, width", LANE_LAYOUTS)
     def test_single_corrupted_fields(self, R, width):

@@ -7,6 +7,7 @@ still compares every instance of the small widths with ``mulmod_checked``.
 import dataclasses
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -328,6 +329,17 @@ def test_k8_report_bytes():
     report = exhaustive_sweep(SweepConfig(k_min=8, k_max=8, jobs=1))
     digest = hashlib.sha256(report.to_json_bytes()).hexdigest()
     assert digest == "662b2d0c1bed888a89c6615ed36b4c2f7785b059e25cc17f34e51ba87ff16fa8"
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CSMULMOD_NIGHTLY"), reason="nightly width: set CSMULMOD_NIGHTLY=1"
+)
+def test_k9_report_bytes():
+    # k=9 is the narrowest width whose outputs reach the second byte of a
+    # field (39,048,576 instances, a few seconds in-process)
+    report = exhaustive_sweep(SweepConfig(k_min=9, k_max=9, jobs=1))
+    digest = hashlib.sha256(report.to_json_bytes()).hexdigest()
+    assert digest == "51ec3d356aa412a73d2a9b5cd55cecfaa3052d8fcd37e5a4301fa7b53b370e9f"
 
 
 def test_k7_report_bytes():
