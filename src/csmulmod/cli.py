@@ -84,8 +84,8 @@ def format_worksheet(st: StepTrace, n: int, b_shifted: int) -> str:
     return "\n".join(lines)
 
 
-def _pair(hexes: list[str]) -> str:
-    return f"({hexes[0]},{hexes[1]})"
+def _pair(p: int, q: int) -> str:
+    return f"({p:X},{q:X})"
 
 
 def _cmd_mulmod(args) -> int:
@@ -93,83 +93,81 @@ def _cmd_mulmod(args) -> int:
     A = _parse_hex(args.a, "--a")
     B = _parse_hex(args.b, "--b")
     result = mulmod(A, B, R, args.n, trace=args.trace)
-    doc = _mulmod_json(result)
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        print(_mulmod_json(result))
         return EXIT_OK
-    print(f"P={doc['p']} Q={doc['q']}")
-    print(f"shrink_cycles={doc['shrink_cycles']} squeeze_rule={doc['squeeze_rule']}")
-    if "trace" in doc:
-        # The worksheets print binary, so they read the step records.
-        b_shifted = B << result.traces.params.shift
-        for st in result.traces.steps:
+    print(f"P={result.p:X} Q={result.q:X}")
+    print(f"shrink_cycles={result.shrink_cycles} squeeze_rule={result.squeeze_rule}")
+    tr = result.traces
+    if tr is not None:
+        b_shifted = B << tr.params.shift
+        for st in tr.steps:
             print(format_worksheet(st, args.n, b_shifted))
-        sh = doc["trace"]["shrink"]
+        sh = tr.shrink
         print(
-            f"shrink: rules={sh['rules_fired']} "
-            f"entry={_pair(sh['entry'])} exit={_pair(sh['exit'])}"
+            f"shrink: rules={list(sh.rules_fired)} "
+            f"entry={_pair(sh.entry_p, sh.entry_q)} exit={_pair(sh.exit_p, sh.exit_q)}"
         )
-        for i, cyc in enumerate(sh["snapshots"], 1):
+        for i, cyc in enumerate(sh.snapshots, 1):
             print(
-                f"  cycle {i}: topup={_pair(cyc['topup'])} "
-                f"rule {cyc['rule']} -> {_pair(cyc['out'])}"
+                f"  cycle {i}: topup={_pair(cyc.topup_p, cyc.topup_q)} "
+                f"rule {cyc.rule} -> {_pair(cyc.p, cyc.q)}"
             )
-        sq = doc["trace"]["squeeze"]
+        sq = tr.squeeze
         print(
-            f"squeeze: rule {sq['rule']} entry={_pair(sq['entry'])} "
-            f"edited={_pair(sq['edited'])} exit={_pair(sq['exit'])}"
+            f"squeeze: rule {sq.rule} entry={_pair(sq.entry_p, sq.entry_q)} "
+            f"edited={_pair(sq.edited_p, sq.edited_q)} exit={_pair(sq.exit_p, sq.exit_q)}"
         )
     return EXIT_OK
 
 
-def _mulmod_json(result: MulResult) -> dict:
-    doc = {
-        "p": f"{result.p:X}",
-        "q": f"{result.q:X}",
-        "shrink_cycles": result.shrink_cycles,
-        "squeeze_rule": result.squeeze_rule,
-    }
-    if result.traces is not None:
-        tr = result.traces
-        doc["trace"] = {
-            "steps": [
-                {
-                    "i": st.i,
-                    "a_i": st.a_i,
-                    "p_in": f"{st.p_in:X}",
-                    "q_in": f"{st.q_in:X}",
-                    "s": f"{st.s:X}",
-                    "c": f"{st.c:X}",
-                    "f": st.f,
-                    "ry": f"{st.ry:X}",
-                    "p_out": f"{st.p_out:X}",
-                    "q_out": f"{st.q_out:X}",
-                    "discarded": f"{st.discarded:X}",
-                }
-                for st in tr.steps
-            ],
-            "shrink": {
-                "cycles": tr.shrink.cycles,
-                "rules_fired": list(tr.shrink.rules_fired),
-                "entry": [f"{tr.shrink.entry_p:X}", f"{tr.shrink.entry_q:X}"],
-                "exit": [f"{tr.shrink.exit_p:X}", f"{tr.shrink.exit_q:X}"],
-                "snapshots": [
-                    {
-                        "topup": [f"{c.topup_p:X}", f"{c.topup_q:X}"],
-                        "rule": c.rule,
-                        "out": [f"{c.p:X}", f"{c.q:X}"],
-                    }
-                    for c in tr.shrink.snapshots
-                ],
-            },
-            "squeeze": {
-                "rule": tr.squeeze.rule,
-                "entry": [f"{tr.squeeze.entry_p:X}", f"{tr.squeeze.entry_q:X}"],
-                "edited": [f"{tr.squeeze.edited_p:X}", f"{tr.squeeze.edited_q:X}"],
-                "exit": [f"{tr.squeeze.exit_p:X}", f"{tr.squeeze.exit_q:X}"],
-            },
-        }
-    return doc
+# One format per record kind, its keys in the order json.dumps sorts them.
+# The keys are written in capitals and the hex in lower case, and one
+# swapcase of the whole text turns both round: CPython writes %x straight
+# into the text but builds each %X as a string of its own, which made %X
+# most of the rendering time. Every leaf is an int or hex, so the text is
+# byte for byte what json.dumps(doc, sort_keys=True) gives for the same
+# document.
+_HEAD = '{"P": "%x", "Q": "%x", "SHRINK_CYCLES": %d, "SQUEEZE_RULE": %d%s}'
+_TRACE = ', "TRACE": {"SHRINK": %s, "SQUEEZE": %s, "STEPS": [%s]}'
+_STEP = (
+    '{"A_I": %d, "C": "%x", "DISCARDED": "%x", "F": %d, "I": %d, "P_IN": "%x", '
+    '"P_OUT": "%x", "Q_IN": "%x", "Q_OUT": "%x", "RY": "%x", "S": "%x"}'
+)
+_SHRINK = (
+    '{"CYCLES": %d, "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], '
+    '"RULES_FIRED": %s, "SNAPSHOTS": [%s]}'
+)
+_CYCLE = '{"OUT": ["%x", "%x"], "RULE": %d, "TOPUP": ["%x", "%x"]}'
+_SQUEEZE = (
+    '{"EDITED": ["%x", "%x"], "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], "RULE": %d}'
+)
+
+
+def _mulmod_json(result: MulResult) -> str:
+    """The ``mulmod --json`` document of a result, with its trace if it
+    has one."""
+    tr = result.traces
+    trace = ""
+    if tr is not None:
+        sh, sq = tr.shrink, tr.squeeze
+        trace = _TRACE % (
+            _SHRINK % (
+                sh.cycles, sh.entry_p, sh.entry_q, sh.exit_p, sh.exit_q,
+                # a list of ints prints as its JSON text
+                list(sh.rules_fired),
+                ", ".join([_CYCLE % (p, q, rule, tp, tq) for tp, tq, rule, p, q in sh.snapshots]),
+            ),
+            _SQUEEZE % (
+                sq.edited_p, sq.edited_q, sq.entry_p, sq.entry_q, sq.exit_p, sq.exit_q, sq.rule,
+            ),
+            ", ".join([
+                _STEP % (a_i, c, d, f, i, p_in, p_out, q_in, q_out, ry, s)
+                for i, a_i, p_in, q_in, s, c, f, ry, p_out, q_out, d in tr.steps
+            ]),
+        )
+    text = _HEAD % (result.p, result.q, result.shrink_cycles, result.squeeze_rule, trace)
+    return text.encode().swapcase().decode()
 
 
 def _cmd_precompute(args) -> int:

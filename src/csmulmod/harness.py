@@ -91,7 +91,8 @@ class SweepConfig:
 
     def resolved(self, mode: str) -> "SweepConfig":
         """Check that each set field is an int, fill mode-dependent
-        defaults, cap ``jobs`` at the CPU count and validate the result."""
+        defaults, clear ``count`` and ``seed`` outside random mode, cap
+        ``jobs`` at the CPU count and validate the result."""
         # None leaves a field unset, except jobs, which has no unset value
         for name in ("k_min", "k_max", "n", "count", "seed", "jobs"):
             if getattr(self, name) is not None or name == "jobs":
@@ -109,6 +110,8 @@ class SweepConfig:
         else:
             k_min = cfg.k_min if cfg.k_min is not None else 3
             k_max = cfg.k_max if cfg.k_max is not None else 6
+            # An exhaustive sweep draws nothing, so its report echoes neither.
+            cfg = dataclasses.replace(cfg, count=None, seed=None)
         # The sweep cuts its shards for the workers it gets, not for more.
         jobs = min(cfg.jobs, os.cpu_count() or 1)
         cfg = dataclasses.replace(cfg, k_min=k_min, k_max=k_max, jobs=jobs)

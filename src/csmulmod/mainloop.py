@@ -10,8 +10,8 @@ constant keeps the pair in the right residue class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .bitcore import maj2of3
 from .errors import ContractViolation
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Accumulator:
+class Accumulator(NamedTuple):
     """The running value as a carry-save pair of (n+1)-bit registers.
 
     The residue class of p + q modulo the shifted modulus is the meaning;
@@ -40,8 +39,7 @@ class Accumulator:
     n: int
 
 
-@dataclass(frozen=True, slots=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """Record of one loop iteration, for worksheets and invariant checks.
 
     ``discarded`` is the integer amount the step's truncations threw away:
@@ -161,19 +159,11 @@ def run_loop(
         q2 = (((s & c) | (ry & u)) << 1) & mask
         if traces is not None:
             a_i = 1 if bit == "1" else 0
+            # In field order; i counts down, one record per step so far.
             traces.append(
                 StepTrace(
-                    i=k - 1 - len(traces),  # one record per step so far
-                    a_i=a_i,
-                    p_in=p,
-                    q_in=q,
-                    s=s,
-                    c=c,
-                    f=f,
-                    ry=ry,
-                    p_out=p2,
-                    q_out=q2,
-                    discarded=2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
+                    k - 1 - len(traces), a_i, p, q, s, c, f, ry, p2, q2,
+                    2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
                 )
             )
         p, q = p2, q2

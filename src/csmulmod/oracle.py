@@ -14,6 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import InvariantViolation
+
 __all__ = [
     "exhaustive_mismatches",
     "field_bytes",
@@ -55,14 +57,17 @@ def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
     ``field_bytes(R.bit_length() + 1)`` bytes: F bits, and every
     ``R <= 2**(F-1)``. The whole batch is checked at once on the packed
     ints (``_fields_agree``); only a batch that fails there is searched,
-    lane by lane, with ``fold_pair``.
+    lane by lane, with ``fold_pair``. A search that finds no bad lane
+    although the batch's own lanes failed the packed check is a fault of
+    the oracle: it raises ``InvariantViolation``.
     """
     width = field_bytes(max(moduli).bit_length() + 1)
     if _fields_agree(P, Q, moduli, width):
         return []
     lanes = sum(R * R for R in moduli)
     run = (1 << 8 * width * lanes) - 1
-    p, q = ((packed & run).to_bytes(width * lanes, "little") for packed in (P, Q))
+    P, Q = P & run, Q & run
+    p, q = (packed.to_bytes(width * lanes, "little") for packed in (P, Q))
     bad, lane = [], 0
     for R in moduli:
         for A in range(R):
@@ -73,6 +78,12 @@ def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
                 if not (x < R and y < R and fold_pair(x, y, R) == A * B % R):
                     bad.append(lane)
                 lane += 1
+    # A set bit past the last lane fails the packed check on its own; with
+    # those cut off, a batch whose every lane passes must pass it too.
+    if not bad and not _fields_agree(P, Q, moduli, width):
+        raise InvariantViolation(
+            "oracle packed check failed a batch in which no lane fails"
+        )
     return bad
 
 

@@ -9,7 +9,7 @@ arithmetic instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractViolation, InvariantViolation
 from .mainloop import StepTrace, run_loop
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RunTrace:
+class RunTrace(NamedTuple):
     """All per-stage records collected when tracing is requested."""
 
     params: ModulusParams
@@ -43,8 +42,7 @@ class RunTrace:
     squeeze: SqueezeReport
 
 
-@dataclass(frozen=True, slots=True)
-class MulResult:
+class MulResult(NamedTuple):
     """Final pair plus the reduction diagnostics of the run.
 
     p and q are in the original (unshifted) domain: both below the

@@ -10,7 +10,7 @@ Each rule adds first and clears second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitcore import csa, top_up
 from .errors import ContractViolation, InvariantViolation
@@ -33,8 +33,7 @@ NORMAL_CYCLE_CAP = 4
 HUNT_CYCLE_CAP = 7
 
 
-@dataclass(frozen=True, slots=True)
-class ShrinkCycle:
+class ShrinkCycle(NamedTuple):
     """One rule firing: state after the top-up, rule id, state after the rule."""
 
     topup_p: int
@@ -44,8 +43,7 @@ class ShrinkCycle:
     q: int
 
 
-@dataclass(frozen=True, slots=True)
-class ShrinkReport:
+class ShrinkReport(NamedTuple):
     """Cycle count, the rules fired in order, and entry/exit snapshots."""
 
     cycles: int

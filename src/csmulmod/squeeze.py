@@ -11,7 +11,7 @@ the rule just fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitcore import csa, top_up
 from .errors import InvariantViolation
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class SqueezeReport:
+class SqueezeReport(NamedTuple):
     """The single fired rule with snapshots of each phase.
 
     ``entry`` is the post-top-up pair handed to the rule selector,

@@ -1,7 +1,10 @@
 import json
+import random
 import time
 
-from csmulmod import InvariantViolation
+import pytest
+
+from csmulmod import InvariantViolation, mulmod
 from csmulmod.cli import main
 
 
@@ -70,6 +73,79 @@ class TestMulmodCommand:
         assert doc["shrink_cycles"] == 3
         assert len(doc["trace"]["steps"]) == 8
         assert doc["trace"]["squeeze"]["rule"] == doc["squeeze_rule"]
+
+
+def json_instances(n):
+    """(R, A, B) at width n: A = 0 (no shrink cycle, no rule fired), four
+    seeded full-width draws, one shift-path modulus and, at n=8, the
+    pinned three-cycle instance."""
+    rng = random.Random(n)
+    cases = [((1 << n) - 1, 0, 5)]
+    for _ in range(4):
+        R = rng.randrange(1 << (n - 1), 1 << n)
+        cases.append((R, rng.randrange(R), rng.randrange(R)))
+    cases.append((5, 4, 3))
+    if n == 8:
+        cases.append((0xAD, 0x3F, 0x79))
+    return cases
+
+
+def hexes(*values):
+    return [format(v, "X") for v in values]
+
+
+class TestMulmodJson:
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("n", [3, 8, 64, 256])
+    def test_document_is_canonical_json_of_the_result(self, capsys, n, trace):
+        cycles = set()
+        for R, A, B in json_instances(n):
+            flags = ["--trace", "--json"] if trace else ["--json"]
+            code, out, _ = run_cli(
+                capsys, "mulmod", "--n", str(n), "--mod", *hexes(R),
+                "--a", *hexes(A), "--b", *hexes(B), *flags,
+            )
+            assert code == 0
+            canonical = json.dumps(json.loads(out), sort_keys=True) + "\n"
+            # the same as canonical == out, but a failure's diff of these
+            # pieces is quick where one of a 40 kB line takes minutes
+            assert out.split(", ") == canonical.split(", ")
+            doc = json.loads(out)
+            result = mulmod(A, B, R, n, trace=trace)
+            assert doc.pop("p") == hexes(result.p)[0]
+            assert doc.pop("q") == hexes(result.q)[0]
+            assert doc.pop("shrink_cycles") == result.shrink_cycles
+            assert doc.pop("squeeze_rule") == result.squeeze_rule
+            cycles.add(result.shrink_cycles)
+            if not trace:
+                assert doc == {}
+                continue
+            tr = result.traces
+            assert list(doc) == ["trace"]
+            doc = doc["trace"]
+            assert [
+                {key: v if type(v) is int else int(v, 16) for key, v in step.items()}
+                for step in doc["steps"]
+            ] == [st._asdict() for st in tr.steps]
+            sh = tr.shrink
+            assert doc["shrink"] == {
+                "cycles": sh.cycles,
+                "rules_fired": list(sh.rules_fired),
+                "entry": hexes(sh.entry_p, sh.entry_q),
+                "exit": hexes(sh.exit_p, sh.exit_q),
+                "snapshots": [
+                    {"topup": hexes(c.topup_p, c.topup_q), "rule": c.rule, "out": hexes(c.p, c.q)}
+                    for c in sh.snapshots
+                ],
+            }
+            sq = tr.squeeze
+            assert doc["squeeze"] == {
+                "rule": sq.rule,
+                "entry": hexes(sq.entry_p, sq.entry_q),
+                "edited": hexes(sq.edited_p, sq.edited_q),
+                "exit": hexes(sq.exit_p, sq.exit_q),
+            }
+        assert 0 in cycles and (n != 8 or 3 in cycles)
 
 
 class TestPrecomputeCommand:

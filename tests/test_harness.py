@@ -95,6 +95,16 @@ class TestExhaustiveSweep:
 
 
 class TestDeterminism:
+    def test_exhaustive_reports_ignore_count_and_seed(self):
+        # only a random sweep draws; the others neither use nor echo them
+        for sweep in (exhaustive_sweep, hunt_shrink_cycles):
+            plain = sweep(SweepConfig(k_min=3, k_max=3))
+            given = sweep(SweepConfig(k_min=3, k_max=3, count=2, seed=1))
+            assert given.to_json_bytes() == plain.to_json_bytes()
+            header = json.loads(given.to_json_bytes())["header"]
+            assert header["seed"] is None
+            assert (header["config"]["count"], header["config"]["seed"]) == (None, None)
+
     def test_repeat_run_is_byte_identical(self):
         cfg = SweepConfig(k_min=3, k_max=4)
         first = exhaustive_sweep(cfg).to_json_bytes()

@@ -3,7 +3,10 @@ import random
 import pytest
 
 from csmulmod import (
+    InvariantViolation,
+    SweepConfig,
     exhaustive_mismatches,
+    exhaustive_sweep,
     fold_pair,
     lcu,
     oracle,
@@ -280,6 +283,43 @@ class TestBatchCheck:
         assert exhaustive_mismatches(pack(p, 2), pack(q, 2), [4, 128]) == []
         p[starts[1] - 1] += 4
         assert exhaustive_mismatches(pack(p, 2), pack(q, 2), [4, 128]) == [starts[1] - 1]
+
+
+def zero_top_byte_of_one_field(monkeypatch):
+    """Make ``oracle._expected`` zero the top byte of its first field
+    where that byte is set (byte 1 of a 2-byte field): the packed check
+    then fails a clean batch although every lane passes."""
+    real = oracle._expected
+
+    def mutant(moduli, width):
+        table = bytearray(real(moduli, width))
+        table[next(i for i in range(width - 1, len(table), width) if table[i])] = 0
+        return bytes(table)
+
+    monkeypatch.setattr(oracle, "_expected", mutant)
+
+
+class TestPackedCheckFault:
+    # the 1-byte BATCHES, and R=257, whose residues of 256 set byte 1 of a
+    # 2-byte field (no residue of R=128 or 129 does)
+    @pytest.mark.parametrize("moduli, width", BATCHES[:2] + [((257,), 2)])
+    def test_failed_check_with_no_bad_lane_raises(self, monkeypatch, moduli, width):
+        p, q, _ = split_batch(moduli)
+        P, Q = pack(p, width), pack(q, width)
+        assert exhaustive_mismatches(P, Q, moduli) == []
+        zero_top_byte_of_one_field(monkeypatch)
+        with pytest.raises(InvariantViolation, match="no lane fails"):
+            exhaustive_mismatches(P, Q, moduli)
+
+    def test_sweep_reports_the_fault_as_failures(self, monkeypatch):
+        zero_top_byte_of_one_field(monkeypatch)
+        report = exhaustive_sweep(SweepConfig(k_min=3, k_max=4))
+        assert not report.ok()
+        assert report.failures_total == report.instances == sum(R * R for R in range(4, 16))
+        assert report.failures and all(
+            f["reason"].startswith("InvariantViolation: oracle packed check failed")
+            for f in report.failures
+        )
 
 
 class TestReplayStepWide:
