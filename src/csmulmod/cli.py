@@ -40,15 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise ContractViolation(message)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def _parse_hex(text: str, name: str) -> int:
     t = text.strip().lower().removeprefix("0x")
-    try:
-        value = int(t, 16)
-    except ValueError:
-        raise ContractViolation(f"{name} is not valid hexadecimal: {text!r}") from None
-    if value < 0:
-        raise ContractViolation(f"{name} must be non-negative: {text!r}")
-    return value
+    # int(t, 16) alone would also take a sign, "_" between digits and
+    # non-ASCII digits such as "\u0663".
+    if not t or not _HEX_DIGITS.issuperset(t):
+        raise ContractViolation(f"{name} is not valid hexadecimal: {text!r}")
+    return int(t, 16)
 
 
 def format_worksheet(st: StepTrace, n: int, b_shifted: int) -> str:

@@ -21,7 +21,6 @@ kernel.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import os
@@ -97,24 +96,28 @@ class SweepConfig:
         for name in ("k_min", "k_max", "n", "count", "seed", "jobs"):
             if getattr(self, name) is not None or name == "jobs":
                 check_int(name, getattr(self, name))
-        cfg = self
+        count, seed = self.count, self.seed
         if mode == "random":
-            if cfg.n is None:
+            if self.n is None:
                 raise ContractViolation("random sweep requires n")
-            if cfg.count is None or cfg.count < 1:
-                raise ContractViolation(f"count >= 1 violated (count={cfg.count})")
-            if cfg.seed is None:
+            if count is None or count < 1:
+                raise ContractViolation(f"count >= 1 violated (count={count})")
+            if seed is None:
                 raise ContractViolation("random sweep requires a seed")
-            k_min = cfg.k_min if cfg.k_min is not None else cfg.n
-            k_max = cfg.k_max if cfg.k_max is not None else cfg.n
+            k_min = self.k_min if self.k_min is not None else self.n
+            k_max = self.k_max if self.k_max is not None else self.n
         else:
-            k_min = cfg.k_min if cfg.k_min is not None else 3
-            k_max = cfg.k_max if cfg.k_max is not None else 6
+            k_min = self.k_min if self.k_min is not None else 3
+            k_max = self.k_max if self.k_max is not None else 6
             # An exhaustive sweep draws nothing, so its report echoes neither.
-            cfg = dataclasses.replace(cfg, count=None, seed=None)
+            count = seed = None
         # The sweep cuts its shards for the workers it gets, not for more.
-        jobs = min(cfg.jobs, os.cpu_count() or 1)
-        cfg = dataclasses.replace(cfg, k_min=k_min, k_max=k_max, jobs=jobs)
+        jobs = self.jobs
+        if jobs > 1:
+            jobs = min(jobs, os.cpu_count() or 1)
+        cfg = SweepConfig(
+            k_min=k_min, k_max=k_max, n=self.n, count=count, seed=seed, jobs=jobs
+        )
         if cfg.k_min < 3:
             raise ContractViolation(f"k >= 3 violated (k_min={cfg.k_min})")
         if cfg.k_max < cfg.k_min:

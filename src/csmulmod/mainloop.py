@@ -96,11 +96,16 @@ def lcu(
     return (f1 << 1) | f0
 
 
-# The predicted overflow count for every seven-bit predictor input, indexed
-# by (p_n p_n-1 p_n-2 q_n q_n-1 q_n-2 b_top) read as a binary number, so
-# the loop looks it up with two shifts instead of extracting seven bits.
+# The predicted overflow count for every seven-bit predictor input, as
+# _F_TABLE[b_top][p_n p_n-1 p_n-2][q_n q_n-1 q_n-2] with each register's top
+# three bits read as a binary number: the loop picks the b_top half once per
+# call and then indexes it with one shift of each register.
 _F_TABLE = tuple(
-    lcu(bits[:3], bits[3:6], bits[6]) for bits in product((0, 1), repeat=7)
+    tuple(
+        tuple(lcu(p3, q3, b_top) for q3 in product((0, 1), repeat=3))
+        for p3 in product((0, 1), repeat=3)
+    )
+    for b_top in (0, 1)
 )
 
 
@@ -134,7 +139,8 @@ def run_loop(
     mask = params.mask
     rx = params.rx
     top = n - 2
-    b_top = (B_shifted >> (n - 1)) & 1
+    f_zero = _F_TABLE[0]
+    f_one = _F_TABLE[(B_shifted >> (n - 1)) & 1]
     p = q = 0
     traces: list[StepTrace] | None = [] if trace else None
     # A < R < 2**k, so the string has exactly k digits, most significant
@@ -142,27 +148,32 @@ def run_loop(
     # them to ``csa``). Doubling commutes with ``^`` and ``&``, so the
     # doubled registers' sum and majority bits come from one shift of
     # p ^ q and p & q. A clear bit adds a zero partial product: the first
-    # addition is then a half adder and b_top leaves the table index.
+    # addition is then a half adder and the table is the b_top = 0 half.
+    # Every operation below is bitwise or a left shift, and neither moves
+    # a bit downwards, so the bits that t, s and c carry above bit n never
+    # reach bits 0..n: masking only the two new registers gives the same
+    # bits as masking every intermediate, and keeps p >> top below 8.
     for bit in format(A, f"0{k}b"):
-        t = ((p ^ q) << 1) & mask
+        t = (p ^ q) << 1
         if bit == "1":
-            f = _F_TABLE[((p >> top) << 4) | ((q >> top) << 1) | b_top]
+            f = f_one[p >> top][q >> top]
             s = t ^ B_shifted
-            c = ((((p & q) << 1) | (B_shifted & t)) << 1) & mask
+            c = (((p & q) << 1) | (B_shifted & t)) << 1
         else:
-            f = _F_TABLE[((p >> top) << 4) | ((q >> top) << 1)]
+            f = f_zero[p >> top][q >> top]
             s = t
-            c = ((p & q) << 2) & mask
+            c = (p & q) << 2
         ry = rx[f]
         u = s ^ c
-        p2 = u ^ ry
+        p2 = (u ^ ry) & mask
         q2 = (((s & c) | (ry & u)) << 1) & mask
         if traces is not None:
             a_i = 1 if bit == "1" else 0
             # In field order; i counts down, one record per step so far.
             traces.append(
                 StepTrace(
-                    k - 1 - len(traces), a_i, p, q, s, c, f, ry, p2, q2,
+                    k - 1 - len(traces), a_i, p, q, s & mask, c & mask,
+                    f, ry, p2, q2,
                     2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
                 )
             )

@@ -11,7 +11,7 @@ check that they commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractViolation, InvariantViolation
 
@@ -25,9 +25,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModulusParams:
+class ModulusParams(NamedTuple):
     """Everything derived from (modulus, working width) that a run needs.
+
+    Immutable, since sweeps share one constant set across every instance
+    of a modulus; build a variant with ``params._replace(field=...)``.
 
     Attributes:
         n: working width in bits; registers in the pipeline hold n+1 bits.

@@ -46,6 +46,15 @@ class TestMulmodCommand:
         assert code == 1
         assert "hexadecimal" in err
 
+    # int(text, 16) reads "1_0" as 0x10, "+1" as 1 and "\u0663" as 3
+    @pytest.mark.parametrize("bad", ["1_0", "+1", "-1", "\u0663"])
+    def test_rejects_what_only_int_would_read(self, capsys, bad):
+        code, _, err = run_cli(
+            capsys, "mulmod", "--n", "8", "--mod", "AD", "--a", bad, "--b", "79"
+        )
+        assert code == 1
+        assert "--a is not valid hexadecimal" in err
+
     def test_rejects_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "mulmod", "--nope")
         assert code == 1

@@ -36,6 +36,12 @@ class TestPrecompute:
         assert p.modulus_shifted == 52
         assert p.r_bit == 1  # 13 = 1101b, bit below the top bit
 
+    def test_constant_set_is_immutable(self):
+        # sweeps share one constant set across every instance of a modulus
+        p = precompute(173, 8)
+        with pytest.raises(AttributeError):
+            p.rn = 0
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractViolation, match="n > 2"):
             precompute(173, 2)

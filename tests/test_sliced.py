@@ -4,7 +4,6 @@ Exhaustive sweeps run only the sliced kernel, so these tests are what
 still compares every instance of the small widths with ``mulmod_checked``.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import os
@@ -145,23 +144,23 @@ def test_hunt_shard_equals_the_scalar_tally():
 
 # Each breaks the constant set so that failures of the named kind occur.
 TAMPERS = {
-    "residue mismatch": lambda p: dataclasses.replace(
-        p, rn=(p.rn + (1 << p.shift)) & (p.mask >> 1)
+    "residue mismatch": lambda p: p._replace(
+        rn=(p.rn + (1 << p.shift)) & (p.mask >> 1)
     ),
-    "InvariantViolation: nonzero low bits after main loop": lambda p: dataclasses.replace(
-        p, rx=(0, p.rx[1], p.rx[2] ^ 1, p.rx[3])
+    "InvariantViolation: nonzero low bits after main loop": lambda p: p._replace(
+        rx=(0, p.rx[1], p.rx[2] ^ 1, p.rx[3])
     ),
-    "InvariantViolation: squeeze exit above the shifted modulus": lambda p: dataclasses.replace(
-        p, modulus_shifted=p.modulus_shifted - 3
+    "InvariantViolation: squeeze exit above the shifted modulus": lambda p: p._replace(
+        modulus_shifted=p.modulus_shifted - 3
     ),
-    "InvariantViolation: shrink needed more than": lambda p: dataclasses.replace(
-        p, rn=p.mask >> 1
+    "InvariantViolation: shrink needed more than": lambda p: p._replace(
+        rn=p.mask >> 1
     ),
-    "InvariantViolation: adder lost a bit outside rule 1": lambda p: dataclasses.replace(
-        p, rn=1 << p.n
+    "InvariantViolation: adder lost a bit outside rule 1": lambda p: p._replace(
+        rn=1 << p.n
     ),
-    "InvariantViolation: nonzero low bits after squeeze": lambda p: dataclasses.replace(
-        p, rm=p.rm ^ 3
+    "InvariantViolation: nonzero low bits after squeeze": lambda p: p._replace(
+        rm=p.rm ^ 3
     ),
 }
 # k=3..4 at n=k, and at n=7 for the shift path
