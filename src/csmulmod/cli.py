@@ -40,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise ContractViolation(message)
 
 
+_DECIMAL_DIGITS = frozenset("0123456789")
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
@@ -50,6 +51,18 @@ def _parse_hex(text: str, name: str) -> int:
     if not t or not _HEX_DIGITS.issuperset(t):
         raise ContractViolation(f"{name} is not valid hexadecimal: {text!r}")
     return int(t, 16)
+
+
+def _decimal(text: str) -> int:
+    """The ``type`` of every integer option: an optional ``-`` and ASCII
+    digits, after the whitespace strip."""
+    t = text.strip()
+    digits = t.removeprefix("-")
+    # int(t) alone would also take "+", "_" between digits and non-ASCII
+    # digits such as "\u0668".
+    if not digits or not _DECIMAL_DIGITS.issuperset(digits):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return int(t)
 
 
 def format_worksheet(st: StepTrace, n: int, b_shifted: int) -> str:
@@ -242,15 +255,19 @@ def _cmd_sweep(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and the parser of each command by its name."""
     parser = _Parser(
         prog="csmulmod",
         description="Carry-save modular multiplication kernel and verifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
 
-    p_mul = sub.add_parser("mulmod", help="multiply two numbers modulo R")
-    p_mul.add_argument("--n", type=int, required=True, help="working width in bits")
+    p_mul = commands["mulmod"] = sub.add_parser(
+        "mulmod", help="multiply two numbers modulo R"
+    )
+    p_mul.add_argument("--n", type=_decimal, required=True, help="working width in bits")
     p_mul.add_argument("--mod", required=True, help="modulus R (hex)")
     p_mul.add_argument("--a", required=True, help="multiplier A (hex)")
     p_mul.add_argument("--b", required=True, help="multiplicand B (hex)")
@@ -258,8 +275,10 @@ def _build_parser() -> _Parser:
     p_mul.add_argument("--json", action="store_true")
     p_mul.set_defaults(func=_cmd_mulmod)
 
-    p_pre = sub.add_parser("precompute", help="show the derived constant set")
-    p_pre.add_argument("--n", type=int, required=True)
+    p_pre = commands["precompute"] = sub.add_parser(
+        "precompute", help="show the derived constant set"
+    )
+    p_pre.add_argument("--n", type=_decimal, required=True)
     p_pre.add_argument("--mod", required=True)
     p_pre.add_argument("--json", action="store_true")
     p_pre.set_defaults(func=_cmd_precompute)
@@ -269,30 +288,41 @@ def _build_parser() -> _Parser:
         ("hunt", hunt_shrink_cycles),
         ("random", random_sweep),
     ):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         if sweep is random_sweep:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--count", type=int, required=True)
-            p.add_argument("--k-min", dest="k_min", type=int, default=None)
-            p.add_argument("--k-max", dest="k_max", type=int, default=None)
-            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--n", type=_decimal, required=True)
+            p.add_argument("--count", type=_decimal, required=True)
+            p.add_argument("--k-min", dest="k_min", type=_decimal, default=None)
+            p.add_argument("--k-max", dest="k_max", type=_decimal, default=None)
+            p.add_argument("--seed", type=_decimal, required=True)
         else:
-            p.add_argument("--k-min", dest="k_min", type=int, default=None)
-            p.add_argument("--k-max", dest="k_max", type=int, default=None)
-            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--k-min", dest="k_min", type=_decimal, default=None)
+            p.add_argument("--k-max", dest="k_max", type=_decimal, default=None)
+            p.add_argument("--n", type=_decimal, default=None)
             p.set_defaults(count=None, seed=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_decimal, default=1)
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_sweep, sweep=sweep)
 
-    return parser
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    # The top-level parser only picks a command by argv[0] and hands it the
+    # rest, so a call that starts with a command name goes straight to that
+    # command's parser, which skips the top-level pass over argv. Help, a
+    # missing or unknown command and an option before the command stay with
+    # the top-level parser.
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is not None:
+            args = command.parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.func(args)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

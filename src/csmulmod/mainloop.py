@@ -109,6 +109,12 @@ _F_TABLE = tuple(
 )
 
 
+# The traced loop builds each record from one tuple: the documented
+# namedtuple constructor checks the field count but skips the Python-level
+# __new__ frame that StepTrace(...) pays for its eleven arguments.
+_make_step = StepTrace._make
+
+
 def run_loop(
     A: int,
     B_shifted: int,
@@ -171,11 +177,11 @@ def run_loop(
             a_i = 1 if bit == "1" else 0
             # In field order; i counts down, one record per step so far.
             traces.append(
-                StepTrace(
+                _make_step((
                     k - 1 - len(traces), a_i, p, q, s & mask, c & mask,
                     f, ry, p2, q2,
                     2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
-                )
+                ))
             )
         p, q = p2, q2
     return Accumulator(p, q, n), traces

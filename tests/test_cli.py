@@ -1,11 +1,13 @@
 import json
 import random
+import re
+import sys
 import time
 
 import pytest
 
-from csmulmod import InvariantViolation, mulmod
-from csmulmod.cli import main
+from csmulmod import ContractViolation, InvariantViolation, mulmod
+from csmulmod.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -293,11 +295,130 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_parser_is_built_once(self, capsys):
-        from csmulmod.cli import _build_parser
-
         assert _build_parser() is _build_parser()
         for _ in range(2):
             code, out, _ = run_cli(
                 capsys, "mulmod", "--n", "8", "--mod", "AD", "--a", "3F", "--b", "79"
             )
             assert code == 0 and out.startswith("P=46 Q=72")
+
+
+# (command, option, the other options the command needs)
+INTEGER_OPTIONS = [
+    ("mulmod", "--n", ["--mod", "AD", "--a", "3F", "--b", "79"]),
+    ("precompute", "--n", ["--mod", "AD"]),
+    ("random", "--count", ["--n", "8", "--seed", "1"]),
+    ("random", "--seed", ["--n", "8", "--count", "1"]),
+    ("sweep", "--k-max", []),
+    ("hunt", "--k-min", ["--k-max", "3"]),
+    ("sweep", "--jobs", ["--k-max", "3"]),
+]
+
+
+class TestIntegerOptions:
+    # int() reads "6_4" as 64, "+8" as 8 and "\u0668" as 8
+    @pytest.mark.parametrize("bad", ["6_4", "+8", "\u0668", ""])
+    @pytest.mark.parametrize("command, option, rest", INTEGER_OPTIONS)
+    def test_rejects_what_only_int_would_read(self, capsys, command, option, rest, bad):
+        code, out, err = run_cli(capsys, command, option, bad, *rest)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: argument {option}: {bad!r} is not a decimal integer\n"
+
+    def test_reads_ascii_digits_with_a_sign_and_spaces(self):
+        _, commands = _build_parser()
+        args = commands["random"].parse_args(
+            ["--n", " 8 ", "--count", "010", "--seed", "-3", "--k-max", "0"]
+        )
+        assert (args.n, args.count, args.seed, args.k_max) == (8, 10, -3, 0)
+
+
+def parsed(parser, argv):
+    """The namespace of a parse as a dict, or the error it raised."""
+    try:
+        return vars(parser.parse_args(argv))
+    except ContractViolation as exc:
+        return str(exc)
+
+
+# every command with a valid call, a missing required option (a missing
+# value for sweep and hunt, which require none), an unknown flag and a bad
+# value
+DISPATCH_CASES = [
+    ("mulmod", "valid",
+     ["--n", "8", "--mod", "AD", "--a", "3F", "--b", "79", "--trace", "--json"]),
+    ("mulmod", "missing", ["--n", "8", "--mod", "AD"]),
+    ("mulmod", "unknown", ["--n", "8", "--mod", "AD", "--a", "1", "--b", "1", "--nope"]),
+    ("mulmod", "bad value", ["--n", "x", "--mod", "AD", "--a", "1", "--b", "1"]),
+    ("precompute", "valid", ["--n", "8", "--mod", "AD", "--json"]),
+    ("precompute", "missing", ["--mod", "AD"]),
+    ("precompute", "unknown", ["--n", "8", "--mod", "AD", "extra"]),
+    ("precompute", "bad value", ["--n", "8.0", "--mod", "AD"]),
+    ("sweep", "valid", ["--k-min", "3", "--k-max", "4", "--jobs", "2", "--out", "r.json"]),
+    ("sweep", "missing", ["--k-max"]),
+    ("sweep", "unknown", ["--k-max", "3", "--count", "1"]),
+    ("sweep", "bad value", ["--k-max", "1_0"]),
+    ("hunt", "valid", ["--k-max", "5", "--json"]),
+    ("hunt", "missing", ["--n"]),
+    ("hunt", "unknown", ["--k-max", "5", "--seed", "1"]),
+    ("hunt", "bad value", ["--k-min", "+3"]),
+    ("random", "valid", ["--n", "64", "--count", "3", "--seed", "-7", "--k-min", "5"]),
+    ("random", "missing", ["--n", "64", "--count", "3"]),
+    ("random", "unknown", ["--n", "64", "--count", "3", "--seed", "1", "--trace"]),
+    ("random", "bad value", ["--n", "64", "--count", "3", "--seed", "\u0663"]),
+]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "command, case, rest", DISPATCH_CASES,
+        ids=[f"{command}-{case}" for command, case, _ in DISPATCH_CASES],
+    )
+    def test_command_parser_parses_as_the_top_level_parser(self, command, case, rest):
+        parser, commands = _build_parser()
+        top = parsed(parser, [command, *rest])
+        own = parsed(commands[command], rest)
+        if case == "valid":
+            assert top.pop("command") == command
+        else:
+            assert isinstance(top, str)
+        assert own == top
+
+    def test_every_command_has_its_own_parser(self):
+        parser, commands = _build_parser()
+        with pytest.raises(ContractViolation, match="invalid choice") as exc:
+            parser.parse_args(["nope"])
+        choices = re.findall(r"\w+", str(exc.value).partition("choose from")[2])
+        assert sorted(choices) == sorted(commands)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["nope"], "argument command: invalid choice: 'nope'"),
+            (["--n", "8", "mulmod"], "argument command: invalid choice: '8'"),
+        ],
+    )
+    def test_no_command_is_rejected_by_the_top_level_parser(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["-h"], "usage: csmulmod [-h]"), (["mulmod", "-h"], "usage: csmulmod mulmod")],
+    )
+    def test_help_prints_usage_and_exits_0(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            sys, "argv",
+            ["csmulmod", "mulmod", "--n", "8", "--mod", "AD", "--a", "3F", "--b", "79"],
+        )
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("P=46 Q=72")
