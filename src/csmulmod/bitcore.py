@@ -10,11 +10,12 @@ bitwise, so they are right on the lane planes of the bit-sliced kernel as
 well as on packed registers (there a top-up mask of -1 treats every lane).
 
 The two hot loops do not call ``csa``: ``mainloop.run_loop`` and
-``sliced._csa`` write the carry-save addition inline. Differential tests
-pin both to it: ``tests/test_mainloop.py`` compares every loop record with
-a loop of ``csa`` calls, and ``tests/test_sliced.py`` compares the sliced
-kernel lane by lane with the scalar one, whose shrink and squeeze call
-``csa``.
+``sliced._csa``, which every stage of the sliced kernel calls, write the
+carry-save addition inline. Differential tests pin both to it:
+``tests/test_mainloop.py`` compares every loop record with a loop of
+``csa`` calls, and ``tests/test_sliced.py`` compares the sliced kernel,
+whole and stage by stage, lane by lane with the scalar one, whose shrink
+and squeeze call ``csa``.
 """
 
 from __future__ import annotations

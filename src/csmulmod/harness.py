@@ -62,7 +62,9 @@ SERIAL_BELOW = 500_000
 # and 20 rounds), so no size is fastest at both widths. (One process per
 # sweep, the VM's slow phases hide this: 2**16 was faster in 13 of 20
 # rounds at both widths.) Traced peak memory of the k=3..6 sweep is
-# 705 KiB at 2**15 and 1,669 KiB at 2**16.
+# 705 KiB at 2**15 and 1,669 KiB at 2**16. It stays one size: from k=9 on
+# every modulus runs alone at either size, k=8 gains nothing from 2**16,
+# and no benchmark workload runs k=7.
 BATCH_LANES = 1 << 15
 WITNESS_CAP = 100
 HIST_BUCKETS = 8  # shrink cycle counts 0..7
@@ -179,19 +181,6 @@ def _check(n: int, R: int, A: int, B: int, params: ModulusParams,
     return result, "residue mismatch"
 
 
-def _sliced_run(batch: list[ModulusParams], cap: int) -> tuple:
-    """A batch of one width through the bit-sliced kernel: its
-    ``sliced.SlicedRun`` and the lanes to re-check, those it flagged and
-    those the oracle rejects."""
-    from . import sliced  # imported here: random sweeps never need it
-
-    run = sliced.run_moduli(batch, cap)
-    suspects = run.flagged
-    for lane in exhaustive_mismatches(run.p, run.q, [params.modulus for params in batch]):
-        suspects |= 1 << lane
-    return run, suspects
-
-
 def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
     w = {"n": n, "r": format(R, "X"), "a": format(A, "X"), "b": format(B, "X")}
     w.update(extra)
@@ -279,8 +268,14 @@ class SweepReport:
         cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
         reason = next((params for _, params in moduli if isinstance(params, str)), None)
         if reason is None:
+            from . import sliced  # imported here: random sweeps never need it
+
             try:
-                run, suspects = _sliced_run([params for _, params in moduli], cap)
+                run = sliced.run_moduli([params for _, params in moduli], cap)
+                # the lanes to re-check: those flagged and those the oracle rejects
+                suspects = run.flagged
+                for lane in exhaustive_mismatches(run.p, run.q, [R for R, _ in moduli]):
+                    suspects |= 1 << lane
             except Exception as exc:
                 # Any exception fails the modulus, not the sweep.
                 reason = _reason(exc)

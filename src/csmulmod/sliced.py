@@ -5,10 +5,11 @@ positions; nothing propagates a carry or compares whole numbers. So the
 R * R instances of a modulus can run side by side: lane ``i = A*R + B``
 of its segment is one instance, and each register bit is a "plane", a
 Python int whose bit i is that register bit of lane i (bitslicing, as in
-Biham's DES implementation). A register of n+1 bits is a list of n+1
-planes, index j holding bit j. Shifting a register is re-indexing its
-list; every other operation is one bitwise operation per plane over all
-lanes.
+Biham's DES implementation). A register is a list of planes, index j
+holding bit j, so its width is the list's length and its top bits are
+the last planes: each stage (``_loop``, ``_shrink``, ``_squeeze``) runs
+on registers of any width. Shifting a register is re-indexing its list;
+every other operation is one bitwise operation per plane over all lanes.
 
 Lanes of different moduli of one width share a pass: each modulus owns a
 contiguous segment of lanes, and each of its constants is a list of
@@ -223,6 +224,71 @@ def unslice(planes: Sequence[int], lanes: int) -> int:
     return int.from_bytes(fields, "little")
 
 
+def _loop(a: list[int], b: list[int], rx: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The main loop, one plane of A at a time from the top: predict the
+    overflow count from seven top bits (``mainloop.predict`` on planes),
+    double, add the partial product and add the count's constant of
+    ``rx`` (the planes of ``rx[1..3]``), on registers one plane wider than b."""
+    p = q = [0] * (len(b) + 1)
+    for ai in reversed(a):
+        z = [ai & bj for bj in b] + [0]
+        f0, f1 = predict(p[-1], p[-2], p[-3], q[-1], q[-2], q[-3], z[-2])
+        ry = _mux(((f0 & ~f1, rx[0]), (f1 & ~f0, rx[1]), (f0 & f1, rx[2])), len(z))
+        s, c, _ = _csa([0] + p[:-1], [0] + q[:-1], z)
+        p, q, _ = _csa(s, c, ry)
+    return p, q
+
+
+def _shrink(
+    p: list[int], q: list[int], rx1: list[int], rn: list[int], ones: int, cycle_cap: int
+) -> tuple[int, list[int], list[int], list[int]]:
+    """Shrink: ``(flagged, cycles, p, q)``. Each cycle tops up the two top
+    positions (mask -1 treats every lane) and fires one rule of
+    ``shrink_rules`` on the lanes not yet in the exit shape; ``cycles[c]``
+    holds the lanes that fired c rules. ``flagged`` holds the lanes whose
+    adder dropped what their rule does not allow, and those still firing
+    in cycle ``cycle_cap + 1``, which needed more than the cap."""
+    p, q = p[:], q[:]
+    flagged, cycles, cycling = 0, [0] * (cycle_cap + 1), ones
+    for cycle in range(cycle_cap + 1):
+        for j in (-2, -1):
+            p[j], q[j] = top_up(p[j], q[j], -1)
+        (r1, r2, r3, r4), clear_p, clear_q = shrink_rules(p[-1], q[-1], p[-2] & q[-2])
+        fire = r1 | r2 | r3 | r4
+        cycles[cycle] = cycling & ~fire
+        cycling = fire
+        if not fire:
+            break
+        s, c, dropped = _csa(p, q, _mux(((r1 | r2, rx1), (r3 | r4, rn)), len(p)))
+        # Rule 1 lets the adder drop exactly one doubled span; the others
+        # drop nothing, and then every top bit they clear is set (the
+        # proof is in shrink.shrink_cycle's docstring).
+        flagged |= (r1 & ~dropped) | ((r2 | r3 | r4) & dropped)
+        s[-1] &= ~clear_p
+        c[-1] &= ~clear_q
+        p = _select(fire, s, p)
+        q = _select(fire, c, q)
+    return flagged | cycling, cycles, p, q
+
+
+def _squeeze(
+    p: list[int], q: list[int], rn: list[int], rm: list[int], r_bit: int, ones: int
+) -> tuple[int, tuple[int, ...], list[int], list[int]]:
+    """Squeeze: ``(flagged, rules, p, q)``, where ``flagged`` holds the
+    lanes that enter without shrink's exit shape. A top-up below the top
+    bit, one of the six rules of ``squeeze_rules`` (``rules[r - 1]`` holds
+    rule r's lanes; the ``r_bit`` plane picks rules 5/6 on its lanes and
+    3/4 on the others), and one carry-save addition on rules 2 and 3."""
+    p, q = p[:], q[:]
+    flagged = p[-1] | q[-1] | (p[-2] & q[-2])
+    for j in (-3, -2):
+        p[j], q[j] = top_up(p[j], q[j], -1)
+    rules, (p[-2], p[-3], q[-3]) = squeeze_rules(p[-2], p[-3], q[-3], r_bit, ones)
+    added = rules[1] | rules[2]
+    s, c, _ = _csa(p, q, _mux(((rules[1], rn), (rules[2], rm)), len(p)))
+    return flagged, rules, _select(added, s, p), _select(added, c, q)
+
+
 def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     """Run every (A, B) pair of each modulus in ``batch`` through the
     kernel at once; one ``SlicedRun`` for the batch.
@@ -248,76 +314,14 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
     rm = planes([p.rm for p in batch])
     bound = planes([p.modulus_shifted for p in batch])
     r_bit = reduce(or_, (seg for p, seg in zip(batch, segments) if p.r_bit), 0)
-    a_planes, b_planes = _operand_planes(batch, offsets)
 
-    # The loop: predict the overflow count from seven top bits
-    # (mainloop.predict on planes), then double, add the partial product
-    # and add the predicted count's constant.
-    p = [0] * (n + 1)
-    q = [0] * (n + 1)
-    for i in range(k - 1, -1, -1):
-        z = [a_planes[i] & bj for bj in b_planes] + [0]
-        f0, f1 = predict(p[n], p[n - 1], p[n - 2], q[n], q[n - 1], q[n - 2], z[n - 1])
-        ry = _mux(
-            ((f0 & ~f1, rx[0]), (f1 & ~f0, rx[1]), (f0 & f1, rx[2])), n + 1
-        )
-        s, c, _ = _csa([0] + p[:n], [0] + q[:n], z)
-        p, q, _ = _csa(s, c, ry)
-    # Planes are dropped once no later stage reads them: a batch's peak
-    # memory is a count of live planes.
-    del a_planes, b_planes, z, ry
+    p, q = _loop(*_operand_planes(batch, offsets), rx)
     flagged = _low_bits(p, q, shift)
-
-    # Shrink: each cycle tops up the two top positions (mask -1 treats
-    # every lane) and fires one rule on the lanes that have not reached the
-    # exit shape. A lane still firing in cycle cycle_cap + 1 needed more
-    # than the cap.
-    cycles = [0] * (cycle_cap + 1)
-    cycling = ones
-    for cycle in range(cycle_cap + 1):
-        for j in (n - 1, n):
-            p[j], q[j] = top_up(p[j], q[j], -1)
-        (r1, r2, r3, r4), clear_p, clear_q = shrink_rules(p[n], q[n], p[n - 1] & q[n - 1])
-        fire = r1 | r2 | r3 | r4
-        cycles[cycle] = cycling & ~fire
-        cycling = fire
-        if not fire:
-            break
-        const = _mux(((r1 | r2, rx[0]), (r3 | r4, rn)), n + 1)
-        s, c, dropped = _csa(p, q, const)
-        # Rule 1 lets the adder drop exactly one doubled span; the others
-        # drop nothing and clear only set top bits.
-        flagged |= r1 & ~dropped
-        flagged |= (r2 | r3 | r4) & dropped
-        unset = (clear_p & ~s[n]) | (clear_q & ~c[n])
-        flagged |= (r2 | r3 | r4) & unset
-        s[n] &= ~clear_p
-        c[n] &= ~clear_q
-        p = _select(fire, s, p)
-        q = _select(fire, c, q)
-        if cycle == cycle_cap:
-            flagged |= fire
-            break
-    del rx
+    shrunk, cycles, p, q = _shrink(p, q, rx[0], rn, ones, cycle_cap)
+    flagged |= shrunk | _low_bits(p, q, shift)
+    squeezed, rules, p, q = _squeeze(p, q, rn, rm, r_bit, ones)
+    flagged |= squeezed | (ones & ~(_below(p, bound, ones) & _below(q, bound, ones)))
     flagged |= _low_bits(p, q, shift)
-
-    # Squeeze: entry shape, top-up below the top bit, one of six rules,
-    # and one carry-save addition on the lanes of rules 2 and 3. The r_bit
-    # plane picks rules 5/6 on its lanes and rules 3/4 on the others.
-    hi, lo = n - 1, n - 2
-    flagged |= p[n] | q[n]
-    flagged |= p[hi] & q[hi]
-    for j in (lo, hi):
-        p[j], q[j] = top_up(p[j], q[j], -1)
-    rules, (p[hi], p[lo], q[lo]) = squeeze_rules(p[hi], p[lo], q[lo], r_bit, ones)
-    r2, r3 = rules[1], rules[2]
-    const = _mux(((r2, rn), (r3, rm)), n + 1)
-    s, c, _ = _csa(p, q, const)
-    p = _select(r2 | r3, s, p)
-    q = _select(r2 | r3, c, q)
-    flagged |= ones & ~(_below(p, bound, ones) & _below(q, bound, ones))
-    flagged |= _low_bits(p, q, shift)
-    del rn, rm, bound, s, c, const
 
     return SlicedRun(
         flagged=flagged,

@@ -86,6 +86,36 @@ class TestShrinkCycle:
         assert cycle.rule == 3
         assert (cycle.topup_p, cycle.topup_q) == (0b10000, 0)
 
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_a_cycle_raises_or_clears_only_set_bits(self, n):
+        # Whatever the constant, a cycle either raises or moves the pair's
+        # sum by exactly what its rule accounts for: plus the constant, minus
+        # the doubled span rule 1 drops, minus 2**n per cleared top bit. A
+        # cleared bit that was unset would add 2**n instead, so the drop
+        # check alone keeps every cleared bit set.
+        base = precompute((1 << n) - 1, n)
+        cleared = {1: 0, 2: 2, 3: 1, 4: 1}
+        raised = kept = 0
+        for const in range(1 << (n + 1)):
+            for params in (base._replace(rn=const), base._replace(rx=(0, const, *base.rx[2:]))):
+                for p in range(1 << (n + 1)):
+                    for q in range(1 << (n + 1)):
+                        try:
+                            acc, cycle = shrink_cycle(Accumulator(p, q, n), params)
+                        except InvariantViolation:
+                            raised += 1
+                            continue
+                        if cycle is None:
+                            continue
+                        added = params.rx[1] if cycle.rule <= 2 else params.rn
+                        dropped = 1 << (n + 1) if cycle.rule == 1 else 0
+                        assert acc.p + acc.q == (
+                            cycle.topup_p + cycle.topup_q + added - dropped
+                            - (cleared[cycle.rule] << n)
+                        ), (p, q, params.rx[1], params.rn)
+                        kept += 1
+        assert raised and kept
+
 
 class TestRunShrink:
     def test_entry_already_reduced(self):

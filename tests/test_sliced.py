@@ -22,9 +22,13 @@ from csmulmod import (
     mulmod_checked,
     precompute,
 )
+from csmulmod import sliced
+from csmulmod.mainloop import Accumulator
+from csmulmod.modparams import check_low_bits, shift_right_result
 from csmulmod.oracle import field_bytes
-from csmulmod.shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
+from csmulmod.shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP, run_shrink
 from csmulmod.sliced import SlicedRun, run_moduli, unslice
+from csmulmod.squeeze import qcu_apply, squeeze_topup
 
 # (n, R) for every modulus of k=3..6 at n=k, and of k=3..5 at n=8
 FULL_WIDTH = [(k, R) for k in range(3, 7) for R in range(1 << (k - 1), 1 << k)]
@@ -359,3 +363,71 @@ def test_hunt_cap_records_cycles_beyond_the_normal_cap():
     run = run_moduli([params], HUNT_CYCLE_CAP)
     assert len(run.cycles) == HUNT_CYCLE_CAP + 1
     assert any(run.cycles[NORMAL_CYCLE_CAP + 1 :])
+
+
+def scalar_reduction(p, q, params, cap):
+    """(shrink cycles, squeeze rule, p, q) of shrink then squeeze from the
+    entry pair (p, q), with ``pipeline.mulmod``'s seam checks from the
+    loop's on; None where one of them or a stage raises."""
+    try:
+        check_low_bits(p, q, params, "main loop")
+        acc, shrink = run_shrink(Accumulator(p, q, params.n), params, cycle_cap=cap)
+        check_low_bits(acc.p, acc.q, params, "shrink")
+        acc, squeeze = qcu_apply(squeeze_topup(acc), params)
+        if max(acc.p, acc.q) >= params.modulus_shifted:
+            return None
+        shift_right_result(acc.p, acc.q, params)
+    except InvariantViolation:
+        return None
+    return shrink.cycles, squeeze.rule, acc.p, acc.q
+
+
+@pytest.mark.parametrize("cap", (NORMAL_CYCLE_CAP, HUNT_CYCLE_CAP))
+@pytest.mark.parametrize("n, k", ((4, 4), (5, 5), (6, 4)))
+def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k, cap):
+    # Every (n+1)-bit entry pair of every modulus of length k, most of them
+    # states the loop never leaves, through _shrink then _squeeze with the
+    # seam checks of run_moduli around them
+    batch = [precompute(R, n) for R in range(1 << (k - 1), 1 << k)]
+    width, shift = n + 1, n - k
+    size = 1 << 2 * width
+    lanes = size * len(batch)
+    ones = (1 << lanes) - 1
+    segments = [((1 << size) - 1) << m * size for m in range(len(batch))]
+
+    def planes(values):
+        return sliced._constant_planes(values, segments, width)
+
+    # lane i of a segment enters with p = i >> width and q = i % 2**width
+    p = [sliced._alternating(1 << width + j, lanes) for j in range(width)]
+    q = [sliced._alternating(1 << j, lanes) for j in range(width)]
+    rn = planes([params.rn for params in batch])
+    rx1 = planes([params.rx[1] for params in batch])
+    flagged = sliced._low_bits(p, q, shift)
+    shrunk, cycles, p, q = sliced._shrink(p, q, rx1, rn, ones, cap)
+    flagged |= shrunk | sliced._low_bits(p, q, shift)
+    r_bit = sum(seg for params, seg in zip(batch, segments) if params.r_bit)
+    rm = planes([params.rm for params in batch])
+    squeezed, rules, p, q = sliced._squeeze(p, q, rn, rm, r_bit, ones)
+    bound = planes([params.modulus_shifted for params in batch])
+    flagged |= squeezed | (ones & ~(sliced._below(p, bound, ones) & sliced._below(q, bound, ones)))
+    flagged |= sliced._low_bits(p, q, shift)
+
+    got = zip(
+        lane_values([flagged], lanes),
+        one_hot(cycles, lanes),
+        one_hot(rules, lanes),
+        lane_values(p, lanes),
+        lane_values(q, lanes),
+    )
+    mismatched = []
+    for lane, (flag, *outcome) in enumerate(got):
+        params, entry = batch[lane // size], lane % size
+        expected = scalar_reduction(entry >> width, entry % (1 << width), params, cap)
+        outcome[1] += 1
+        if (flag, expected) != (0, tuple(outcome)) and not (flag and expected is None):
+            mismatched.append((params.modulus, entry, flag, outcome, expected))
+    assert mismatched == []
+    # at n = k no entry pair breaks a check; on the shift path, those with
+    # a set low bit do
+    assert (flagged == 0) == (n == k)
