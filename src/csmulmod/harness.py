@@ -204,9 +204,7 @@ class SweepReport:
     shards into the report it returns, in enumeration order.
     """
 
-    version: str = __version__
     config: dict = field(default_factory=dict)
-    seed: int | None = None
     instances: int = 0
     failures_total: int = 0
     failures: list[dict] = field(default_factory=list)
@@ -221,7 +219,6 @@ class SweepReport:
     max_cycles_witness: dict | None = None
     cycle_witnesses: list[dict] = field(default_factory=list)
     cycle_witnesses_total: int = 0
-    ge5_total: int = 0
     wall_time_s: float = 0.0
 
     def add(self, n: int, R: int, A: int, B: int, hunt: bool,
@@ -243,8 +240,6 @@ class SweepReport:
                 self.max_cycles_witness = _witness(n, R, A, B)
             if hunt and cycles >= 4:
                 self.cycle_witnesses_total += 1
-                if cycles >= 5:
-                    self.ge5_total += 1
                 if len(self.cycle_witnesses) < WITNESS_CAP:
                     self.cycle_witnesses.append(_witness(n, R, A, B, cycles=cycles))
         if reason is not None:
@@ -328,7 +323,6 @@ class SweepReport:
         if hunt:
             heavy = reduce(or_, cycles[4:])
             self.cycle_witnesses_total += heavy.bit_count()
-            self.ge5_total += (heavy & ~cycles[4]).bit_count()
             room = WITNESS_CAP - len(self.cycle_witnesses)
             for lane in itertools.islice(_lanes(heavy), room):
                 count = next(c for c in range(4, HIST_BUCKETS) if cycles[c] >> lane & 1)
@@ -351,7 +345,6 @@ class SweepReport:
         self.instances += other.instances
         self.failures_total += other.failures_total
         self.cycle_witnesses_total += other.cycle_witnesses_total
-        self.ge5_total += other.ge5_total
         for cycles, count in other.cycle_histogram.items():
             self.cycle_histogram[cycles] += count
         for rule, count in other.rule_usage.items():
@@ -364,6 +357,12 @@ class SweepReport:
             self.max_cycles = other.max_cycles
             self.max_cycles_witness = other.max_cycles_witness
 
+    @property
+    def ge5_total(self) -> int:
+        """Instances that needed 5 or more shrink cycles: only a hunt, whose
+        cap is 7, can tally any."""
+        return sum(self.cycle_histogram[c] for c in range(5, HIST_BUCKETS))
+
     def ok(self) -> bool:
         return self.failures_total == 0 and self.ge5_total == 0
 
@@ -372,9 +371,9 @@ class SweepReport:
         reports from identical configs must be byte-identical."""
         return {
             "header": {
-                "version": self.version,
+                "version": __version__,
                 "config": self.config,
-                "seed": self.seed,
+                "seed": self.config.get("seed"),
             },
             "body": {
                 "totals": {
@@ -429,7 +428,7 @@ def _execute(tasks: list, worker, config: SweepConfig, mode: str,
              started: float, jobs: int) -> SweepReport:
     """Run the shards over ``jobs`` workers, never more than there are
     shards (in-process for one), and merge them in task order."""
-    report = SweepReport(config=config.canonical(mode), seed=config.seed)
+    report = SweepReport(config=config.canonical(mode))
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         for shard in map(worker, tasks):

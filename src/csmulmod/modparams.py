@@ -37,7 +37,6 @@ class ModulusParams(NamedTuple):
         shift: n - k, the normalization scale exponent.
         modulus: the original reduction modulus R.
         modulus_shifted: R * 2**shift; top bit at position n-1.
-        beta: 2**n, the power-of-two span the shifted pipeline works against.
         mask: 2**(n+1) - 1, the mask of the (n+1)-bit registers.
         rn: (2**k mod R) * 2**shift, the one-span reduction constant.
         rm: ((3 * 2**k / 4) mod R) * 2**shift, the three-quarter-span constant.
@@ -53,7 +52,6 @@ class ModulusParams(NamedTuple):
     shift: int
     modulus: int
     modulus_shifted: int
-    beta: int
     mask: int
     rn: int
     rm: int
@@ -123,7 +121,6 @@ def precompute(R: int, n: int) -> ModulusParams:
         shift=shift,
         modulus=R,
         modulus_shifted=R << shift,
-        beta=1 << n,
         mask=(2 << n) - 1,
         rn=rn,
         rm=rm,

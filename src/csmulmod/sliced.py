@@ -242,28 +242,32 @@ def _loop(a: list[int], b: list[int], rx: list[list[int]]) -> tuple[list[int], l
 def _shrink(
     p: list[int], q: list[int], rx1: list[int], rn: list[int], ones: int, cycle_cap: int
 ) -> tuple[int, list[int], list[int], list[int]]:
-    """Shrink: ``(flagged, cycles, p, q)``. Each cycle tops up the two top
-    positions (mask -1 treats every lane) and fires one rule of
+    """Shrink: ``(flagged, cycles, p, q)``. Each cycle fires one rule of
     ``shrink_rules`` on the lanes not yet in the exit shape; ``cycles[c]``
     holds the lanes that fired c rules. ``flagged`` holds the lanes whose
-    adder dropped what their rule does not allow, and those still firing
-    in cycle ``cycle_cap + 1``, which needed more than the cap."""
-    p, q = p[:], q[:]
+    adder dropped a bit outside rule 1, and those still firing in cycle
+    ``cycle_cap + 1``, which needed more than the cap.
+
+    The rules read the bits a top-up of the two top positions would give,
+    (p|q, p&q), and no top-up is written: the adder's sum and majority are
+    symmetric in p and q, so a firing lane gets the same planes either way,
+    and a lane that fires no more differs only in how bit n-1 is split,
+    which ``_squeeze`` reads as p&q and tops up before reading it alone
+    (``_low_bits`` reads only bits below ``shift`` <= n-3). Rule 1 needs
+    no flag: it always drops the doubled span its constant pays for (the
+    proofs are in ``shrink.shrink_cycle``'s docstring).
+    """
     flagged, cycles, cycling = 0, [0] * (cycle_cap + 1), ones
     for cycle in range(cycle_cap + 1):
-        for j in (-2, -1):
-            p[j], q[j] = top_up(p[j], q[j], -1)
-        (r1, r2, r3, r4), clear_p, clear_q = shrink_rules(p[-1], q[-1], p[-2] & q[-2])
+        pn, qn = p[-1] | q[-1], p[-1] & q[-1]
+        (r1, r2, r3, r4), clear_p, clear_q = shrink_rules(pn, qn, p[-2] & q[-2])
         fire = r1 | r2 | r3 | r4
         cycles[cycle] = cycling & ~fire
         cycling = fire
         if not fire:
             break
         s, c, dropped = _csa(p, q, _mux(((r1 | r2, rx1), (r3 | r4, rn)), len(p)))
-        # Rule 1 lets the adder drop exactly one doubled span; the others
-        # drop nothing, and then every top bit they clear is set (the
-        # proof is in shrink.shrink_cycle's docstring).
-        flagged |= (r1 & ~dropped) | ((r2 | r3 | r4) & dropped)
+        flagged |= (r2 | r3 | r4) & dropped
         s[-1] &= ~clear_p
         c[-1] &= ~clear_q
         p = _select(fire, s, p)

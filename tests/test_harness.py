@@ -257,7 +257,7 @@ class TestHunt:
         # a fabricated count
         report = hunt_shrink_cycles(SweepConfig(k_min=3, k_max=3))
         assert report.ok()
-        report.ge5_total = 1
+        report.cycle_histogram[5] = 1
         assert not report.ok()
 
     def test_report_schema(self):
@@ -476,7 +476,7 @@ class TestTally:
         shards[0].cycle_histogram[1] = 5
         shards[1].cycle_histogram[1] = 2
         shards[1].rule_usage[6] = 3
-        shards[1].ge5_total = 1
+        shards[1].cycle_histogram[5] = 1
         total = SweepReport()
         for shard in shards:
             total.merge(shard)

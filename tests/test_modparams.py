@@ -18,7 +18,7 @@ class TestPrecompute:
         assert p.rm == 192 % 173 == 19
         assert p.rx == (0, 512 % 173, 1024 % 173, 1536 % 173) == (0, 166, 159, 152)
         assert p.r_bit == 173 // 64 - 2 == 0
-        assert p.modulus_shifted == 173 and p.beta == 256
+        assert p.modulus_shifted == 173
         assert p.mask == 0b111111111
 
     def test_power_of_two_modulus(self):

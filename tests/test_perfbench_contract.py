@@ -84,6 +84,8 @@ def test_replay_call_shapes():
     # with a shifted modulus (k=6 at n=9)
     A, B, R, n = 37, 50, 53, 9
     params = precompute(R, n)
+    # tracing.py reads params.k and test_perfbench.py params.modulus
+    assert (params.k, params.modulus) == (6, R)
     b = shift_left_operand(B, params)
     result = run_loop(A, b, params)
     assert isinstance(result, tuple) and len(result) == 2 and result[1] is None

@@ -166,6 +166,15 @@ TAMPERS = {
     "InvariantViolation: nonzero low bits after squeeze": lambda p: p._replace(
         rm=p.rm ^ 3
     ),
+    # flips a low bit on the shift path only (at n=k, 1 >> 1 is 0)
+    "InvariantViolation: nonzero low bits after shrink": lambda p: p._replace(
+        rn=p.rn ^ ((1 << p.shift) >> 1)
+    ),
+    # raises the bound past every output and lets rule 3 add R*2**shift too
+    # much, so that outputs reach R without an invariant breach
+    "output not below modulus": lambda p: p._replace(
+        modulus_shifted=p.mask, rm=(p.rm + p.modulus_shifted) & (p.mask >> 1)
+    ),
 }
 # k=3..4 at n=k, and at n=7 for the shift path
 TAMPERED = [(k, R) for k in (3, 4) for R in range(1 << (k - 1), 1 << k)] + [
