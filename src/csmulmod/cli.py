@@ -136,12 +136,15 @@ def _cmd_mulmod(args) -> int:
 
 
 # One format per record kind, its keys in the order json.dumps sorts them.
-# The keys are written in capitals and the hex in lower case, and one
-# swapcase of the whole text turns both round: CPython writes %x straight
-# into the text but builds each %X as a string of its own, which made %X
-# most of the rendering time. Every leaf is an int or hex, so the text is
-# byte for byte what json.dumps(doc, sort_keys=True) gives for the same
-# document.
+# StepTrace's fields are in that order too, so a step record is formatted
+# as the tuple it is. The keys are written in capitals and the hex in lower
+# case, and one bytes.translate of the whole text through _SWAP turns both
+# round: CPython writes %x straight into the text but builds each %X as a
+# string of its own, which made %X most of the rendering time. The table
+# gives what bytes.swapcase gives, with one lookup per byte, where
+# swapcase's branches on each byte mispredict on random hex. Every leaf is
+# an int or hex, so the text is byte for byte what json.dumps(doc,
+# sort_keys=True) gives for the same document.
 _HEAD = '{"P": "%x", "Q": "%x", "SHRINK_CYCLES": %d, "SQUEEZE_RULE": %d%s}'
 _TRACE = ', "TRACE": {"SHRINK": %s, "SQUEEZE": %s, "STEPS": [%s]}'
 _STEP = (
@@ -156,6 +159,7 @@ _CYCLE = '{"OUT": ["%x", "%x"], "RULE": %d, "TOPUP": ["%x", "%x"]}'
 _SQUEEZE = (
     '{"EDITED": ["%x", "%x"], "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], "RULE": %d}'
 )
+_SWAP = bytes(range(256)).swapcase()
 
 
 def _mulmod_json(result: MulResult) -> str:
@@ -175,13 +179,10 @@ def _mulmod_json(result: MulResult) -> str:
             _SQUEEZE % (
                 sq.edited_p, sq.edited_q, sq.entry_p, sq.entry_q, sq.exit_p, sq.exit_q, sq.rule,
             ),
-            ", ".join([
-                _STEP % (a_i, c, d, f, i, p_in, p_out, q_in, q_out, ry, s)
-                for i, a_i, p_in, q_in, s, c, f, ry, p_out, q_out, d in tr.steps
-            ]),
+            ", ".join([_STEP % st for st in tr.steps]),
         )
     text = _HEAD % (result.p, result.q, result.shrink_cycles, result.squeeze_rule, trace)
-    return text.encode().swapcase().decode()
+    return text.encode().translate(_SWAP).decode()
 
 
 def _cmd_precompute(args) -> int:

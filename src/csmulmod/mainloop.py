@@ -45,19 +45,24 @@ class StepTrace(NamedTuple):
     ``discarded`` is the integer amount the step's truncations threw away:
     2*(p_in + q_in) + a_i * b + ry - (p_out + q_out). It always equals
     f * 2**(n+1).
+
+    The fields are in sorted order, the order of the keys of
+    ``json.dumps(..., sort_keys=True)``, so ``mulmod --json`` formats a
+    record as the tuple it is. Read them by name: the position of a field
+    is not its step order.
     """
 
-    i: int
     a_i: int
-    p_in: int
-    q_in: int
-    s: int
     c: int
-    f: int
-    ry: int
-    p_out: int
-    q_out: int
     discarded: int
+    f: int
+    i: int
+    p_in: int
+    p_out: int
+    q_in: int
+    q_out: int
+    ry: int
+    s: int
 
 
 def predict(
@@ -178,9 +183,9 @@ def run_loop(
             # In field order; i counts down, one record per step so far.
             traces.append(
                 _make_step((
-                    k - 1 - len(traces), a_i, p, q, s & mask, c & mask,
-                    f, ry, p2, q2,
+                    a_i, c & mask,
                     2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
+                    f, k - 1 - len(traces), p, p2, q, q2, ry, s & mask,
                 ))
             )
         p, q = p2, q2

@@ -78,6 +78,10 @@ def shrink_rules(
     Written only with ``&``, ``|`` and ``x & ~y``, so the arguments may be
     0/1 bits or lane planes of the bit-sliced kernel alike.
     """
+    # After the top-up a set qn implies a set pn, so rule 1's ``pn & qn``
+    # equals ``qn`` on every input the kernels give. The ``pn &`` stays: it
+    # keeps the four masks disjoint on all 8 inputs, not only on topped-up
+    # ones.
     r2 = pn & pq_next & ~qn
     r3 = pn & ~(qn | pq_next)
     r4 = pq_next & ~pn

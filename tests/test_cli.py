@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from csmulmod import ContractViolation, InvariantViolation, mulmod
-from csmulmod.cli import _build_parser, main
+from csmulmod import ContractViolation, InvariantViolation, StepTrace, mulmod
+from csmulmod import cli
+from csmulmod.cli import _build_parser, main, run
 
 
 def run_cli(capsys, *argv):
@@ -134,10 +135,14 @@ class TestMulmodJson:
             tr = result.traces
             assert list(doc) == ["trace"]
             doc = doc["trace"]
-            assert [
-                {key: v if type(v) is int else int(v, 16) for key, v in step.items()}
-                for step in doc["steps"]
-            ] == [st._asdict() for st in tr.steps]
+            # a_i, f and i are JSON ints, every other field upper-case hex
+            assert doc["steps"] == [
+                {
+                    key: v if key in ("a_i", "f", "i") else format(v, "X")
+                    for key, v in st._asdict().items()
+                }
+                for st in tr.steps
+            ]
             sh = tr.shrink
             assert doc["shrink"] == {
                 "cycles": sh.cycles,
@@ -157,6 +162,18 @@ class TestMulmodJson:
                 "exit": hexes(sq.exit_p, sq.exit_q),
             }
         assert 0 in cycles and (n != 8 or 3 in cycles)
+
+    def test_step_format_follows_the_record_layout(self):
+        # _mulmod_json formats each step as `_STEP % st`, so the format's
+        # keys must be StepTrace's fields, in field order, and that order
+        # must be the one json.dumps(sort_keys=True) writes.
+        keys = re.findall(r'"(\w+)":', cli._STEP)
+        assert keys == [f.upper() for f in StepTrace._fields]
+        assert list(StepTrace._fields) == sorted(StepTrace._fields)
+
+    def test_case_swap_table_is_swapcase(self):
+        every_byte = bytes(range(256))
+        assert every_byte.translate(cli._SWAP) == every_byte.swapcase()
 
 
 class TestPrecomputeCommand:
@@ -422,3 +439,19 @@ class TestDispatch:
         )
         assert main() == 0
         assert capsys.readouterr().out.startswith("P=46 Q=72")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["precompute", "--n", "8", "--mod", "AD"], 0),
+            (["precompute", "--n", "8", "--mod", "XYZ"], 1),
+        ],
+    )
+    def test_run_exits_with_the_code_of_main(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["csmulmod", *argv])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert ("k=8 shift=0" in out) == (code == 0)
+        assert err.startswith("error: --mod is not valid hexadecimal") == (code == 1)

@@ -7,6 +7,7 @@ check runs in the tier-1 suite without running the benchmark itself.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from csmulmod import (
     shift_right_result,
     squeeze_topup,
 )
+from csmulmod.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
@@ -98,4 +100,20 @@ def test_replay_call_shapes():
     assert type(acc.p) is int and type(acc.q) is int
     assert isinstance(squeeze.rule, int)
     p, q = shift_right_result(acc.p, acc.q, params)
+    assert p < R and q < R and fold_pair(p, q, R) == ref_mulmod(A, B, R)
+
+
+def test_traced_cli_call_shape(capsys):
+    # the cli-traced-n64 call in perfbench/workloads.py: cli_call reads
+    # main's return code and stdout, and cli_answer_ok parses the stdout as
+    # one JSON object whose p and q are hex below R that fold to A*B mod R
+    R, A, B = 0xE3F1_7B2D_9A04_C5E1, 0x1234_5678_9ABC_DEF0, 0x9E37_79B9_7F4A_7C15
+    argv = ["mulmod", "--n", "64", "--mod", f"{R:X}", "--a", f"{A:X}", "--b", f"{B:X}",
+            "--trace", "--json"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert isinstance(doc, dict)
+    p, q = int(doc["p"], 16), int(doc["q"], 16)
     assert p < R and q < R and fold_pair(p, q, R) == ref_mulmod(A, B, R)
