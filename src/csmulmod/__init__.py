@@ -32,7 +32,6 @@ from .oracle import (
 )
 from .pipeline import MulResult, RunTrace, mulmod, mulmod_checked
 from .shrink import (
-    HUNT_CYCLE_CAP,
     NORMAL_CYCLE_CAP,
     ShrinkCycle,
     ShrinkReport,
@@ -45,7 +44,6 @@ __all__ = [
     "Accumulator",
     "BitVec",
     "ContractViolation",
-    "HUNT_CYCLE_CAP",
     "InvariantViolation",
     "ModulusParams",
     "MulResult",

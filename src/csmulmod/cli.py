@@ -284,12 +284,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_pre.add_argument("--json", action="store_true")
     p_pre.set_defaults(func=_cmd_precompute)
 
-    for name, sweep in (
-        ("sweep", exhaustive_sweep),
-        ("hunt", hunt_shrink_cycles),
-        ("random", random_sweep),
+    for name, sweep, summary in (
+        ("sweep", exhaustive_sweep, "check every instance of a k range"),
+        ("hunt", hunt_shrink_cycles, "run the exhaustive sweep, its report labelled hunt"),
+        ("random", random_sweep, "check seeded random instances at width n"),
     ):
-        p = commands[name] = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name, help=summary)
         if sweep is random_sweep:
             p.add_argument("--n", type=_decimal, required=True)
             p.add_argument("--count", type=_decimal, required=True)

@@ -1,5 +1,6 @@
-"""Sweep engines: exhaustive small-width verification, seeded random
-verification at large widths, and the cycle-count hunter.
+"""Sweep engines: exhaustive small-width verification and seeded random
+verification at large widths. A hunt is an exhaustive sweep whose report
+says ``hunt``.
 
 Work is sharded into runs of moduli (exhaustive) or into contiguous
 instance chunks (random) so the precomputed constants are reused and the
@@ -28,15 +29,13 @@ import random
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
 from . import __version__
 from .errors import ContractViolation
 from .modparams import ModulusParams, check_int, precompute
 from .oracle import exhaustive_mismatches
 from .pipeline import MulResult, mulmod_checked
-from .shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP
+from .shrink import NORMAL_CYCLE_CAP
 
 __all__ = [
     "SweepConfig",
@@ -67,7 +66,9 @@ SERIAL_BELOW = 500_000
 # and no benchmark workload runs k=7.
 BATCH_LANES = 1 << 15
 WITNESS_CAP = 100
-HIST_BUCKETS = 8  # shrink cycle counts 0..7
+# Eight histogram keys, "0".."7", because the benchmark's pinned report
+# digests hold them; only buckets 0..NORMAL_CYCLE_CAP can be non-zero.
+HIST_BUCKETS = 8
 SLICED_DISAGREES = "sliced kernel disagrees with mulmod_checked"
 
 
@@ -160,17 +161,15 @@ def _params(R: int, n: int) -> ModulusParams | str:
         return _reason(exc)
 
 
-def _check(n: int, R: int, A: int, B: int, params: ModulusParams,
-           cap: int) -> tuple[MulResult | None, str | None]:
+def _check(n: int, R: int, A: int, B: int,
+           params: ModulusParams) -> tuple[MulResult | None, str | None]:
     """One instance through ``mulmod_checked``: (result, failure reason).
 
     The result is None when the kernel raised, the reason None when the
     instance passed the oracle.
     """
     try:
-        result, ok = mulmod_checked(
-            A, B, R, n, params=params, shrink_cycle_cap=cap
-        )
+        result, ok = mulmod_checked(A, B, R, n, params=params)
     except Exception as exc:
         # Any exception is a failed instance, not an aborted sweep.
         return None, _reason(exc)
@@ -221,32 +220,29 @@ class SweepReport:
     cycle_witnesses_total: int = 0
     wall_time_s: float = 0.0
 
-    def add(self, n: int, R: int, A: int, B: int, hunt: bool,
-            params: ModulusParams | str) -> None:
+    def add(self, n: int, R: int, A: int, B: int, params: ModulusParams | str) -> None:
         """Run one instance through the checked kernel and tally it; a str
         ``params`` is the reason ``_params`` could not build them."""
         self.instances += 1
         if isinstance(params, str):
             self._fail(n, R, A, B, params)
             return
-        cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
-        result, reason = _check(n, R, A, B, params, cap)
+        result, reason = _check(n, R, A, B, params)
         if result is not None:
             cycles = result.shrink_cycles
-            self.cycle_histogram[min(cycles, HIST_BUCKETS - 1)] += 1
+            self.cycle_histogram[cycles] += 1
             self.rule_usage[result.squeeze_rule] += 1
             if self.max_cycles_witness is None or cycles > self.max_cycles:
                 self.max_cycles = cycles
                 self.max_cycles_witness = _witness(n, R, A, B)
-            if hunt and cycles >= 4:
+            if cycles == NORMAL_CYCLE_CAP:
                 self.cycle_witnesses_total += 1
                 if len(self.cycle_witnesses) < WITNESS_CAP:
                     self.cycle_witnesses.append(_witness(n, R, A, B, cycles=cycles))
         if reason is not None:
             self._fail(n, R, A, B, reason)
 
-    def add_moduli(self, n: int, hunt: bool,
-                   moduli: list[tuple[int, ModulusParams | str]]) -> None:
+    def add_moduli(self, n: int, moduli: list[tuple[int, ModulusParams | str]]) -> None:
         """Run every (A, B) pair of each (R, params) of one width through
         the bit-sliced kernel in one batch, and tally them in the order
         ``add`` would: modulus by modulus, lane ``A*R + B`` by lane.
@@ -260,13 +256,12 @@ class SweepReport:
         such a modulus runs again one modulus at a time, so that only that
         modulus fails.
         """
-        cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
         reason = next((params for _, params in moduli if isinstance(params, str)), None)
         if reason is None:
             from . import sliced  # imported here: random sweeps never need it
 
             try:
-                run = sliced.run_moduli([params for _, params in moduli], cap)
+                run = sliced.run_moduli([params for _, params in moduli])
                 # the lanes to re-check: those flagged and those the oracle rejects
                 suspects = run.flagged
                 for lane in exhaustive_mismatches(run.p, run.q, [R for R, _ in moduli]):
@@ -275,19 +270,18 @@ class SweepReport:
                 # Any exception fails the modulus, not the sweep.
                 reason = _reason(exc)
             else:
-                self._tally_batch(n, cap, hunt, moduli, run, suspects)
+                self._tally_batch(n, moduli, run, suspects)
                 return
         if len(moduli) > 1:
             for modulus in moduli:
-                self.add_moduli(n, hunt, [modulus])
+                self.add_moduli(n, [modulus])
             return
         R, _ = moduli[0]
         self.instances += R * R
         self._fail_modulus(n, R, reason)
 
-    def _tally_batch(self, n: int, cap: int, hunt: bool,
-                     moduli: list[tuple[int, ModulusParams]], run,
-                     suspects: int) -> None:
+    def _tally_batch(self, n: int, moduli: list[tuple[int, ModulusParams]],
+                     run, suspects: int) -> None:
         """Tally a batch's sliced run, re-checking the ``suspects`` lanes
         through ``mulmod_checked``. The moduli own the run's segments, in
         order."""
@@ -301,11 +295,10 @@ class SweepReport:
             return R, params, *divmod(lane - starts[i], R)
 
         cycles = [mask & ~suspects for mask in run.cycles]
-        cycles += [0] * (HIST_BUCKETS - len(cycles))
         rules = [mask & ~suspects for mask in run.rules]
         for lane in _lanes(suspects):
             R, params, A, B = locate(lane)
-            result, reason = _check(n, R, A, B, params, cap)
+            result, reason = _check(n, R, A, B, params)
             if result is not None:
                 cycles[result.shrink_cycles] |= 1 << lane
                 rules[result.squeeze_rule - 1] |= 1 << lane
@@ -320,14 +313,12 @@ class SweepReport:
             self.max_cycles = most
             R, _, A, B = locate(next(_lanes(cycles[most])))
             self.max_cycles_witness = _witness(n, R, A, B)
-        if hunt:
-            heavy = reduce(or_, cycles[4:])
-            self.cycle_witnesses_total += heavy.bit_count()
-            room = WITNESS_CAP - len(self.cycle_witnesses)
-            for lane in itertools.islice(_lanes(heavy), room):
-                count = next(c for c in range(4, HIST_BUCKETS) if cycles[c] >> lane & 1)
-                R, _, A, B = locate(lane)
-                self.cycle_witnesses.append(_witness(n, R, A, B, cycles=count))
+        heavy = cycles[NORMAL_CYCLE_CAP]
+        self.cycle_witnesses_total += heavy.bit_count()
+        room = WITNESS_CAP - len(self.cycle_witnesses)
+        for lane in itertools.islice(_lanes(heavy), room):
+            R, _, A, B = locate(lane)
+            self.cycle_witnesses.append(_witness(n, R, A, B, cycles=NORMAL_CYCLE_CAP))
 
     def _fail(self, n: int, R: int, A: int, B: int, reason: str) -> None:
         self.failures_total += 1
@@ -357,14 +348,8 @@ class SweepReport:
             self.max_cycles = other.max_cycles
             self.max_cycles_witness = other.max_cycles_witness
 
-    @property
-    def ge5_total(self) -> int:
-        """Instances that needed 5 or more shrink cycles: only a hunt, whose
-        cap is 7, can tally any."""
-        return sum(self.cycle_histogram[c] for c in range(5, HIST_BUCKETS))
-
     def ok(self) -> bool:
-        return self.failures_total == 0 and self.ge5_total == 0
+        return self.failures_total == 0
 
     def to_json_dict(self) -> dict:
         """The documented report schema. Wall time is excluded on purpose:
@@ -409,9 +394,9 @@ class SweepReport:
 def _run_batch_task(task: tuple) -> SweepReport:
     """One exhaustive shard: every (A, B) pair of a run of moduli of one
     width, through one batched sliced-kernel call."""
-    hunt, n, moduli = task
+    n, moduli = task
     shard = SweepReport()
-    shard.add_moduli(n, hunt, [(R, _params(R, n)) for R in moduli])
+    shard.add_moduli(n, [(R, _params(R, n)) for R in moduli])
     return shard
 
 
@@ -420,7 +405,7 @@ def _run_random_chunk(task: tuple) -> SweepReport:
     n, instances = task
     shard = SweepReport()
     for R, A, B in instances:
-        shard.add(n, R, A, B, False, _params(R, n))
+        shard.add(n, R, A, B, _params(R, n))
     return shard
 
 
@@ -448,16 +433,16 @@ def _sum_of_squares(m: int) -> int:
     return m * (m + 1) * (2 * m + 1) // 6
 
 
-def _batches(k: int, n: int, hunt: bool) -> list[tuple]:
+def _batches(k: int, n: int) -> list[tuple]:
     """The shards of width k: runs of consecutive moduli of at most
     ``BATCH_LANES`` lanes together; a bigger modulus runs alone."""
     tasks, start, lanes = [], 1 << (k - 1), 0
     for R in range(1 << (k - 1), 1 << k):
         if lanes and lanes + R * R > BATCH_LANES:
-            tasks.append((hunt, n, range(start, R)))
+            tasks.append((n, range(start, R)))
             start, lanes = R, 0
         lanes += R * R
-    tasks.append((hunt, n, range(start, 1 << k)))
+    tasks.append((n, range(start, 1 << k)))
     return tasks
 
 
@@ -477,7 +462,7 @@ def _sweep_moduli(config: SweepConfig, mode: str) -> SweepReport:
     tasks = []
     for k in range(config.k_min, config.k_max + 1):
         n = config.n if config.n is not None else k
-        tasks += _batches(k, n, mode == "hunt")
+        tasks += _batches(k, n)
     jobs = 1 if expected < SERIAL_BELOW else config.jobs
     return _execute(tasks, _run_batch_task, config, mode, started, jobs)
 
@@ -492,11 +477,11 @@ def exhaustive_sweep(config: SweepConfig) -> SweepReport:
 
 
 def hunt_shrink_cycles(config: SweepConfig) -> SweepReport:
-    """Exhaustive sweep with the relaxed cycle cap, recording heavy instances.
+    """``exhaustive_sweep`` with its report labelled ``hunt``.
 
-    Any instance needing 4 cycles is a finding worth publishing (the known
-    worst case observed so far is 3); an instance needing 5 or more
-    contradicts the proven bound and makes the report failing.
+    Every sweep lists the instances that needed 4 shrink cycles (the most
+    observed is 3) and fails one that needs more. Whether this command
+    stays is ROADMAP item 3's decision, after the certificate.
     """
     return _sweep_moduli(config, "hunt")
 

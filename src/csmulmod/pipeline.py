@@ -22,7 +22,7 @@ from .modparams import (
     shift_right_result,
 )
 from .oracle import fold_pair, ref_mulmod
-from .shrink import NORMAL_CYCLE_CAP, ShrinkReport, run_shrink
+from .shrink import ShrinkReport, run_shrink
 from .squeeze import SqueezeReport, qcu_apply, squeeze_topup
 
 __all__ = [
@@ -64,15 +64,14 @@ def mulmod(
     trace: bool = False,
     *,
     params: ModulusParams | None = None,
-    shrink_cycle_cap: int = NORMAL_CYCLE_CAP,
 ) -> MulResult:
     """Multiply A by B modulo R inside n-bit working registers.
 
     ``params`` lets sweeps reuse one precomputed constant set across many
-    (A, B) pairs of the same modulus. ``shrink_cycle_cap`` must lie in
-    0..HUNT_CYCLE_CAP. Each input is checked once, by the stage it enters;
-    the seams between stages are checked on every call (cleared low bits
-    after each stage, squeeze outputs below the shifted modulus).
+    (A, B) pairs of the same modulus. Each input is checked once, by the
+    stage it enters; the seams between stages are checked on every call
+    (cleared low bits after each stage, squeeze outputs below the shifted
+    modulus), and shrink raises if it needs more than its 4 cycles.
     """
     if params is None:
         params = precompute(R, n)
@@ -89,7 +88,7 @@ def mulmod(
     acc, steps = run_loop(A, b_shifted, params, trace=trace)
     check_low_bits(acc.p, acc.q, params, "main loop")
 
-    acc, shrink_report = run_shrink(acc, params, cycle_cap=shrink_cycle_cap)
+    acc, shrink_report = run_shrink(acc, params)
     check_low_bits(acc.p, acc.q, params, "shrink")
 
     acc, squeeze_report = qcu_apply(squeeze_topup(acc), params)
@@ -126,21 +125,13 @@ def mulmod_checked(
     n: int,
     *,
     params: ModulusParams | None = None,
-    shrink_cycle_cap: int = NORMAL_CYCLE_CAP,
 ) -> tuple[MulResult, bool]:
     """Run mulmod and compare the outcome against the reference arithmetic.
 
     ``ok`` is True exactly when both outputs are below the modulus and
     their sum lands in the residue class of A * B.
     """
-    result = mulmod(
-        A,
-        B,
-        R,
-        n,
-        params=params,
-        shrink_cycle_cap=shrink_cycle_cap,
-    )
+    result = mulmod(A, B, R, n, params=params)
     in_range = result.p < R and result.q < R
     ok = in_range and fold_pair(result.p, result.q, R) == ref_mulmod(A, B, R)
     return result, ok

@@ -13,13 +13,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bitcore import csa, top_up
-from .errors import ContractViolation, InvariantViolation
+from .errors import InvariantViolation
 from .mainloop import Accumulator
-from .modparams import ModulusParams, check_int
+from .modparams import ModulusParams
 
 __all__ = [
     "NORMAL_CYCLE_CAP",
-    "HUNT_CYCLE_CAP",
     "ShrinkCycle",
     "ShrinkReport",
     "run_shrink",
@@ -27,10 +26,8 @@ __all__ = [
     "shrink_rules",
 ]
 
-# The proven bound on rule firings per reduction, and the looser cap used
-# when hunting for instances that stress it.
+# The proven bound on rule firings per reduction.
 NORMAL_CYCLE_CAP = 4
-HUNT_CYCLE_CAP = 7
 
 
 class ShrinkCycle(NamedTuple):
@@ -130,33 +127,22 @@ def shrink_cycle(
 
 
 def run_shrink(
-    acc: Accumulator,
-    params: ModulusParams,
-    cycle_cap: int = NORMAL_CYCLE_CAP,
+    acc: Accumulator, params: ModulusParams
 ) -> tuple[Accumulator, ShrinkReport]:
-    """Cycle until the exit shape is reached, within the given cap.
+    """Cycle until the exit shape is reached.
 
-    The cap must lie in 0..HUNT_CYCLE_CAP. The default is the proven worst
-    case; needing more cycles than the cap is a fatal contract breach. A
-    larger cap (up to the trivial bound of 7) is meant for instrumented
-    hunts that record high cycle counts instead of treating 5 as
-    instantly fatal.
+    Needing more than ``NORMAL_CYCLE_CAP`` cycles, the proven worst case,
+    raises ``InvariantViolation``.
     """
-    check_int("shrink cycle cap", cycle_cap)
-    if not 0 <= cycle_cap <= HUNT_CYCLE_CAP:
-        raise ContractViolation(
-            f"0 <= shrink cycle cap <= {HUNT_CYCLE_CAP} violated "
-            f"(cap={cycle_cap})"
-        )
     entry = acc
     snapshots: list[ShrinkCycle] = []
     while True:
         acc, cycle = shrink_cycle(acc, params)
         if cycle is None:
             break
-        if len(snapshots) >= cycle_cap:
+        if len(snapshots) >= NORMAL_CYCLE_CAP:
             raise InvariantViolation(
-                f"shrink needed more than {cycle_cap} cycles "
+                f"shrink needed more than {NORMAL_CYCLE_CAP} cycles "
                 f"(entry p={entry.p:#x}, q={entry.q:#x})"
             )
         snapshots.append(cycle)

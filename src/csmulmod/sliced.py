@@ -38,7 +38,7 @@ from .bitcore import top_up
 from .mainloop import predict
 from .modparams import ModulusParams
 from .oracle import field_bytes
-from .shrink import shrink_rules
+from .shrink import NORMAL_CYCLE_CAP, shrink_rules
 from .squeeze import squeeze_rules
 
 __all__ = ["SlicedRun", "run_moduli", "unslice"]
@@ -240,13 +240,13 @@ def _loop(a: list[int], b: list[int], rx: list[list[int]]) -> tuple[list[int], l
 
 
 def _shrink(
-    p: list[int], q: list[int], rx1: list[int], rn: list[int], ones: int, cycle_cap: int
+    p: list[int], q: list[int], rx1: list[int], rn: list[int], ones: int
 ) -> tuple[int, list[int], list[int], list[int]]:
     """Shrink: ``(flagged, cycles, p, q)``. Each cycle fires one rule of
     ``shrink_rules`` on the lanes not yet in the exit shape; ``cycles[c]``
     holds the lanes that fired c rules. ``flagged`` holds the lanes whose
     adder dropped a bit outside rule 1, and those still firing in cycle
-    ``cycle_cap + 1``, which needed more than the cap.
+    ``NORMAL_CYCLE_CAP + 1``, on which ``shrink.run_shrink`` raises.
 
     The rules read the bits a top-up of the two top positions would give,
     (p|q, p&q), and no top-up is written: the adder's sum and majority are
@@ -257,8 +257,8 @@ def _shrink(
     no flag: it always drops the doubled span its constant pays for (the
     proofs are in ``shrink.shrink_cycle``'s docstring).
     """
-    flagged, cycles, cycling = 0, [0] * (cycle_cap + 1), ones
-    for cycle in range(cycle_cap + 1):
+    flagged, cycles, cycling = 0, [0] * (NORMAL_CYCLE_CAP + 1), ones
+    for cycle in range(NORMAL_CYCLE_CAP + 1):
         pn, qn = p[-1] | q[-1], p[-1] & q[-1]
         (r1, r2, r3, r4), clear_p, clear_q = shrink_rules(pn, qn, p[-2] & q[-2])
         fire = r1 | r2 | r3 | r4
@@ -293,14 +293,14 @@ def _squeeze(
     return flagged, rules, _select(added, s, p), _select(added, c, q)
 
 
-def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
+def run_moduli(batch: Sequence[ModulusParams]) -> SlicedRun:
     """Run every (A, B) pair of each modulus in ``batch`` through the
     kernel at once; one ``SlicedRun`` for the batch.
 
     The moduli must share one width (k, n). Each owns the segment of
     lanes that starts after the R * R lanes of those before it. The stages
-    are those of ``pipeline.mulmod`` at the given shrink cycle cap; each of
-    its seam and rule checks adds the lanes that break it to ``flagged``.
+    are those of ``pipeline.mulmod``; each of its seam and rule checks
+    adds the lanes that break it to ``flagged``.
     """
     n, k, shift = batch[0].n, batch[0].k, batch[0].shift
     if any((params.n, params.k) != (n, k) for params in batch):
@@ -321,7 +321,7 @@ def run_moduli(batch: Sequence[ModulusParams], cycle_cap: int) -> SlicedRun:
 
     p, q = _loop(*_operand_planes(batch, offsets), rx)
     flagged = _low_bits(p, q, shift)
-    shrunk, cycles, p, q = _shrink(p, q, rx[0], rn, ones, cycle_cap)
+    shrunk, cycles, p, q = _shrink(p, q, rx[0], rn, ones)
     flagged |= shrunk | _low_bits(p, q, shift)
     squeezed, rules, p, q = _squeeze(p, q, rn, rm, r_bit, ones)
     flagged |= squeezed | (ones & ~(_below(p, bound, ones) & _below(q, bound, ones)))

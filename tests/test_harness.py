@@ -59,9 +59,9 @@ class TestExhaustiveSweep:
     def test_batches_partition_each_width_within_the_lane_budget(self):
         budget = harness.BATCH_LANES
         for k, n in ((3, 3), (6, 6), (7, 7), (7, 9), (8, 8), (9, 9)):
-            tasks = harness._batches(k, n, True)
-            assert {(hunt, width) for hunt, width, _ in tasks} == {(True, n)}
-            moduli = [list(batch) for _, _, batch in tasks]
+            tasks = harness._batches(k, n)
+            assert {width for width, _ in tasks} == {n}
+            moduli = [list(batch) for _, batch in tasks]
             assert sum(moduli, []) == list(range(1 << (k - 1), 1 << k))
             lanes = [sum(R * R for R in batch) for batch in moduli]
             for batch, size in zip(moduli, lanes):
@@ -165,7 +165,7 @@ class TestDeterminism:
         sweeps = (
             (random_sweep, dict(n=8, count=2, seed=1), 2),
             (exhaustive_sweep, dict(k_min=3, k_max=5),
-             sum(len(harness._batches(k, k, False)) for k in (3, 4, 5))),
+             sum(len(harness._batches(k, k)) for k in (3, 4, 5))),
         )
         for sweep, config, shards in sweeps:
             serial = sweep(SweepConfig(**config, jobs=1)).to_json_bytes()
@@ -246,19 +246,33 @@ class TestHunt:
     def test_small_hunt_publishes_histogram(self):
         report = hunt_shrink_cycles(SweepConfig(k_min=3, k_max=4))
         assert report.failures_total == 0
-        assert report.ge5_total == 0
         assert report.max_cycles <= 4
         assert sum(report.cycle_histogram.values()) == report.instances
         assert report.cycle_witnesses_total == len(report.cycle_witnesses)
         assert report.ok()
 
-    def test_five_cycle_witness_would_fail_the_report(self):
-        # no real instance reaches five cycles; check the verdict logic on
-        # a fabricated count
-        report = hunt_shrink_cycles(SweepConfig(k_min=3, k_max=3))
-        assert report.ok()
-        report.cycle_histogram[5] = 1
-        assert not report.ok()
+    def test_five_cycle_instances_fail_the_report(self, monkeypatch, capsys):
+        # no real instance needs a fifth shrink cycle; this constant set
+        # makes 51 instances of R=15 need one (and 45 others miss the residue)
+        inner = harness.precompute
+
+        def tampered(R, n):
+            params = inner(R, n)
+            return params._replace(rn=params.mask >> 1) if R == 15 else params
+
+        def fifth_cycle_failures(report):
+            assert not report.ok()
+            assert {w["r"] for w in report.failures} == {"F"}
+            reasons = [w["reason"].split(" (")[0] for w in report.failures]
+            return reasons.count("InvariantViolation: shrink needed more than 4 cycles")
+
+        monkeypatch.setattr(harness, "precompute", tampered)
+        for sweep in (exhaustive_sweep, hunt_shrink_cycles):
+            assert fifth_cycle_failures(sweep(SweepConfig(k_min=4, k_max=4))) == 51
+        assert fifth_cycle_failures(random_sweep(SweepConfig(n=4, count=400, seed=1)))
+        for command in ("sweep", "hunt"):
+            assert main([command, "--k-min", "4", "--k-max", "4"]) == EXIT_VERIFICATION
+        assert capsys.readouterr().out.count("failures=96 ") == 2
 
     def test_report_schema(self):
         report = hunt_shrink_cycles(SweepConfig(k_min=3, k_max=3))
@@ -307,10 +321,10 @@ class TestUnexpectedErrors:
     def test_sliced_kernel_fault_fails_its_modulus(self, monkeypatch, capsys):
         inner = sliced.run_moduli
 
-        def faulty(batch, cycle_cap):
+        def faulty(batch):
             if any(params.modulus == 5 for params in batch):
                 raise ValueError("synthetic fault")
-            return inner(batch, cycle_cap)
+            return inner(batch)
 
         monkeypatch.setattr(sliced, "run_moduli", faulty)
         report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
@@ -334,8 +348,8 @@ class TestUnexpectedErrors:
         for instance in ((5, 2, 3), (6, 0, 0)):
             R, A, B = instance
 
-            def corrupting(batch, cycle_cap):
-                run = inner(batch, cycle_cap)
+            def corrupting(batch):
+                run = inner(batch)
                 moduli = [params.modulus for params in batch]
                 if R in moduli:
                     # the 8-bit field of the batch lane of (R, A, B), after
@@ -376,7 +390,7 @@ class TestUnexpectedErrors:
             return inner(R, n)
 
         clean = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
-        clean_r5 = harness._run_batch_task((False, 3, [5]))
+        clean_r5 = harness._run_batch_task((3, [5]))
         monkeypatch.setattr(harness, "precompute", faulty)
         report = exhaustive_sweep(SweepConfig(k_min=3, k_max=3))
         assert calls == [4, 5, 6, 7]  # once per modulus, not per instance
@@ -441,7 +455,7 @@ class TestTally:
     def test_first_zero_cycle_instance_is_the_witness(self):
         report = SweepReport()
         for B in (0, 1):
-            report.add(3, 5, 0, B, False, precompute(5, 3))
+            report.add(3, 5, 0, B, precompute(5, 3))
         assert report.max_cycles == 0
         assert report.max_cycles_witness == {"n": 3, "r": "5", "a": "0", "b": "0"}
 
@@ -476,9 +490,7 @@ class TestTally:
         shards[0].cycle_histogram[1] = 5
         shards[1].cycle_histogram[1] = 2
         shards[1].rule_usage[6] = 3
-        shards[1].cycle_histogram[5] = 1
         total = SweepReport()
         for shard in shards:
             total.merge(shard)
         assert total.cycle_histogram[1] == 7 and total.rule_usage[6] == 3
-        assert total.ge5_total == 1 and not total.ok()

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from csmulmod import (
-    HUNT_CYCLE_CAP,
     ContractViolation,
     InvariantViolation,
     fold_pair,
@@ -56,18 +55,6 @@ class TestMulmod:
                 mulmod(1, 1, 173.0, 8, params=reuse)
             with pytest.raises(ContractViolation, match="n must be an int"):
                 mulmod(1, 1, 173, 8.0, params=reuse)
-
-    def test_shrink_cycle_cap_range(self):
-        for cap in (-1, HUNT_CYCLE_CAP + 1):
-            with pytest.raises(ContractViolation, match="shrink cycle cap"):
-                mulmod(1, 1, 173, 8, shrink_cycle_cap=cap)
-        with pytest.raises(ContractViolation, match="shrink cycle cap must be an int"):
-            mulmod(1, 1, 173, 8, shrink_cycle_cap=4.0)
-        for cap in range(HUNT_CYCLE_CAP + 1):
-            # (1 * 1) needs no shrink cycle, so every in-range cap passes
-            assert mulmod(1, 1, 173, 8, shrink_cycle_cap=cap).shrink_cycles == 0
-        with pytest.raises(InvariantViolation, match="more than 2 cycles"):
-            mulmod(63, 121, 173, 8, shrink_cycle_cap=2)  # needs three
 
     def test_params_reuse_must_match(self):
         params = precompute(11, 4)

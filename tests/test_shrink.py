@@ -1,9 +1,7 @@
 import pytest
 
 from csmulmod import (
-    HUNT_CYCLE_CAP,
     Accumulator,
-    ContractViolation,
     InvariantViolation,
     precompute,
     run_loop,
@@ -131,14 +129,6 @@ class TestRunShrink:
         assert report.cycles == 3
         assert len(report.rules_fired) == report.cycles
         assert (out.p + out.q) % 173 == (acc.p + acc.q) % 173
-
-    def test_cycle_cap_machinery(self):
-        with pytest.raises(InvariantViolation, match="cycles"):
-            run_shrink(acc5(16, 16), P13, cycle_cap=0)
-        assert run_shrink(acc5(5, 2), P13, cycle_cap=0)[1].cycles == 0
-        for cap in (-1, HUNT_CYCLE_CAP + 1, 4.0, True):
-            with pytest.raises(ContractViolation, match="shrink cycle cap"):
-                run_shrink(acc5(5, 2), P13, cycle_cap=cap)
 
     def test_exhaustive_contracts_full_width(self):
         # every (p, q) register pair, reachable or not, for every 4-bit

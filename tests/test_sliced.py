@@ -26,7 +26,7 @@ from csmulmod import sliced
 from csmulmod.mainloop import Accumulator
 from csmulmod.modparams import check_low_bits, shift_right_result
 from csmulmod.oracle import field_bytes
-from csmulmod.shrink import HUNT_CYCLE_CAP, NORMAL_CYCLE_CAP, run_shrink
+from csmulmod.shrink import NORMAL_CYCLE_CAP, run_shrink
 from csmulmod.sliced import SlicedRun, run_moduli, unslice
 from csmulmod.squeeze import qcu_apply, squeeze_topup
 
@@ -53,9 +53,9 @@ def one_hot(masks, lanes):
     return [v.bit_length() - 1 for v in lane_values(masks, lanes)]
 
 
-def sliced_lanes(n, R, cap):
+def sliced_lanes(n, R):
     """Per lane (p, q, shrink cycles, squeeze rule, ok) from the sliced run."""
-    run = run_moduli([precompute(R, n)], cap)
+    run = run_moduli([precompute(R, n)])
     lanes = R * R
     bad = set(exhaustive_mismatches(run.p, run.q, [R]))
     width = R.bit_length() // 8 + 1  # k+1 bits in whole bytes
@@ -93,12 +93,12 @@ def cut_segments(run, batch):
     return runs
 
 
-def scalar_lanes(n, R, cap):
+def scalar_lanes(n, R):
     params = precompute(R, n)
     out = []
     for A in range(R):
         for B in range(R):
-            result, ok = mulmod_checked(A, B, R, n, params=params, shrink_cycle_cap=cap)
+            result, ok = mulmod_checked(A, B, R, n, params=params)
             out.append((result.p, result.q, result.shrink_cycles, result.squeeze_rule, ok))
     return out
 
@@ -110,7 +110,7 @@ def by_width(moduli):
     return [(n, [R for _, R in group]) for (n, _), group in groups]
 
 
-def tallies(moduli, hunt, tamper=lambda params: params):
+def tallies(moduli, tamper=lambda params: params):
     """One report over the moduli from ``add_moduli``, a batch per run of
     one width, and one from ``add`` over every instance of them, with the
     constant sets tampered; a tamper that returns a str stands for a
@@ -118,32 +118,31 @@ def tallies(moduli, hunt, tamper=lambda params: params):
     sliced, scalar = SweepReport(), SweepReport()
     for n, group in by_width(moduli):
         batch = [(R, tamper(precompute(R, n))) for R in group]
-        sliced.add_moduli(n, hunt, batch)
+        sliced.add_moduli(n, batch)
         for R, params in batch:
             for A in range(R):
                 for B in range(R):
-                    scalar.add(n, R, A, B, hunt, params)
+                    scalar.add(n, R, A, B, params)
     return sliced, scalar
 
 
 def assert_same_tally(sliced, scalar):
     assert sliced.to_json_bytes() == scalar.to_json_bytes()
-    assert sliced.ge5_total == scalar.ge5_total
 
 
 def test_every_lane_matches_the_scalar_kernel():
     mismatched = [
         (n, R)
         for n, R in FULL_WIDTH + SHIFT_PATH
-        if sliced_lanes(n, R, NORMAL_CYCLE_CAP) != scalar_lanes(n, R, NORMAL_CYCLE_CAP)
+        if sliced_lanes(n, R) != scalar_lanes(n, R)
     ]
     assert mismatched == []
 
 
-def test_hunt_shard_equals_the_scalar_tally():
+def test_shard_equals_the_scalar_tally():
     for n, R in FULL_WIDTH + SHIFT_PATH:
-        shard = harness._run_batch_task((True, n, [R]))
-        assert_same_tally(shard, tallies([(n, R)], True)[1])
+        shard = harness._run_batch_task((n, [R]))
+        assert_same_tally(shard, tallies([(n, R)])[1])
 
 
 # Each breaks the constant set so that failures of the named kind occur.
@@ -182,13 +181,13 @@ TAMPERED = [(k, R) for k in (3, 4) for R in range(1 << (k - 1), 1 << k)] + [
 ]
 
 
-def scalar_raises(n, R, cap, params):
+def scalar_raises(n, R, params):
     """Per lane, the message ``mulmod_checked`` raises with, or None."""
     out = []
     for A in range(R):
         for B in range(R):
             try:
-                mulmod_checked(A, B, R, n, params=params, shrink_cycle_cap=cap)
+                mulmod_checked(A, B, R, n, params=params)
             except InvariantViolation as exc:
                 out.append(str(exc))
             else:
@@ -197,14 +196,12 @@ def scalar_raises(n, R, cap, params):
 
 
 @pytest.mark.parametrize("reason", TAMPERS)
-@pytest.mark.parametrize("hunt", (False, True), ids=("verify", "hunt"))
-def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
-    cap = HUNT_CYCLE_CAP if hunt else NORMAL_CYCLE_CAP
+def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason):
     for n, R in TAMPERED:
         params = TAMPERS[reason](precompute(R, n))
         # a lane is flagged exactly when the scalar kernel raises on it
-        flagged = lane_values([run_moduli([params], cap).flagged], R * R)
-        raised = scalar_raises(n, R, cap, params)
+        flagged = lane_values([run_moduli([params]).flagged], R * R)
+        raised = scalar_raises(n, R, params)
         mismatched = [
             (n, R, lane, message)
             for lane, (bit, message) in enumerate(zip(flagged, raised))
@@ -213,20 +210,19 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason, hunt):
         assert mismatched == []
     # witnesses, failures and their caps run on across moduli as in a shard
     # that held them all
-    sliced, scalar = tallies(TAMPERED, hunt, TAMPERS[reason])
+    sliced, scalar = tallies(TAMPERED, TAMPERS[reason])
     assert_same_tally(sliced, scalar)
     assert any(failure["reason"].startswith(reason) for failure in sliced.failures)
 
 
-@pytest.mark.parametrize("cap", (NORMAL_CYCLE_CAP, HUNT_CYCLE_CAP))
-def test_batch_equals_its_moduli_run_alone(cap):
+def test_batch_equals_its_moduli_run_alone():
     for n, moduli in by_width(FULL_WIDTH + SHIFT_PATH):
         batch = [precompute(R, n) for R in moduli]
-        for params, run in zip(batch, cut_segments(run_moduli(batch, cap), batch)):
-            alone = run_moduli([params], cap)
+        for params, run in zip(batch, cut_segments(run_moduli(batch), batch)):
+            alone = run_moduli([params])
             assert run == alone, (n, params.modulus)
     with pytest.raises(ValueError, match="one width"):
-        run_moduli([precompute(7, 3), precompute(8, 4)], cap)
+        run_moduli([precompute(7, 3), precompute(8, 4)])
 
 
 @pytest.mark.parametrize("reason", TAMPERS)
@@ -240,12 +236,12 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
             return TAMPERS[reason](params) if params.modulus == middle else params
 
         batch = [tamper(precompute(R, n)) for R in moduli]
-        segments = cut_segments(run_moduli(batch, NORMAL_CYCLE_CAP), batch)
+        segments = cut_segments(run_moduli(batch), batch)
         for params, run in zip(batch, segments):
-            alone = run_moduli([params], NORMAL_CYCLE_CAP)
+            alone = run_moduli([params])
             assert run == alone, (n, params.modulus)
             assert not run.flagged or params.modulus == middle
-        sliced, scalar = tallies([(n, R) for R in moduli], False, tamper)
+        sliced, scalar = tallies([(n, R) for R in moduli], tamper)
         assert_same_tally(sliced, scalar)
         assert {failure["r"] for failure in sliced.failures} <= {format(middle, "X")}
         failures += sliced.failures_total
@@ -253,8 +249,7 @@ def test_constants_tampered_in_one_modulus_stay_in_its_segment(reason):
 
 
 @pytest.mark.parametrize("reason", TAMPERS)
-@pytest.mark.parametrize("hunt", (False, True), ids=("verify", "hunt"))
-def test_failed_precompute_keeps_its_place_between_tampered_neighbours(reason, hunt):
+def test_failed_precompute_keeps_its_place_between_tampered_neighbours(reason):
     fault = "ValueError: synthetic fault"
     neighbour_failures = 0
     for n, moduli in by_width(TAMPERED):
@@ -268,7 +263,7 @@ def test_failed_precompute_keeps_its_place_between_tampered_neighbours(reason, h
                 return fault
             return TAMPERS[reason](params) if params.modulus in neighbours else params
 
-        sliced, scalar = tallies([(n, R) for R in moduli], hunt, tamper)
+        sliced, scalar = tallies([(n, R) for R in moduli], tamper)
         assert_same_tally(sliced, scalar)
         order = [int(failure["r"], 16) for failure in sliced.failures]
         assert order == sorted(order)
@@ -321,13 +316,13 @@ def test_two_byte_fields_of_k8():
     # k=8 is the first width whose k+1-bit outputs need 2-byte fields; a
     # batch of two holds each modulus's fields in its segment
     batch = [precompute(R, 8) for R in (128, 255)]
-    whole = run_moduli(batch, NORMAL_CYCLE_CAP)
+    whole = run_moduli(batch)
     assert whole.flagged == 0
     assert exhaustive_mismatches(whole.p, whole.q, [128, 255]) == []
     for params, run in zip(batch, cut_segments(whole, batch)):
         R = params.modulus
         lanes = R * R
-        assert run == run_moduli([params], NORMAL_CYCLE_CAP), R
+        assert run == run_moduli([params]), R
         assert exhaustive_mismatches(run.p, run.q, [R]) == []
         p, q = unpack(run.p, lanes, 2), unpack(run.q, lanes, 2)
         for lane in random.Random(R).sample(range(lanes), 40):
@@ -367,20 +362,47 @@ def test_k7_report_bytes():
     ]
 
 
-def test_hunt_cap_records_cycles_beyond_the_normal_cap():
-    params = TAMPERS["InvariantViolation: shrink needed more than"](precompute(14, 4))
-    run = run_moduli([params], HUNT_CYCLE_CAP)
-    assert len(run.cycles) == HUNT_CYCLE_CAP + 1
-    assert any(run.cycles[NORMAL_CYCLE_CAP + 1 :])
+def test_a_fifth_shrink_cycle_is_flagged():
+    # under the cycle tamper, R=15 at n=4 fails only by needing a fifth
+    # shrink cycle; those lanes are flagged and in no cycle count
+    n, R = 4, 15
+    params = TAMPERS["InvariantViolation: shrink needed more than"](precompute(R, n))
+    run = run_moduli([params])
+    assert len(run.cycles) == NORMAL_CYCLE_CAP + 1
+    raised = scalar_raises(n, R, params)
+    fifth = [message is not None for message in raised]
+    assert sum(fifth) == 51
+    assert {message.split(" (")[0] for message in raised if message} == {
+        "shrink needed more than 4 cycles"
+    }
+    assert [bool(bit) for bit in lane_values([run.flagged], R * R)] == fifth
+    assert [count == -1 for count in one_hot(run.cycles, R * R)] == fifth
 
 
-def scalar_reduction(p, q, params, cap):
+@pytest.mark.parametrize("reason", TAMPERS)
+def test_hunt_and_verify_reports_differ_only_in_mode(reason, monkeypatch):
+    inner = harness.precompute
+    monkeypatch.setattr(harness, "precompute", lambda R, n: TAMPERS[reason](inner(R, n)))
+    failures = 0
+    # the moduli of TAMPERED: k=3..4 at n=k and at n=7
+    for config in (SweepConfig(k_min=3, k_max=4), SweepConfig(k_min=3, k_max=4, n=7)):
+        verify, hunt = (
+            sweep(config).to_json_dict() for sweep in (exhaustive_sweep, hunt_shrink_cycles)
+        )
+        modes = verify["header"]["config"].pop("mode"), hunt["header"]["config"].pop("mode")
+        assert modes == ("verify", "hunt")
+        assert verify == hunt
+        failures += verify["body"]["totals"]["failures"]
+    assert failures
+
+
+def scalar_reduction(p, q, params):
     """(shrink cycles, squeeze rule, p, q) of shrink then squeeze from the
     entry pair (p, q), with ``pipeline.mulmod``'s seam checks from the
     loop's on; None where one of them or a stage raises."""
     try:
         check_low_bits(p, q, params, "main loop")
-        acc, shrink = run_shrink(Accumulator(p, q, params.n), params, cycle_cap=cap)
+        acc, shrink = run_shrink(Accumulator(p, q, params.n), params)
         check_low_bits(acc.p, acc.q, params, "shrink")
         acc, squeeze = qcu_apply(squeeze_topup(acc), params)
         if max(acc.p, acc.q) >= params.modulus_shifted:
@@ -391,9 +413,8 @@ def scalar_reduction(p, q, params, cap):
     return shrink.cycles, squeeze.rule, acc.p, acc.q
 
 
-@pytest.mark.parametrize("cap", (NORMAL_CYCLE_CAP, HUNT_CYCLE_CAP))
 @pytest.mark.parametrize("n, k", ((4, 4), (5, 5), (6, 4)))
-def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k, cap):
+def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k):
     # Every (n+1)-bit entry pair of every modulus of length k, most of them
     # states the loop never leaves, through _shrink then _squeeze with the
     # seam checks of run_moduli around them
@@ -413,7 +434,7 @@ def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k, cap):
     rn = planes([params.rn for params in batch])
     rx1 = planes([params.rx[1] for params in batch])
     flagged = sliced._low_bits(p, q, shift)
-    shrunk, cycles, p, q = sliced._shrink(p, q, rx1, rn, ones, cap)
+    shrunk, cycles, p, q = sliced._shrink(p, q, rx1, rn, ones)
     flagged |= shrunk | sliced._low_bits(p, q, shift)
     r_bit = sum(seg for params, seg in zip(batch, segments) if params.r_bit)
     rm = planes([params.rm for params in batch])
@@ -432,7 +453,7 @@ def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k, cap):
     mismatched = []
     for lane, (flag, *outcome) in enumerate(got):
         params, entry = batch[lane // size], lane % size
-        expected = scalar_reduction(entry >> width, entry % (1 << width), params, cap)
+        expected = scalar_reduction(entry >> width, entry % (1 << width), params)
         outcome[1] += 1
         if (flag, expected) != (0, tuple(outcome)) and not (flag and expected is None):
             mismatched.append((params.modulus, entry, flag, outcome, expected))
