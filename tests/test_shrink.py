@@ -130,6 +130,23 @@ class TestRunShrink:
         assert len(report.rules_fired) == report.cycles
         assert (out.p + out.q) % 173 == (acc.p + acc.q) % 173
 
+    def test_a_fifth_cycle_raises(self):
+        # no real constant set needs a fifth cycle; rn = 0b1111 for R=15
+        # makes some register pairs need one, and each of those raises
+        params = precompute(15, 4)._replace(rn=0b1111)
+        raised = kept = 0
+        for p in range(32):
+            for q in range(32):
+                try:
+                    _, report = run_shrink(acc5(p, q), params)
+                except InvariantViolation as exc:
+                    assert str(exc).startswith("shrink needed more than 4 cycles")
+                    raised += 1
+                else:
+                    assert report.cycles <= 4
+                    kept += 1
+        assert raised and kept
+
     def test_exhaustive_contracts_full_width(self):
         # every (p, q) register pair, reachable or not, for every 4-bit
         # modulus: the bound, exit shape, and residue hold universally

@@ -21,9 +21,11 @@ from csmulmod import (
     hunt_shrink_cycles,
     mulmod_checked,
     precompute,
+    random_sweep,
 )
 from csmulmod import sliced
 from csmulmod.mainloop import Accumulator
+from csmulmod.harness import HIST_BUCKETS
 from csmulmod.modparams import check_low_bits, shift_right_result
 from csmulmod.oracle import field_bytes
 from csmulmod.shrink import NORMAL_CYCLE_CAP, run_shrink
@@ -215,6 +217,25 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason):
     assert any(failure["reason"].startswith(reason) for failure in sliced.failures)
 
 
+
+@pytest.mark.parametrize("reason", TAMPERS)
+def test_only_instances_that_raise_nothing_fill_a_bucket(reason):
+    # an instance fills one cycle bucket and one rule count unless the
+    # kernel raises on it (a flagged lane), so a fifth cycle never reaches
+    # a bucket past the cap
+    flagged = sum(
+        run_moduli([TAMPERS[reason](precompute(R, n))]).flagged.bit_count()
+        for n, R in TAMPERED
+    )
+    report, _ = tallies(TAMPERED, TAMPERS[reason])
+    assert report.instances == sum(R * R for _, R in TAMPERED)
+    filled = report.instances - flagged
+    assert sum(report.cycle_histogram.values()) == sum(report.rule_usage.values()) == filled
+    assert [report.cycle_histogram[c] for c in range(NORMAL_CYCLE_CAP + 1, HIST_BUCKETS)] == [
+        0
+    ] * (HIST_BUCKETS - NORMAL_CYCLE_CAP - 1)
+    assert flagged <= report.failures_total
+
 def test_batch_equals_its_moduli_run_alone():
     for n, moduli in by_width(FULL_WIDTH + SHIFT_PATH):
         batch = [precompute(R, n) for R in moduli]
@@ -395,6 +416,37 @@ def test_hunt_and_verify_reports_differ_only_in_mode(reason, monkeypatch):
         failures += verify["body"]["totals"]["failures"]
     assert failures
 
+
+
+K4 = SweepConfig(k_min=4, k_max=4)
+
+
+@pytest.mark.parametrize(
+    "sweep, config",
+    (
+        (exhaustive_sweep, K4),
+        (hunt_shrink_cycles, K4),
+        # seed 19 draws 6 of the 1,000 instances from the three below
+        (random_sweep, SweepConfig(n=4, count=1000, seed=19, k_min=4, k_max=4)),
+    ),
+    ids=("verify", "hunt", "random"),
+)
+def test_every_mode_lists_the_instances_that_needed_four_cycles(sweep, config, monkeypatch):
+    # under the cycle tamper three k=4 instances need exactly 4 shrink
+    # cycles and pass; every sweep lists each one it runs
+    inner = harness.precompute
+    tamper = TAMPERS["InvariantViolation: shrink needed more than"]
+    monkeypatch.setattr(harness, "precompute", lambda R, n: tamper(inner(R, n)))
+    four = [("D", "7", "7"), ("F", "B", "D"), ("F", "D", "B")]
+    report = sweep(config)
+    listed = [(w["r"], w["a"], w["b"]) for w in report.cycle_witnesses]
+    assert {w["cycles"] for w in report.cycle_witnesses} == {NORMAL_CYCLE_CAP}
+    assert report.cycle_witnesses_total == len(listed) == report.cycle_histogram[4]
+    if sweep is random_sweep:
+        assert len(listed) == 6 and set(listed) <= set(four)
+    else:
+        assert listed == four
+    assert report.max_cycles == NORMAL_CYCLE_CAP and not report.ok()
 
 def scalar_reduction(p, q, params):
     """(shrink cycles, squeeze rule, p, q) of shrink then squeeze from the
