@@ -199,8 +199,9 @@ class SweepReport:
     """Sweep tally plus the machine-readable document.
 
     Each shard fills one, an exhaustive shard with ``add_moduli`` and a
-    random one with ``add`` per instance; the entry point merges the
-    shards into the report it returns, in enumeration order.
+    random one with ``add`` per instance. The entry point returns the
+    first shard as the report, with the later shards merged into it in
+    enumeration order and ``config`` set to the sweep's header.
     """
 
     config: dict = field(default_factory=dict)
@@ -412,18 +413,23 @@ def _run_random_chunk(task: tuple) -> SweepReport:
 def _execute(tasks: list, worker, config: SweepConfig, mode: str,
              started: float, jobs: int) -> SweepReport:
     """Run the shards over ``jobs`` workers, never more than there are
-    shards (in-process for one), and merge them in task order."""
-    report = SweepReport(config=config.canonical(mode))
+    shards (in-process for one). The first shard becomes the report and
+    the rest merge into it in task order; the header is set last."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
-        for shard in map(worker, tasks):
+        shards = map(worker, tasks)
+        report = next(shards)
+        for shard in shards:
             report.merge(shard)
     else:
         import multiprocessing  # imported here: serial sweeps never need it
 
         with multiprocessing.Pool(processes=jobs) as pool:
-            for shard in pool.imap(worker, tasks, chunksize=1):
+            shards = pool.imap(worker, tasks, chunksize=1)
+            report = next(shards)
+            for shard in shards:
                 report.merge(shard)
+    report.config = config.canonical(mode)
     report.wall_time_s = time.perf_counter() - started
     return report
 

@@ -137,8 +137,13 @@ def run_loop(
     the n-bit register from shift_left_operand, or zero) in one carry-save
     addition masked to n+1 bits, then adds the reduction constant selected
     by the overflow count that ``lcu`` predicts from the pair's top three
-    bits and the partial product's top bit. A record of every step is
-    built only when ``trace`` is set.
+    bits and the partial product's top bit. A zero constant makes the
+    second addition a half adder; the branch reads the constant's value,
+    not the count that chose it. The partial product's carry ANDs p ^ q
+    with ``B_shifted >> 1`` before one shift by two: the bit that right
+    shift drops would meet bit 0 of the doubled p ^ q, which is always
+    clear, so the carry is exact. A record of every step is built only
+    when ``trace`` is set.
     """
     check_int("A", A)
     if A < 0:
@@ -152,32 +157,43 @@ def run_loop(
     top = n - 2
     f_zero = _F_TABLE[0]
     f_one = _F_TABLE[(B_shifted >> (n - 1)) & 1]
+    b_half = B_shifted >> 1
     p = q = 0
     traces: list[StepTrace] | None = [] if trace else None
     # A < R < 2**k, so the string has exactly k digits, most significant
     # first. Both carry-save additions are written inline (the tests hold
     # them to ``csa``). Doubling commutes with ``^`` and ``&``, so the
     # doubled registers' sum and majority bits come from one shift of
-    # p ^ q and p & q. A clear bit adds a zero partial product: the first
-    # addition is then a half adder and the table is the b_top = 0 half.
+    # p ^ q and p & q; the majority's B_shifted & t term is b_half & x
+    # shifted once more, since bit 0 of t is clear. A clear bit adds a
+    # zero partial product: the first addition is then a half adder and
+    # the table is the b_top = 0 half. A zero constant makes the second
+    # addition a half adder too.
     # Every operation below is bitwise or a left shift, and neither moves
     # a bit downwards, so the bits that t, s and c carry above bit n never
     # reach bits 0..n: masking only the two new registers gives the same
-    # bits as masking every intermediate, and keeps p >> top below 8.
+    # bits as masking every intermediate, and keeps p >> top below 8. The
+    # one right shift, b_half, is taken once, before the loop, of the n-bit
+    # B_shifted, which has no bits above n to bring down.
     for bit in format(A, f"0{k}b"):
-        t = (p ^ q) << 1
+        x = p ^ q
+        t = x << 1
         if bit == "1":
             f = f_one[p >> top][q >> top]
             s = t ^ B_shifted
-            c = (((p & q) << 1) | (B_shifted & t)) << 1
+            c = ((p & q) | (b_half & x)) << 2
         else:
             f = f_zero[p >> top][q >> top]
             s = t
             c = (p & q) << 2
         ry = rx[f]
-        u = s ^ c
-        p2 = (u ^ ry) & mask
-        q2 = (((s & c) | (ry & u)) << 1) & mask
+        if ry:
+            u = s ^ c
+            p2 = (u ^ ry) & mask
+            q2 = (((s & c) | (ry & u)) << 1) & mask
+        else:
+            p2 = (s ^ c) & mask
+            q2 = ((s & c) << 1) & mask
         if traces is not None:
             a_i = 1 if bit == "1" else 0
             # In field order; i counts down, one record per step so far.

@@ -212,6 +212,30 @@ class TestDeterminism:
         payloads = {r.to_json_bytes() for r in runs}
         assert len(payloads) == 1
 
+    def test_random_shards_fold_into_the_first(self, monkeypatch):
+        # count=40 at jobs=1 cuts 8 chunks run in-process; at jobs=2 they
+        # run on the pool. The first shard becomes the report, so it must
+        # be tallied once and carry the sweep's header.
+        config = dict(n=16, count=40, seed=5)
+        chunks = []
+        run_chunk = harness._run_random_chunk
+
+        def counted(task):
+            chunks.append(len(task[1]))
+            return run_chunk(task)
+
+        monkeypatch.setattr(harness, "_run_random_chunk", counted)
+        serial = random_sweep(SweepConfig(**config, jobs=1))
+        assert chunks == [5] * 8
+        monkeypatch.undo()
+        pooled = random_sweep(SweepConfig(**config, jobs=2))
+        header = SweepConfig(**config).resolved("random").canonical("random")
+        for report in (serial, pooled):
+            assert report.instances == 40
+            assert report.config == header
+            assert json.loads(report.to_json_bytes())["header"]["config"] == header
+        assert serial.to_json_bytes() == pooled.to_json_bytes()
+
     def test_different_seeds_differ(self):
         a = random_sweep(SweepConfig(n=16, count=100, seed=1))
         b = random_sweep(SweepConfig(n=16, count=100, seed=2))

@@ -146,47 +146,85 @@ class TestLoopRecords:
                 )
 
 
+def loop_records(traces):
+    """The fields ``reference_loop`` gives, from each StepTrace."""
+    return [
+        (st.i, st.a_i, st.p_in, st.q_in, st.s, st.c, st.f, st.ry, st.p_out, st.q_out)
+        for st in traces
+    ]
+
+
+# Every step shape the loop branches on: multiplier bit a_i, and whether
+# the reduction constant is non-zero (a zero one makes the second addition
+# a half adder).
+STEP_SHAPES = set(itertools.product((0, 1), (False, True)))
+
+
 class TestLoopDifferential:
     """Untraced run_loop, traced run_loop, mulmod's loop records and the
-    step-by-step reference all end on the same pair."""
+    step-by-step reference all end on the same pair, and the instances of
+    each test reach every step shape."""
 
     @staticmethod
     def check(A, B, R, n, params):
+        """Run the comparison; returns the (a_i, ry != 0) shapes it reached."""
         b = shift_left_operand(B, params)
         plain, _ = run_loop(A, b, params)
         traced, traces = run_loop(A, b, params, trace=True)
         last = mulmod(A, B, R, n, trace=True, params=params).traces.steps[-1]
         pair = (plain.p, plain.q)
         assert pair == (traced.p, traced.q) == (last.p_out, last.q_out)
-        records = [
-            (st.i, st.a_i, st.p_in, st.q_in, st.s, st.c, st.f, st.ry, st.p_out, st.q_out)
-            for st in traces
-        ]
+        records = loop_records(traces)
         assert records == reference_loop(A, b, params), (A, B, R, n)
         assert pair == records[-1][-2:]
         assert (plain.p + plain.q) % params.modulus_shifted == (
             A * b % params.modulus_shifted
         )
+        return {(st.a_i, st.ry != 0) for st in traces}
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     @pytest.mark.parametrize("wide", [False, True])
     def test_every_instance_small(self, k, wide):
         n = 8 if wide else k
+        shapes = set()
         for R in range(1 << (k - 1), 1 << k):
             params = precompute(R, n)
             for A in range(R):
                 for B in range(R):
-                    self.check(A, B, R, n, params)
+                    shapes |= self.check(A, B, R, n, params)
+        assert shapes == STEP_SHAPES
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_random_wide(self, n):
         rng = random.Random(n)
+        shapes = set()
         for j in range(200):
             # every other instance has a shorter modulus (k < n)
             k = n if j % 2 == 0 else rng.randint(3, n - 1)
             R = rng.randrange(max(4, 1 << (k - 1)), 1 << k)
             params = precompute(R, n)
-            self.check(rng.randrange(R), rng.randrange(R), R, n, params)
+            shapes |= self.check(rng.randrange(R), rng.randrange(R), R, n, params)
+        assert shapes == STEP_SHAPES
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_a_nonzero_first_constant_is_still_added(self, n):
+        # The half adder is taken when the selected constant is zero, not
+        # when f is: a tampered rx[0] must still be added on f = 0 steps.
+        rng = random.Random(n)
+        R = rng.randrange((1 << (n - 1)) + 1, 1 << n)
+        params = precompute(R, n)
+        for v in {params.rx[1], params.rx[3], 1 << params.shift}:
+            assert v
+            tampered = params._replace(rx=(v, *params.rx[1:]))
+            for _ in range(8):
+                A = rng.randrange(R)
+                b = shift_left_operand(rng.randrange(R), params)
+                plain, _ = run_loop(A, b, tampered)
+                _, traces = run_loop(A, b, tampered, trace=True)
+                records = loop_records(traces)
+                assert records == reference_loop(A, b, tampered), (A, b, v)
+                assert (plain.p, plain.q) == records[-1][-2:]
+                assert any(st.f == 0 and st.ry == v for st in traces)
 
 
     @pytest.mark.parametrize("n", [8, 64, 256, 1024])
@@ -196,6 +234,7 @@ class TestLoopDifferential:
         # shifted, the partial product's top bit) set and clear; the
         # smallest and the largest modulus of each length, with k = n and
         # k < n.
+        shapes = set()
         for k in (n, n // 2 + 1):
             ones = (1 << k) - 1
             alternating = (int(("10" * k)[:k], 2), int(("01" * k)[:k], 2))
@@ -205,7 +244,8 @@ class TestLoopDifferential:
                 operands = sorted(v for v in operands if v < R)
                 for A in operands:
                     for B in operands:
-                        self.check(A, B, R, n, params)
+                        shapes |= self.check(A, B, R, n, params)
+        assert shapes == STEP_SHAPES
 
 
 class TestRunLoop:
