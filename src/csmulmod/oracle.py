@@ -11,7 +11,6 @@ width ``field_bytes`` defines.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -23,6 +22,8 @@ __all__ = [
     "ref_mulmod",
     "replay_step_wide",
 ]
+
+_BYTES = bytes(range(256))
 
 
 def fold_pair(p: int, q: int, R: int) -> int:
@@ -87,11 +88,21 @@ def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
     return bad
 
 
-# One entry: a sweep's batches of one width need one or two sizes.
-@lru_cache(maxsize=1)
+# The guard pattern of the largest batch so far, one per field width in
+# bytes: a batch cuts it to its own fields, so a sweep builds it only when
+# a batch has more fields than any before it of that width.
+_kept_guards: dict[int, int] = {}
+
+
 def _guards(width: int, fields: int) -> int:
-    """The top bit of each of ``fields`` fields of ``width`` bytes."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * fields, "little")
+    """The top bit of each of at least ``fields`` fields of ``width``
+    bytes, from the least significant field up."""
+    guard = _kept_guards.get(width, 0)
+    if guard.bit_length() < 8 * width * fields:
+        guard = _kept_guards[width] = int.from_bytes(
+            (bytes(width - 1) + b"\x80") * fields, "little"
+        )
+    return guard
 
 
 def _fields_agree(P: int, Q: int, moduli: Sequence[int], width: int) -> bool:
@@ -122,13 +133,11 @@ def _folded(P: int, Q: int, moduli: Sequence[int], width: int) -> bytes | None:
     RR = int.from_bytes(
         b"".join(R.to_bytes(width, "little") * (R * R) for R in moduli), "little"
     )
-    # The guard bits of the next power of two of fields, so that the
-    # batches of a width share one or two patterns; no value masked with
-    # them has a bit past the last lane. The pattern is periodic: shifted
-    # down by whole fields it is the pattern of fewer fields.
-    fields = 1 << lanes.bit_length()
-    guard = _guards(width, fields)
-    lift = (guard >> F * (fields - lanes)) - RR
+    # The kept pattern spans at least the next power of two of fields, so
+    # that a sweep's growing batches build few of them; cut to the batch's
+    # own fields by an AND, which costs only the batch's size.
+    guard = _guards(width, 1 << lanes.bit_length()) & ((1 << F * lanes) - 1)
+    lift = guard - RR
     # A field with its guard bit set fails here on its own, so a lifted
     # entry's carry into the next field cannot hide it.
     if (P | Q | (P + lift) | (Q + lift)) & guard:
@@ -145,15 +154,26 @@ def _expected(moduli: Sequence[int], width: int) -> bytes:
     of that ramp from entry 0 on (row 0, whose step would be 0, is zeros).
     Byte g of each field is read off the ramp of byte g of (0, ..., R-1).
     """
-    table = bytearray(width * sum(R * R for R in moduli))
+    table = bytearray(width * sum(R * R for R in moduli) if width > 1 else 0)
     for g in range(width):
         rows = []
         for R in moduli:
-            ramp = bytes(j >> 8 * g & 255 for j in range(R)) * R
+            ramp = _byte_ramp(R, g) * R
             rows.append(bytes(R))
             rows += (ramp[0 : A * R : A] for A in range(1, R))
+        if width == 1:
+            return b"".join(rows)
         table[g::width] = b"".join(rows)
     return bytes(table)
+
+
+def _byte_ramp(R: int, g: int) -> bytes:
+    """Byte g of each of 0, 1, ..., R-1, built from whole runs: the bytes
+    0..255 in turn, each repeated 256**g times, cut to R bytes."""
+    if g == 0:
+        return (_BYTES * -(-R // 256))[:R]
+    run = 1 << 8 * g
+    return b"".join(bytes((v & 255,)) * run for v in range(-(-R // run)))[:R]
 
 
 def ref_mulmod(A: int, B: int, R: int) -> int:

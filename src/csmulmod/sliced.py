@@ -29,7 +29,7 @@ the caller maps a lane to its modulus by the segment offsets.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, compress
 from operator import or_
 from typing import NamedTuple, Sequence
@@ -85,20 +85,38 @@ def _operand_planes(
     batch: Sequence[ModulusParams], offsets: list[int]
 ) -> tuple[list[int], list[int]]:
     """Planes of A (k bits) and of the shifted multiplicand (n bits), each
-    modulus's lanes from its offset on."""
+    modulus's lanes from its offset on.
+
+    A stays put for R lanes at a time, so its bit i alternates in runs of
+    R * 2**i lanes. Only the top plane is built: plane i is plane i+1 XOR
+    itself shifted down by R * 2**i lanes, which is exact on all but the
+    top R * 2**i lanes of plane i+1, so the top plane spans
+    R * (2**(k-1) - 1) lanes more than the segment, and each plane is cut
+    to the segment. B counts 0..R-1 within each row of R lanes: bit j of
+    the row is the first R lanes of one pattern per batch, tiled across
+    the rows.
+    """
     k, shift = batch[0].k, batch[0].shift
-    a, b = [], []
+    widest = max(params.modulus for params in batch)
+    rows = [_alternating(1 << j, widest) for j in range(k)]
+    a, b = [0] * k, [0] * k
     for params, offset in zip(batch, offsets):
         R = params.modulus
         lanes = R * R
-        # A stays put for R lanes at a time, so its bit i alternates in runs
-        # of R * 2**i lanes; B counts 0..R-1 within each of those runs.
-        a_m = [_alternating(R << i, lanes) for i in range(k)]
-        b_m = [_repeat(_alternating(1 << j, R), R, lanes) for j in range(k)]
-        a.append([plane << offset for plane in a_m] if offset else a_m)
-        b.append([plane << offset for plane in b_m] if offset else b_m)
-    a = [reduce(or_, planes) for planes in zip(*a)]
-    b = [reduce(or_, planes) for planes in zip(*b)]
+        cut = (1 << lanes) - 1
+        plane = _alternating(R << (k - 1), lanes + R * ((1 << (k - 1)) - 1))
+        a_m = [plane & cut]
+        for i in range(k - 2, -1, -1):
+            plane ^= plane >> (R << i)
+            a_m.append(plane & cut)
+        a_m.reverse()
+        b_m = [_repeat(row & ((1 << R) - 1), R, lanes) for row in rows]
+        if not offset:
+            a, b = a_m, b_m
+            continue
+        for i in range(k):
+            a[i] |= a_m[i] << offset
+            b[i] |= b_m[i] << offset
     return a, [0] * shift + b
 
 
@@ -166,15 +184,22 @@ def _low_bits(p: list[int], q: list[int], shift: int) -> int:
     return low
 
 
-# One entry: the p and q outputs of a batch are un-sliced in turn, and a
-# sweep's batches of one width need only a few powers of two of words.
-@lru_cache(maxsize=1)
+# The masks of the largest batch so far, as (words, masks): a smaller
+# batch masks with them as they are, so a sweep builds them only when a
+# batch needs more words than any before it.
+_kept_swaps: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
+
+
 def _swap_masks(words: int) -> tuple[tuple[int, int], ...]:
-    """``_DELTA_SWAPS`` with each mask repeated across ``words`` words."""
-    return tuple(
-        (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
-        for shift, mask in _DELTA_SWAPS
-    )
+    """``_DELTA_SWAPS`` with each mask repeated across at least ``words``
+    words."""
+    global _kept_swaps
+    if words > _kept_swaps[0]:
+        _kept_swaps = words, tuple(
+            (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
+            for shift, mask in _DELTA_SWAPS
+        )
+    return _kept_swaps[1]
 
 
 def _transpose8(x: int, words: int) -> int:
@@ -184,9 +209,10 @@ def _transpose8(x: int, words: int) -> int:
     inverse.
 
     Every word is swapped at once: a mask repeated once per word keeps
-    each swap's shifted bits inside their word. The masks span the next
-    power of two of words; ``x`` is not negative, so masking it cuts them
-    to its own words.
+    each swap's shifted bits inside their word. The masks span at least
+    the next power of two of words, so that a sweep's growing batches
+    build few of them; ``x`` is not negative, so masking it cuts them to
+    its own words at the cost of its own size.
     """
     for shift, mask in _swap_masks(1 << (words - 1).bit_length()):
         t = (x ^ (x >> shift)) & mask
@@ -212,7 +238,8 @@ def unslice(planes: Sequence[int], lanes: int) -> int:
             raise ValueError(f"plane {j} is not a mask of {lanes} lanes")
     width = field_bytes(len(planes))
     words = -(-lanes // 8)
-    fields = bytearray(width * 8 * words)
+    # one group of planes at width 1 is returned as it is packed
+    fields = bytearray(width * 8 * words if width > 1 else 0)
     for group in range(0, len(planes), 8):
         buf = bytearray(8 * words)
         for j, plane in enumerate(planes[group : group + 8]):

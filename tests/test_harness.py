@@ -439,13 +439,31 @@ class TestUnexpectedErrors:
         assert "failures=25 " in capsys.readouterr().out
 
 
+# a random sweep and an in-process traced JSON mulmod call, their output
+# swallowed
+RANDOM_AND_TRACED = """
+import contextlib, io
+from csmulmod import SweepConfig, random_sweep
+from csmulmod.cli import main
+random_sweep(SweepConfig(n=64, count=4, seed=7, jobs=1))
+argv = ["mulmod", "--n", "64", "--mod", "C5", "--a", "3F", "--b", "79", "--trace", "--json"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(argv) == 0
+assert out.getvalue()
+"""
+
+
 class TestImports:
-    @pytest.mark.parametrize("module", ("csmulmod", "csmulmod.cli"))
-    def test_import_loads_neither_sliced_nor_multiprocessing(self, module):
+    @pytest.mark.parametrize(
+        "module, run",
+        (("csmulmod", ""), ("csmulmod.cli", ""), ("csmulmod", RANDOM_AND_TRACED)),
+        ids=("csmulmod", "csmulmod.cli", "random_and_traced_mulmod"),
+    )
+    def test_import_loads_neither_sliced_nor_multiprocessing(self, module, run):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = (
-            f"import sys, {module}; "
+            f"import sys, {module}\n{run}\n"
             "print(sorted({'csmulmod.sliced', 'multiprocessing'} & set(sys.modules)))"
         )
         out = subprocess.run(

@@ -221,6 +221,32 @@ def batch_mismatches(p, q, moduli):
     return bad
 
 
+class TestExpected:
+    # 2-byte fields from R=128 on; moduli above 256 and 512 give the
+    # second byte of the ramp more than one value; width 3 reads a third,
+    # zero, byte off a run longer than the ramp
+    @pytest.mark.parametrize(
+        "moduli, width",
+        [
+            ([4], 1),
+            ([4, 5, 6, 7], 1),
+            ([64, 65, 127], 1),
+            ([4, 128], 2),
+            ([255, 256, 257], 2),
+            ([300, 700], 2),
+            ([5, 300], 3),
+        ],
+    )
+    def test_equals_the_packed_products(self, moduli, width):
+        products = (
+            (A * B % R).to_bytes(width, "little")
+            for R in moduli
+            for A in range(R)
+            for B in range(R)
+        )
+        assert oracle._expected(moduli, width) == b"".join(products)
+
+
 class TestBatchCheck:
     @pytest.mark.parametrize("moduli, width", BATCHES)
     def test_clean_batch_passes(self, moduli, width):

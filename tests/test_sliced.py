@@ -4,10 +4,14 @@ Exhaustive sweeps run only the sliced kernel, so these tests are what
 still compares every instance of the small widths with ``mulmod_checked``.
 """
 
+import collections
 import hashlib
 import itertools
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from csmulmod import (
     harness,
     hunt_shrink_cycles,
     mulmod_checked,
+    oracle,
     precompute,
     random_sweep,
 )
@@ -331,6 +336,135 @@ def test_unslice_rejects_a_plane_that_is_not_a_lane_mask(lanes):
     with pytest.raises(ValueError, match="plane 2 "):
         unslice([ones, 0, 1 << lanes], lanes)
     assert unslice([ones], lanes) == int.from_bytes(b"\1" * lanes, "little")
+
+
+def per_lane_operands(moduli, width):
+    """A and B of every lane of a batch, lane ``offset + A*R + B``, packed
+    in fields of ``width`` bytes as ``unslice`` packs them."""
+    a = b"".join(A.to_bytes(width, "little") * R for R in moduli for A in range(R))
+    b = b"".join(b"".join(B.to_bytes(width, "little") for B in range(R)) * R for R in moduli)
+    return int.from_bytes(a, "little"), int.from_bytes(b, "little")
+
+
+# every batch of k=3..7, and the first, middle and last batch of k=8..10
+@pytest.mark.parametrize("k", range(3, 11))
+def test_operand_planes_hold_each_lanes_operands(k):
+    for n in (k, k + 3):
+        batches = harness._batches(k, n)
+        if k >= 8:
+            batches = [batches[0], batches[len(batches) // 2], batches[-1]]
+        for _, moduli in batches:
+            batch = [precompute(R, n) for R in moduli]
+            *offsets, lanes = itertools.accumulate((R * R for R in moduli), initial=0)
+            a, b = sliced._operand_planes(batch, offsets)
+            assert len(a) == k and len(b) == n
+            assert b[: n - k] == [0] * (n - k)
+            A, B = per_lane_operands(moduli, field_bytes(k))
+            assert unslice(a, lanes) == A, (n, moduli)
+            assert unslice(b[n - k :], lanes) == B, (n, moduli)
+
+
+def count_builds(monkeypatch):
+    """Empty the kept swap masks and guard patterns, and count from then on
+    how often each is built."""
+    monkeypatch.setattr(sliced, "_kept_swaps", (0, ()))
+    monkeypatch.setattr(oracle, "_kept_guards", {})
+    builds = collections.Counter()
+    swap_masks, guards = sliced._swap_masks, oracle._guards
+
+    def counted_swap_masks(words):
+        kept = sliced._kept_swaps
+        masks = swap_masks(words)
+        builds["masks"] += sliced._kept_swaps is not kept
+        return masks
+
+    def counted_guards(width, fields):
+        kept = oracle._kept_guards.get(width)
+        guard = guards(width, fields)
+        builds["guards"] += oracle._kept_guards[width] is not kept
+        return guard
+
+    monkeypatch.setattr(sliced, "_swap_masks", counted_swap_masks)
+    monkeypatch.setattr(oracle, "_guards", counted_guards)
+    return builds
+
+
+def test_a_sweep_builds_masks_and_guards_only_for_a_new_largest_batch(monkeypatch):
+    # the six batches of k=3..6 need four sizes of each; a second sweep
+    # builds nothing
+    builds = count_builds(monkeypatch)
+    config = SweepConfig(k_min=3, k_max=6, jobs=1)
+    first = exhaustive_sweep(config)
+    assert 0 < builds["masks"] <= 4 and 0 < builds["guards"] <= 4
+    builds.clear()
+    again = exhaustive_sweep(config)
+    assert (builds["masks"], builds["guards"]) == (0, 0)
+    assert again.failures_total == first.failures_total == 0
+
+
+# a 16-lane batch's outputs and oracle verdicts, a clean run and one with
+# lane 5's p raised to R
+SMALL_BATCH = """
+from csmulmod import exhaustive_mismatches, precompute
+from csmulmod.sliced import run_moduli
+run = run_moduli([precompute(4, 3)])
+result = (
+    run.p,
+    run.q,
+    exhaustive_mismatches(run.p, run.q, [4]),
+    exhaustive_mismatches(run.p + (4 << 8 * 5), run.q, [4]),
+)
+"""
+
+
+@pytest.fixture(scope="module")
+def small_batch_in_a_fresh_process():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", SMALL_BATCH + "print(repr(result))"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.strip()
+
+
+def run_32k_lane_batch():
+    # the first k=6 batch: more than 16k lanes, 1-byte fields
+    (task,) = harness._batches(6, 6)[:1]
+    assert harness._run_batch_task(task).failures_total == 0
+
+
+def run_two_byte_batch():
+    run = run_moduli([precompute(128, 8)])
+    assert exhaustive_mismatches(run.p, run.q, [128]) == []
+
+
+# the small batch builds only a guard of 1-byte fields, when none is kept
+@pytest.mark.parametrize("before, guards", ((run_32k_lane_batch, 0), (run_two_byte_batch, 1)))
+def test_a_small_batch_after_a_large_one_is_as_in_a_fresh_process(
+    before, guards, monkeypatch, small_batch_in_a_fresh_process
+):
+    builds = count_builds(monkeypatch)
+    before()
+    assert sliced._kept_swaps[0] >= 2048 and (builds["masks"], builds["guards"]) == (1, 1)
+    namespace = {}
+    exec(SMALL_BATCH, namespace)
+    assert (builds["masks"], builds["guards"]) == (1, 1 + guards)
+    assert namespace["result"][2:] == ([], [5])
+    assert repr(namespace["result"]) == small_batch_in_a_fresh_process
+
+
+def test_guards_are_kept_per_field_width(monkeypatch):
+    # the 1-byte guard of three R=127 segments (48,387 lanes) has as many
+    # bits as the 2-byte batch after it needs, and must not serve it
+    count_builds(monkeypatch)
+    wide = run_moduli([precompute(127, 7)] * 3)
+    assert exhaustive_mismatches(wide.p, wide.q, [127] * 3) == []
+    run = run_moduli([precompute(128, 8)])
+    assert exhaustive_mismatches(run.p, run.q, [128]) == []
+    assert exhaustive_mismatches(run.p + (128 << 16 * 7), run.q, [128]) == [7]
 
 
 def test_two_byte_fields_of_k8():
