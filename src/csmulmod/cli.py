@@ -135,29 +135,32 @@ def _cmd_mulmod(args) -> int:
     return EXIT_OK
 
 
-# One format per record kind, its keys in the order json.dumps sorts them.
-# StepTrace's fields are in that order too, so a step record is formatted
-# as the tuple it is. The keys are written in capitals and the hex in lower
-# case, and one bytes.translate of the whole text through _SWAP turns both
-# round: CPython writes %x straight into the text but builds each %X as a
-# string of its own, which made %X most of the rendering time. The table
-# gives what bytes.swapcase gives, with one lookup per byte, where
+# One bytes format per record kind, its keys in the order json.dumps sorts
+# them. StepTrace's fields are in that order too, so a step record is
+# formatted as the tuple it is. The document is built as bytes and decoded
+# once: bytes % runs these formats faster than str %, and the case swap
+# below works on bytes anyway. The keys are written in capitals and the hex
+# in lower case, and one bytes.translate of the whole text through _SWAP
+# turns both round: %x is written straight into the text, while each %X is
+# built as an object of its own, which made %X most of the rendering time
+# (lower-case keys with bytes %X and no swap are slower than the swap). The
+# table gives what bytes.swapcase gives, with one lookup per byte, where
 # swapcase's branches on each byte mispredict on random hex. Every leaf is
 # an int or hex, so the text is byte for byte what json.dumps(doc,
 # sort_keys=True) gives for the same document.
-_HEAD = '{"P": "%x", "Q": "%x", "SHRINK_CYCLES": %d, "SQUEEZE_RULE": %d%s}'
-_TRACE = ', "TRACE": {"SHRINK": %s, "SQUEEZE": %s, "STEPS": [%s]}'
+_HEAD = b'{"P": "%x", "Q": "%x", "SHRINK_CYCLES": %d, "SQUEEZE_RULE": %d%s}'
+_TRACE = b', "TRACE": {"SHRINK": %s, "SQUEEZE": %s, "STEPS": [%s]}'
 _STEP = (
-    '{"A_I": %d, "C": "%x", "DISCARDED": "%x", "F": %d, "I": %d, "P_IN": "%x", '
-    '"P_OUT": "%x", "Q_IN": "%x", "Q_OUT": "%x", "RY": "%x", "S": "%x"}'
+    b'{"A_I": %d, "C": "%x", "DISCARDED": "%x", "F": %d, "I": %d, "P_IN": "%x", '
+    b'"P_OUT": "%x", "Q_IN": "%x", "Q_OUT": "%x", "RY": "%x", "S": "%x"}'
 )
 _SHRINK = (
-    '{"CYCLES": %d, "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], '
-    '"RULES_FIRED": %s, "SNAPSHOTS": [%s]}'
+    b'{"CYCLES": %d, "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], '
+    b'"RULES_FIRED": %a, "SNAPSHOTS": [%s]}'
 )
-_CYCLE = '{"OUT": ["%x", "%x"], "RULE": %d, "TOPUP": ["%x", "%x"]}'
+_CYCLE = b'{"OUT": ["%x", "%x"], "RULE": %d, "TOPUP": ["%x", "%x"]}'
 _SQUEEZE = (
-    '{"EDITED": ["%x", "%x"], "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], "RULE": %d}'
+    b'{"EDITED": ["%x", "%x"], "ENTRY": ["%x", "%x"], "EXIT": ["%x", "%x"], "RULE": %d}'
 )
 _SWAP = bytes(range(256)).swapcase()
 
@@ -166,23 +169,23 @@ def _mulmod_json(result: MulResult) -> str:
     """The ``mulmod --json`` document of a result, with its trace if it
     has one."""
     tr = result.traces
-    trace = ""
+    trace = b""
     if tr is not None:
         sh, sq = tr.shrink, tr.squeeze
         trace = _TRACE % (
             _SHRINK % (
                 sh.cycles, sh.entry_p, sh.entry_q, sh.exit_p, sh.exit_q,
-                # a list of ints prints as its JSON text
+                # %a of a list of ints is its JSON text
                 list(sh.rules_fired),
-                ", ".join([_CYCLE % (p, q, rule, tp, tq) for tp, tq, rule, p, q in sh.snapshots]),
+                b", ".join([_CYCLE % (p, q, rule, tp, tq) for tp, tq, rule, p, q in sh.snapshots]),
             ),
             _SQUEEZE % (
                 sq.edited_p, sq.edited_q, sq.entry_p, sq.entry_q, sq.exit_p, sq.exit_q, sq.rule,
             ),
-            ", ".join([_STEP % st for st in tr.steps]),
+            b", ".join([_STEP % st for st in tr.steps]),
         )
     text = _HEAD % (result.p, result.q, result.shrink_cycles, result.squeeze_rule, trace)
-    return text.encode().translate(_SWAP).decode()
+    return text.translate(_SWAP).decode()
 
 
 def _cmd_precompute(args) -> int:
@@ -219,7 +222,9 @@ def _emit_report(report: SweepReport, args) -> int:
             fh.write(payload)
         print(report.summary())
     elif args.json:
-        sys.stdout.buffer.write(payload)
+        # The report is ASCII, so text gives the same bytes on a real
+        # stdout and also reaches a text-only stream such as a StringIO.
+        sys.stdout.write(payload.decode("ascii"))
         print(report.summary(), file=sys.stderr)
     else:
         print(report.summary())

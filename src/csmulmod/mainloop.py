@@ -10,6 +10,7 @@ constant keeps the pair in the right residue class.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 from typing import NamedTuple
 
@@ -49,7 +50,9 @@ class StepTrace(NamedTuple):
     The fields are in sorted order, the order of the keys of
     ``json.dumps(..., sort_keys=True)``, so ``mulmod --json`` formats a
     record as the tuple it is. Read them by name: the position of a field
-    is not its step order.
+    is not its step order. ``run_loop`` builds a record with
+    ``tuple.__new__``, which does not check the field count, so its one
+    call lists every field in this order.
     """
 
     a_i: int
@@ -114,10 +117,12 @@ _F_TABLE = tuple(
 )
 
 
-# The traced loop builds each record from one tuple: the documented
-# namedtuple constructor checks the field count but skips the Python-level
-# __new__ frame that StepTrace(...) pays for its eleven arguments.
-_make_step = StepTrace._make
+# The traced loop builds each record from one tuple of its eleven fields
+# through tuple.__new__, called from C, so a step pays no Python frame:
+# StepTrace(...) runs a Python __new__ and StepTrace._make a Python
+# classmethod. What it gives up is _make's field-count check (the tests
+# hold every record to StepTrace's type and length).
+_make_step = functools.partial(tuple.__new__, StepTrace)
 
 
 def run_loop(
@@ -143,7 +148,9 @@ def run_loop(
     with ``B_shifted >> 1`` before one shift by two: the bit that right
     shift drops would meet bit 0 of the doubled p ^ q, which is always
     clear, so the carry is exact. A record of every step is built only
-    when ``trace`` is set.
+    when ``trace`` is set, through ``_make_step`` with a running step
+    index; its ``discarded`` adds ``B_shifted`` or nothing, as the bit
+    says, instead of multiplying by the bit.
     """
     check_int("A", A)
     if A < 0:
@@ -159,6 +166,7 @@ def run_loop(
     f_one = _F_TABLE[(B_shifted >> (n - 1)) & 1]
     b_half = B_shifted >> 1
     p = q = 0
+    i = k
     traces: list[StepTrace] | None = [] if trace else None
     # A < R < 2**k, so the string has exactly k digits, most significant
     # first. Both carry-save additions are written inline (the tests hold
@@ -195,13 +203,17 @@ def run_loop(
             p2 = (s ^ c) & mask
             q2 = ((s & c) << 1) & mask
         if traces is not None:
-            a_i = 1 if bit == "1" else 0
-            # In field order; i counts down, one record per step so far.
+            # In field order; i counts down from k - 1. A clear bit's
+            # partial product is zero.
+            i -= 1
+            if bit == "1":
+                a_i, ab = 1, B_shifted
+            else:
+                a_i = ab = 0
             traces.append(
                 _make_step((
-                    a_i, c & mask,
-                    2 * (p + q) + a_i * B_shifted + ry - (p2 + q2),
-                    f, k - 1 - len(traces), p, p2, q, q2, ry, s & mask,
+                    a_i, c & mask, 2 * (p + q) + ab + ry - (p2 + q2),
+                    f, i, p, p2, q, q2, ry, s & mask,
                 ))
             )
         p, q = p2, q2

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import re
@@ -167,7 +169,7 @@ class TestMulmodJson:
         # _mulmod_json formats each step as `_STEP % st`, so the format's
         # keys must be StepTrace's fields, in field order, and that order
         # must be the one json.dumps(sort_keys=True) writes.
-        keys = re.findall(r'"(\w+)":', cli._STEP)
+        keys = [k.decode() for k in re.findall(rb'"(\w+)":', cli._STEP)]
         assert keys == [f.upper() for f in StepTrace._fields]
         assert list(StepTrace._fields) == sorted(StepTrace._fields)
 
@@ -233,6 +235,31 @@ class TestSweepCommands:
         doc = json.loads(out)
         assert doc["header"]["seed"] == 3
         assert "instances=50" in err
+
+    @pytest.mark.parametrize(
+        "argv, sweep, config",
+        [
+            (["sweep", "--k-max", "3"], "exhaustive_sweep", {"k_max": 3}),
+            (["hunt", "--k-max", "3"], "hunt_shrink_cycles", {"k_max": 3}),
+            (
+                ["random", "--n", "12", "--count", "20", "--seed", "3"],
+                "random_sweep",
+                {"n": 12, "count": 20, "seed": 3},
+            ),
+        ],
+        ids=["sweep", "hunt", "random"],
+    )
+    def test_json_report_reaches_a_text_only_stdout(self, argv, sweep, config):
+        # redirect_stdout(StringIO()) gives a stdout with no .buffer, as an
+        # in-process caller that captures the output has
+        from csmulmod import harness
+
+        report = getattr(harness, sweep)(harness.SweepConfig(**config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--json"])
+        assert code == 0, err.getvalue()
+        assert out.getvalue() == report.to_json_bytes().decode()
 
     def test_hunt_summary(self, capsys):
         code, out, _ = run_cli(capsys, "hunt", "--k-min", "3", "--k-max", "4")

@@ -5,6 +5,7 @@ import pytest
 
 from csmulmod import (
     ContractViolation,
+    StepTrace,
     csa,
     lcu,
     mulmod,
@@ -107,10 +108,17 @@ class TestLoopRecords:
             R = rng.randrange(4, 1 << rng.randint(3, n))
             params = precompute(R, n)
             A = rng.randrange(R)
-            b = shift_left_operand(rng.randrange(R), params)
+            B = rng.randrange(R)
+            b = shift_left_operand(B, params)
             plain, none = run_loop(A, b, params)
             traced, traces = run_loop(A, b, params, trace=True)
             assert none is None and plain == traced
+            # records are built without _make's field-count check
+            assert all(
+                type(st) is StepTrace and len(st) == len(StepTrace._fields)
+                for st in traces
+            )
+            assert mulmod(A, B, R, n, trace=True).traces.steps == tuple(traces)
             assert [st.i for st in traces] == list(range(params.k - 1, -1, -1))
             assert (traces[0].p_in, traces[0].q_in) == (0, 0)
             for st, nxt in zip(traces, traces[1:]):
