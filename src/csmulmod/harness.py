@@ -47,24 +47,25 @@ __all__ = [
 
 INSTANCE_CAP = 3_000_000_000  # k <= 11 runs 2,861,214,706 instances
 # Exhaustive sweeps of fewer instances run in-process whatever ``jobs``
-# says. Measured on 2 vCPUs, serial against a 2-worker pool: k=3..6 (85,330
-# instances) 29 vs 42 ms, 462,042 instances 116 vs 138 ms; with batched
-# shards (medians of 24 alternating pairs) k=7 (605,536) 98 vs 81 ms and
-# k=3..7 (690,866) 106 vs 97 ms, the pool faster in 21 and 12 of 24.
-SERIAL_BELOW = 500_000
+# says. Measured on 2 vCPUs with 2**17-lane batches, in-process against a
+# 2-worker pool, medians of 24 alternating rounds: k=7 (605,536 instances,
+# 5 shards) 43.6 vs 68.2 ms, in-process faster in 20; k=3..7 (690,866)
+# 49.9 vs 54.3 ms, in 15. k=8 (2,446,944) gains from the pool: 466 vs
+# 310 ms, in-process faster in 0 of 8.
+SERIAL_BELOW = 1_000_000
 # An exhaustive shard runs consecutive moduli of one width through one
 # sliced-kernel call, one oracle call and one tally, up to this many lanes
-# (R * R per modulus) in all. Measured in-process on 2 vCPUs, the two
-# sizes taking turns in one process, two runs of 20 rounds: a k=3..6
-# sweep is faster at 2**15 lanes than at 2**16 (median 5.6 against 6.0 ms,
-# in 19 and 17 rounds), a k=7 sweep at 2**16 (27.6 against 32.1 ms, in 17
-# and 20 rounds), so no size is fastest at both widths. (One process per
-# sweep, the VM's slow phases hide this: 2**16 was faster in 13 of 20
-# rounds at both widths.) Traced peak memory of the k=3..6 sweep is
-# 705 KiB at 2**15 and 1,669 KiB at 2**16. It stays one size: from k=9 on
-# every modulus runs alone at either size, k=8 gains nothing from 2**16,
-# and no benchmark workload runs k=7.
-BATCH_LANES = 1 << 15
+# (R * R per modulus) in all. Most of a batch's cost is a fixed overhead
+# per bitwise operation, so every width through k=6 runs as one batch: a
+# k=3..6 sweep makes 4 batches, where 2**15 lanes made 6. Measured
+# in-process on 2 vCPUs, the sizes taking turns over 60 rounds: a k=3..6
+# sweep takes 9.44 ms at 2**15, 8.91 at 2**16 and 8.40 at 2**17 (2**17
+# faster than 2**15 in 56 rounds); a k=7 sweep 47.3 ms at 2**15 and 43.0
+# at 2**17 (15 of 16). k=8 and k=9 get no slower; every k=9 modulus runs
+# alone at either size (256**2 + 257**2 > 2**17). Traced peak memory of a
+# k=3..6 sweep is 465 KiB at 2**15 and 919 KiB at 2**17. One size serves
+# every width: 2**17 is the fastest of the three at k=3..6 and at k=7.
+BATCH_LANES = 1 << 17
 WITNESS_CAP = 100
 # Eight histogram keys, "0".."7", because the benchmark's pinned report
 # digests hold them; only buckets 0..NORMAL_CYCLE_CAP can be non-zero.

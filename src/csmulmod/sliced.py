@@ -340,17 +340,20 @@ def run_moduli(batch: Sequence[ModulusParams]) -> SlicedRun:
     def planes(values: list[int]) -> list[int]:
         return _constant_planes(values, segments, n + 1)
 
-    rx = [planes([p.rx[f] for p in batch]) for f in (1, 2, 3)]
-    rn = planes([p.rn for p in batch])
-    rm = planes([p.rm for p in batch])
-    bound = planes([p.modulus_shifted for p in batch])
-    r_bit = reduce(or_, (seg for p, seg in zip(batch, segments) if p.r_bit), 0)
-
+    # each stage's constant planes are built just before it and dropped
+    # once no later stage reads them, so fewer are held at once
+    rx = [planes([params.rx[f] for params in batch]) for f in (1, 2, 3)]
     p, q = _loop(*_operand_planes(batch, offsets), rx)
     flagged = _low_bits(p, q, shift)
+    rn = planes([params.rn for params in batch])
     shrunk, cycles, p, q = _shrink(p, q, rx[0], rn, ones)
+    del rx
     flagged |= shrunk | _low_bits(p, q, shift)
+    rm = planes([params.rm for params in batch])
+    r_bit = reduce(or_, (seg for params, seg in zip(batch, segments) if params.r_bit), 0)
     squeezed, rules, p, q = _squeeze(p, q, rn, rm, r_bit, ones)
+    del rn, rm
+    bound = planes([params.modulus_shifted for params in batch])
     flagged |= squeezed | (ones & ~(_below(p, bound, ones) & _below(q, bound, ones)))
     flagged |= _low_bits(p, q, shift)
 

@@ -58,9 +58,11 @@ class TestExhaustiveSweep:
 
     def test_batches_partition_each_width_within_the_lane_budget(self):
         budget = harness.BATCH_LANES
-        for k, n in ((3, 3), (6, 6), (7, 7), (7, 9), (8, 8), (9, 9)):
+        for k, n in ((3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (7, 9), (8, 8), (9, 9)):
             tasks = harness._batches(k, n)
             assert {width for width, _ in tasks} == {n}
+            # every width through k=6 is one sliced batch
+            assert len(tasks) == 1 or k > 6
             moduli = [list(batch) for _, batch in tasks]
             assert sum(moduli, []) == list(range(1 << (k - 1), 1 << k))
             lanes = [sum(R * R for R in batch) for batch in moduli]
@@ -117,8 +119,24 @@ class TestDeterminism:
             parallel = sweep(SweepConfig(k_min=3, k_max=4, jobs=2))
             assert serial.to_json_bytes() == parallel.to_json_bytes()
 
+    def test_lane_budget_does_not_change_the_report(self, monkeypatch):
+        # 2**15 lanes cut k=6 into three batches and k=7 into many more
+        # than 2**17 does; k=6 at n=8 is the shift path's cut width
+        reports = {}
+        for budget, k6_batches in ((1 << 15, 3), (1 << 17, 1)):
+            monkeypatch.setattr(harness, "BATCH_LANES", budget)
+            assert len(harness._batches(6, 8)) == k6_batches
+            reports[budget] = [
+                exhaustive_sweep(config).to_json_bytes()
+                for config in (SweepConfig(k_min=3, k_max=7), SweepConfig(k_min=3, k_max=6, n=8))
+            ]
+        assert reports[1 << 15] == reports[1 << 17]
+
     def test_pool_above_the_serial_cutoff_does_not_change_the_report(self, monkeypatch):
-        assert _instances(7, 7) >= harness.SERIAL_BELOW
+        # k=7 runs in-process at the real cutoff; with the cutoff lowered
+        # to its size, its shards go to two real 2-worker pools
+        assert _instances(7, 7) < harness.SERIAL_BELOW
+        monkeypatch.setattr(harness, "SERIAL_BELOW", _instances(7, 7))
         pools = []
         real_pool = multiprocessing.Pool
 
@@ -187,7 +205,7 @@ class TestDeterminism:
         assert shards == [40, 40]
 
     def test_sweep_below_the_serial_cutoff_starts_no_pool(self, monkeypatch):
-        assert _instances(3, 6) < harness.SERIAL_BELOW
+        assert _instances(3, 7) < harness.SERIAL_BELOW
         serial = [
             sweep(SweepConfig(k_min=3, k_max=6, jobs=1))
             for sweep in (exhaustive_sweep, hunt_shrink_cycles)

@@ -302,11 +302,12 @@ def test_failed_precompute_keeps_its_place_between_tampered_neighbours(reason):
 
 
 def naive_planes(values, planes):
-    """Plane j of per-lane ``values``, one lane at a time."""
-    return [
-        int("".join(str(v >> j & 1) for v in reversed(values)), 2)
-        for j in range(planes)
-    ]
+    """Plane j of per-lane ``values``: each lane's bits as a string, top
+    bit first, last lane first, and plane j the string of every lane's
+    bit j, read off the joined strings at a stride of ``planes``."""
+    spec = f"0{planes}b"
+    bits = "".join([format(v, spec) for v in reversed(values)])
+    return [int(bits[planes - 1 - j :: planes], 2) for j in range(planes)]
 
 
 # lanes around a 64-bit word (eight lanes of eight planes) and one full
@@ -390,7 +391,7 @@ def count_builds(monkeypatch):
 
 
 def test_a_sweep_builds_masks_and_guards_only_for_a_new_largest_batch(monkeypatch):
-    # the six batches of k=3..6 need four sizes of each; a second sweep
+    # the four batches of k=3..6 need four sizes of each; a second sweep
     # builds nothing
     builds = count_builds(monkeypatch)
     config = SweepConfig(k_min=3, k_max=6, jobs=1)
@@ -430,9 +431,9 @@ def small_batch_in_a_fresh_process():
     ).stdout.strip()
 
 
-def run_32k_lane_batch():
-    # the first k=6 batch: more than 16k lanes, 1-byte fields
-    (task,) = harness._batches(6, 6)[:1]
+def run_k6_batch():
+    # k=6 in one batch: 74,928 lanes, 1-byte fields
+    (task,) = harness._batches(6, 6)
     assert harness._run_batch_task(task).failures_total == 0
 
 
@@ -442,7 +443,7 @@ def run_two_byte_batch():
 
 
 # the small batch builds only a guard of 1-byte fields, when none is kept
-@pytest.mark.parametrize("before, guards", ((run_32k_lane_batch, 0), (run_two_byte_batch, 1)))
+@pytest.mark.parametrize("before, guards", ((run_k6_batch, 0), (run_two_byte_batch, 1)))
 def test_a_small_batch_after_a_large_one_is_as_in_a_fresh_process(
     before, guards, monkeypatch, small_batch_in_a_fresh_process
 ):
@@ -486,8 +487,8 @@ def test_two_byte_fields_of_k8():
 
 
 def test_k8_report_bytes():
-    # every k=8 modulus runs alone in 2-byte fields, whose second byte is
-    # a transpose group of one plane; the golden digests stop at k=6
+    # k=8 runs 1 to 7 moduli per batch in 2-byte fields, whose second byte
+    # is a transpose group of one plane; the golden digests stop at k=6
     report = exhaustive_sweep(SweepConfig(k_min=8, k_max=8, jobs=1))
     digest = hashlib.sha256(report.to_json_bytes()).hexdigest()
     assert digest == "662b2d0c1bed888a89c6615ed36b4c2f7785b059e25cc17f34e51ba87ff16fa8"
@@ -505,7 +506,8 @@ def test_k9_report_bytes():
 
 
 def test_k7_report_bytes():
-    # k=7 is the widest width whose batches hold several moduli (2 to 8)
+    # k=7 is the narrowest width cut into several batches (5, of 7 to 23
+    # moduli each)
     config = SweepConfig(k_min=7, k_max=7, jobs=1)
     digests = [
         hashlib.sha256(sweep(config).to_json_bytes()).hexdigest()
