@@ -196,7 +196,7 @@ def _cmd_precompute(args) -> int:
         "k": params.k,
         "shift": params.shift,
         "mod": f"{params.modulus:X}",
-        "mod_shifted": f"{params.modulus_shifted:X}",
+        "mod_shifted": f"{params.modulus << params.shift:X}",
         "r_n": f"{params.rn:X}",
         "r_m": f"{params.rm:X}",
         "r_1": f"{params.rx[1]:X}",

@@ -36,14 +36,13 @@ class ModulusParams(NamedTuple):
         k: bit length of the modulus, so 2**(k-1) <= modulus < 2**k.
         shift: n - k, the normalization scale exponent.
         modulus: the original reduction modulus R.
-        modulus_shifted: R * 2**shift; top bit at position n-1.
         mask: 2**(n+1) - 1, the mask of the (n+1)-bit registers.
         rn: (2**k mod R) * 2**shift, the one-span reduction constant.
         rm: ((3 * 2**k / 4) mod R) * 2**shift, the three-quarter-span constant.
         rx: four constants ((2**k * 2f) mod R) * 2**shift for f = 0..3,
             indexed by the loop's predicted overflow count.
         r_bit: the bit just below the modulus top bit (bit k-2 of R, equal
-            to bit n-2 of modulus_shifted); selects between the two final
+            to bit n-2 of R * 2**shift); selects between the two final
             reduction rule families.
     """
 
@@ -51,7 +50,6 @@ class ModulusParams(NamedTuple):
     k: int
     shift: int
     modulus: int
-    modulus_shifted: int
     mask: int
     rn: int
     rm: int
@@ -120,7 +118,6 @@ def precompute(R: int, n: int) -> ModulusParams:
         k=k,
         shift=shift,
         modulus=R,
-        modulus_shifted=R << shift,
         mask=(2 << n) - 1,
         rn=rn,
         rm=rm,

@@ -20,6 +20,7 @@ __all__ = [
     "field_bytes",
     "fold_pair",
     "ref_mulmod",
+    "repeated",
     "replay_step_wide",
 ]
 
@@ -43,6 +44,25 @@ def field_bytes(bits: int) -> int:
     """Bytes per field of a packed int whose fields hold ``bits``-bit
     values: the bits rounded up to whole bytes."""
     return -(-bits // 8)
+
+
+# The longest pattern built so far of each unit, as (count, pattern): a
+# sweep builds a unit's pattern only when a batch needs more repeats than
+# any before it. Keyed on the count, since a unit's top byte may be 0.
+_kept: dict[bytes, tuple[int, int]] = {}
+
+
+def repeated(unit: bytes, count: int) -> int:
+    """``unit`` repeated at least ``count`` times, least significant byte
+    first: the count rounded up to a power of two, so that a sweep's
+    growing batches build few patterns. An AND with a value of ``count``
+    units cuts it to those, at the cost of that value's size."""
+    kept, pattern = _kept.get(unit, (0, 0))
+    if count > kept:
+        kept = 1 << (count - 1).bit_length()
+        pattern = int.from_bytes(unit * kept, "little")
+        _kept[unit] = kept, pattern
+    return pattern
 
 
 def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
@@ -88,23 +108,6 @@ def exhaustive_mismatches(P: int, Q: int, moduli: Sequence[int]) -> list[int]:
     return bad
 
 
-# The guard pattern of the largest batch so far, one per field width in
-# bytes: a batch cuts it to its own fields, so a sweep builds it only when
-# a batch has more fields than any before it of that width.
-_kept_guards: dict[int, int] = {}
-
-
-def _guards(width: int, fields: int) -> int:
-    """The top bit of each of at least ``fields`` fields of ``width``
-    bytes, from the least significant field up."""
-    guard = _kept_guards.get(width, 0)
-    if guard.bit_length() < 8 * width * fields:
-        guard = _kept_guards[width] = int.from_bytes(
-            (bytes(width - 1) + b"\x80") * fields, "little"
-        )
-    return guard
-
-
 def _fields_agree(P: int, Q: int, moduli: Sequence[int], width: int) -> bool:
     """Whether every lane's pair is below its R and folds to
     ``(A * B) mod R``: the pairs folded on the packed ints against the
@@ -133,10 +136,7 @@ def _folded(P: int, Q: int, moduli: Sequence[int], width: int) -> bytes | None:
     RR = int.from_bytes(
         b"".join(R.to_bytes(width, "little") * (R * R) for R in moduli), "little"
     )
-    # The kept pattern spans at least the next power of two of fields, so
-    # that a sweep's growing batches build few of them; cut to the batch's
-    # own fields by an AND, which costs only the batch's size.
-    guard = _guards(width, 1 << lanes.bit_length()) & ((1 << F * lanes) - 1)
+    guard = repeated(bytes(width - 1) + b"\x80", lanes) & ((1 << F * lanes) - 1)
     lift = guard - RR
     # A field with its guard bit set fails here on its own, so a lifted
     # entry's carry into the next field cannot hide it.

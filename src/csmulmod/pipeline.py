@@ -70,8 +70,9 @@ def mulmod(
     ``params`` lets sweeps reuse one precomputed constant set across many
     (A, B) pairs of the same modulus. Each input is checked once, by the
     stage it enters; the seams between stages are checked on every call
-    (cleared low bits after each stage, squeeze outputs below the shifted
-    modulus), and shrink raises if it needs more than its 4 cycles.
+    (cleared low bits after each stage, then both unshifted outputs below
+    R), and shrink raises if it needs more than its 4 cycles. So a result
+    is always a pair below R.
     """
     if params is None:
         params = precompute(R, n)
@@ -92,13 +93,12 @@ def mulmod(
     check_low_bits(acc.p, acc.q, params, "shrink")
 
     acc, squeeze_report = qcu_apply(squeeze_topup(acc), params)
-    if acc.p >= params.modulus_shifted or acc.q >= params.modulus_shifted:
+    p_out, q_out = shift_right_result(acc.p, acc.q, params)
+    if p_out >= R or q_out >= R:
         raise InvariantViolation(
-            "squeeze exit above the shifted modulus "
-            f"(p={acc.p:#x}, q={acc.q:#x})"
+            f"squeeze exit not below the modulus (p={p_out:#x}, q={q_out:#x}, R={R:#x})"
         )
 
-    p_out, q_out = shift_right_result(acc.p, acc.q, params)
     traces = (
         RunTrace(
             params=params,
@@ -128,10 +128,8 @@ def mulmod_checked(
 ) -> tuple[MulResult, bool]:
     """Run mulmod and compare the outcome against the reference arithmetic.
 
-    ``ok`` is True exactly when both outputs are below the modulus and
-    their sum lands in the residue class of A * B.
+    ``mulmod`` raises unless both outputs are below R, so ``ok`` is True
+    exactly when their sum lands in the residue class of A * B.
     """
     result = mulmod(A, B, R, n, params=params)
-    in_range = result.p < R and result.q < R
-    ok = in_range and fold_pair(result.p, result.q, R) == ref_mulmod(A, B, R)
-    return result, ok
+    return result, fold_pair(result.p, result.q, R) == ref_mulmod(A, B, R)

@@ -18,11 +18,14 @@ bit. Selecting a constant is then a masking of planes, never a branch on
 a modulus.
 
 Where a rule applies to some lanes only, it is a mask of lanes. Every
-seam check of ``pipeline.mulmod`` is one too, and all of them feed one
-mask of flagged lanes: a lane that breaks any check is flagged, not
-raised on, and the caller re-runs it through the scalar kernel to learn
-the reason. Nothing here computes an expected residue: the caller checks
-the outputs, packed by ``unslice``, against the oracle. Nothing here
+seam check of ``pipeline.mulmod`` but the last is one too, and all of
+them feed one mask of flagged lanes: a lane that breaks any check is
+flagged, not raised on, and the caller re-runs it through the scalar
+kernel to learn the reason. Nothing here compares an output with R or
+computes an expected residue: the caller checks the outputs, packed by
+``unslice``, against the oracle, which rejects an entry not below R. So
+a lane that breaks only ``mulmod``'s exit check is among its rejects:
+its exit, with clear low bits, unslices to such an entry. Nothing here
 splits a batch either: its masks and outputs cover every segment, and
 the caller maps a lane to its modulus by the segment offsets.
 """
@@ -37,22 +40,27 @@ from typing import NamedTuple, Sequence
 from .bitcore import top_up
 from .mainloop import predict
 from .modparams import ModulusParams
-from .oracle import field_bytes
+from .oracle import field_bytes, repeated
 from .shrink import NORMAL_CYCLE_CAP, shrink_rules
 from .squeeze import squeeze_rules
 
 __all__ = ["SlicedRun", "run_moduli", "unslice"]
 
 # The delta swaps of an 8x8 bit-matrix transpose of a 64-bit word, as
-# (shift, mask) pairs (Hacker's Delight, 7-3).
-_DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+# (shift, mask) pairs, each mask as its word's 8 bytes (Hacker's Delight,
+# 7-3).
+_DELTA_SWAPS = tuple(
+    (shift, mask.to_bytes(8, "little"))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
 class SlicedRun(NamedTuple):
     """What a batch's lanes did, as lane masks and per-lane outputs.
 
-    ``flagged`` holds the lanes that broke any seam or rule check of
-    ``pipeline.mulmod``, those on which ``mulmod_checked`` raises.
+    ``flagged`` holds the lanes that broke a seam or rule check of
+    ``pipeline.mulmod`` before its exit check; ``mulmod_checked`` raises
+    on each. It raises on no other lane whose outputs the oracle accepts.
     ``cycles[c]`` holds the lanes whose shrink fired c rules, and
     ``rules[r - 1]`` those whose squeeze fired rule r; on a flagged lane
     they mean nothing. ``p`` and ``q`` are the outputs in the unshifted
@@ -165,41 +173,12 @@ def _mux(choices: tuple[tuple[int, list[int]], ...], width: int) -> list[int]:
     return planes
 
 
-def _below(planes: list[int], bound: list[int], ones: int) -> int:
-    """Lanes whose register is below their ``bound`` (given as planes): a
-    bit-serial comparator scanning from the top bit down."""
-    below, equal = 0, ones
-    for j in range(len(planes) - 1, -1, -1):
-        x, b = planes[j], bound[j]
-        below |= equal & b & ~x
-        equal &= ~(x ^ b)
-    return below
-
-
 def _low_bits(p: list[int], q: list[int], shift: int) -> int:
     """Lanes with a set bit below position ``shift`` in either register."""
     low = 0
     for j in range(shift):
         low |= p[j] | q[j]
     return low
-
-
-# The masks of the largest batch so far, as (words, masks): a smaller
-# batch masks with them as they are, so a sweep builds them only when a
-# batch needs more words than any before it.
-_kept_swaps: tuple[int, tuple[tuple[int, int], ...]] = (0, ())
-
-
-def _swap_masks(words: int) -> tuple[tuple[int, int], ...]:
-    """``_DELTA_SWAPS`` with each mask repeated across at least ``words``
-    words."""
-    global _kept_swaps
-    if words > _kept_swaps[0]:
-        _kept_swaps = words, tuple(
-            (shift, int.from_bytes(mask.to_bytes(8, "little") * words, "little"))
-            for shift, mask in _DELTA_SWAPS
-        )
-    return _kept_swaps[1]
 
 
 def _transpose8(x: int, words: int) -> int:
@@ -209,13 +188,12 @@ def _transpose8(x: int, words: int) -> int:
     inverse.
 
     Every word is swapped at once: a mask repeated once per word keeps
-    each swap's shifted bits inside their word. The masks span at least
-    the next power of two of words, so that a sweep's growing batches
-    build few of them; ``x`` is not negative, so masking it cuts them to
-    its own words at the cost of its own size.
+    each swap's shifted bits inside their word. ``oracle.repeated`` may
+    repeat it past ``words``; ``x`` is not negative, so masking it cuts
+    the mask to its own words at the cost of its own size.
     """
-    for shift, mask in _swap_masks(1 << (words - 1).bit_length()):
-        t = (x ^ (x >> shift)) & mask
+    for shift, unit in _DELTA_SWAPS:
+        t = (x ^ (x >> shift)) & repeated(unit, words)
         x ^= t ^ (t << shift)
     return x
 
@@ -273,7 +251,9 @@ def _shrink(
     ``shrink_rules`` on the lanes not yet in the exit shape; ``cycles[c]``
     holds the lanes that fired c rules. ``flagged`` holds the lanes whose
     adder dropped a bit outside rule 1, and those still firing in cycle
-    ``NORMAL_CYCLE_CAP + 1``, on which ``shrink.run_shrink`` raises.
+    ``NORMAL_CYCLE_CAP + 1``, on which ``shrink.run_shrink`` raises; a
+    lane that fires no rule has the exit shape, so these are the only
+    lanes left without it.
 
     The rules read the bits a top-up of the two top positions would give,
     (p|q, p&q), and no top-up is written: the adder's sum and majority are
@@ -304,20 +284,20 @@ def _shrink(
 
 def _squeeze(
     p: list[int], q: list[int], rn: list[int], rm: list[int], r_bit: int, ones: int
-) -> tuple[int, tuple[int, ...], list[int], list[int]]:
-    """Squeeze: ``(flagged, rules, p, q)``, where ``flagged`` holds the
-    lanes that enter without shrink's exit shape. A top-up below the top
-    bit, one of the six rules of ``squeeze_rules`` (``rules[r - 1]`` holds
-    rule r's lanes; the ``r_bit`` plane picks rules 5/6 on its lanes and
-    3/4 on the others), and one carry-save addition on rules 2 and 3."""
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Squeeze: ``(rules, p, q)``. A top-up below the top bit, one of the
+    six rules of ``squeeze_rules`` (``rules[r - 1]`` holds rule r's lanes;
+    the ``r_bit`` plane picks rules 5/6 on its lanes and 3/4 on the
+    others), and one carry-save addition on rules 2 and 3. It checks no
+    entry shape: a lane leaves ``_shrink`` without the exit shape only if
+    it still fired in the last cycle, and ``_shrink`` flags those."""
     p, q = p[:], q[:]
-    flagged = p[-1] | q[-1] | (p[-2] & q[-2])
     for j in (-3, -2):
         p[j], q[j] = top_up(p[j], q[j], -1)
     rules, (p[-2], p[-3], q[-3]) = squeeze_rules(p[-2], p[-3], q[-3], r_bit, ones)
     added = rules[1] | rules[2]
     s, c, _ = _csa(p, q, _mux(((rules[1], rn), (rules[2], rm)), len(p)))
-    return flagged, rules, _select(added, s, p), _select(added, c, q)
+    return rules, _select(added, s, p), _select(added, c, q)
 
 
 def run_moduli(batch: Sequence[ModulusParams]) -> SlicedRun:
@@ -327,7 +307,8 @@ def run_moduli(batch: Sequence[ModulusParams]) -> SlicedRun:
     The moduli must share one width (k, n). Each owns the segment of
     lanes that starts after the R * R lanes of those before it. The stages
     are those of ``pipeline.mulmod``; each of its seam and rule checks
-    adds the lanes that break it to ``flagged``.
+    but the exit range (left to the oracle) adds the lanes that break it
+    to ``flagged``.
     """
     n, k, shift = batch[0].n, batch[0].k, batch[0].shift
     if any((params.n, params.k) != (n, k) for params in batch):
@@ -351,10 +332,8 @@ def run_moduli(batch: Sequence[ModulusParams]) -> SlicedRun:
     flagged |= shrunk | _low_bits(p, q, shift)
     rm = planes([params.rm for params in batch])
     r_bit = reduce(or_, (seg for params, seg in zip(batch, segments) if params.r_bit), 0)
-    squeezed, rules, p, q = _squeeze(p, q, rn, rm, r_bit, ones)
+    rules, p, q = _squeeze(p, q, rn, rm, r_bit, ones)
     del rn, rm
-    bound = planes([params.modulus_shifted for params in batch])
-    flagged |= squeezed | (ones & ~(_below(p, bound, ones) & _below(q, bound, ones)))
     flagged |= _low_bits(p, q, shift)
 
     return SlicedRun(

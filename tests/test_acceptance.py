@@ -57,7 +57,7 @@ def _verify_instance_deep(A, B, R, n, params, agg):
     """Full-strength checks on every stage of one instance."""
     result = mulmod(A, B, R, n, trace=True, params=params)
     tr = result.traces
-    rs = params.modulus_shifted
+    rs = params.modulus << params.shift
     span2 = 1 << (n + 1)
     b = B << params.shift
     bad = agg["violations"]

@@ -198,6 +198,8 @@ class TestPrecomputeCommand:
         doc = json.loads(out)
         assert doc["shift"] == 2
         assert int(doc["r_1"], 16) == 24
+        # R * 2**shift, printed though the constant set no longer holds it
+        assert '"mod_shifted": "34"' in out
 
 
 class TestSweepCommands:

@@ -136,7 +136,7 @@ class TestLoopRecords:
             params = precompute(R, n)
             m = n + 1
             span2 = 1 << m
-            rs = params.modulus_shifted
+            rs = params.modulus << params.shift
             mask_low = (1 << params.shift) - 1
             b = shift_left_operand(rng.randrange(R), params)
             _, traces = run_loop(rng.randrange(R), b, params, trace=True)
@@ -185,8 +185,8 @@ class TestLoopDifferential:
         records = loop_records(traces)
         assert records == reference_loop(A, b, params), (A, B, R, n)
         assert pair == records[-1][-2:]
-        assert (plain.p + plain.q) % params.modulus_shifted == (
-            A * b % params.modulus_shifted
+        assert (plain.p + plain.q) % (params.modulus << params.shift) == (
+            A * b % (params.modulus << params.shift)
         )
         return {(st.a_i, st.ry != 0) for st in traces}
 
@@ -267,7 +267,7 @@ class TestRunLoop:
         params = precompute(173, 8)
         b = shift_left_operand(121, params)
         acc, _ = run_loop(1, b, params)
-        assert (acc.p + acc.q) % params.modulus_shifted == b
+        assert (acc.p + acc.q) % (params.modulus << params.shift) == b
 
     def test_known_instance_residue_at_exit(self):
         params = precompute(173, 8)

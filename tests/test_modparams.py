@@ -18,7 +18,7 @@ class TestPrecompute:
         assert p.rm == 192 % 173 == 19
         assert p.rx == (0, 512 % 173, 1024 % 173, 1536 % 173) == (0, 166, 159, 152)
         assert p.r_bit == 173 // 64 - 2 == 0
-        assert p.modulus_shifted == 173
+        assert p.r_bit == (p.modulus << p.shift) >> (p.n - 2) & 1
         assert p.mask == 0b111111111
 
     def test_power_of_two_modulus(self):
@@ -33,8 +33,8 @@ class TestPrecompute:
         assert p.rx[1] == (32 % 13) * 4 == 24
         assert p.rn == (16 % 13) * 4
         assert p.rm == (12 % 13) * 4
-        assert p.modulus_shifted == 52
         assert p.r_bit == 1  # 13 = 1101b, bit below the top bit
+        assert p.r_bit == (p.modulus << p.shift) >> (p.n - 2) & 1
 
     def test_constant_set_is_immutable(self):
         # sweeps share one constant set across every instance of a modulus

@@ -122,6 +122,25 @@ class TestMulmodChecked:
         _, ok = mulmod_checked(63, 121, 173, 8, params=bad_rn)
         assert not ok
 
+    def test_an_exit_not_below_the_modulus_raises(self):
+        # rule 3 adding R * 2**shift too much lifts some exits to R or past
+        # it, with clear low bits; mulmod raises on those, so mulmod_checked
+        # returns no pair that is not below R
+        for n, R in ((4, 11), (7, 11)):
+            params = precompute(R, n)
+            bad = params._replace(rm=(params.rm + (R << params.shift)) & (params.mask >> 1))
+            raised = 0
+            for A in range(R):
+                for B in range(R):
+                    try:
+                        result, _ = mulmod_checked(A, B, R, n, params=bad)
+                    except InvariantViolation as exc:
+                        assert str(exc).startswith("squeeze exit not below the modulus")
+                        raised += 1
+                    else:
+                        assert result.p < R and result.q < R
+            assert raised, n
+
     def test_shift_path_instance(self):
         params = precompute(13, 8)
         low = (1 << params.shift) - 1

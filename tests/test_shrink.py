@@ -152,7 +152,7 @@ class TestRunShrink:
         # modulus: the bound, exit shape, and residue hold universally
         for R in range(8, 16):
             params = precompute(R, 4)
-            rs = params.modulus_shifted
+            rs = params.modulus << params.shift
             for p in range(32):
                 for q in range(32):
                     out, report = run_shrink(acc5(p, q), params)
@@ -186,7 +186,7 @@ class TestRunShrink:
     def test_exhaustive_contracts_shifted(self):
         # shift path: states with the low gap bits clear stay clear
         params = precompute(13, 6)
-        rs = params.modulus_shifted
+        rs = params.modulus << params.shift
         low = (1 << params.shift) - 1
         for p in range(0, 128, 4):
             for q in range(0, 128, 4):
@@ -200,7 +200,7 @@ class TestRunShrink:
     def test_power_of_two_modulus_zero_constants(self):
         # rn = rx[1] = 0 still reduces correctly through the rule adds
         params = precompute(8, 4)
-        rs = params.modulus_shifted
+        rs = params.modulus << params.shift
         for p in range(32):
             for q in range(32):
                 out, report = run_shrink(acc5(p, q), params)

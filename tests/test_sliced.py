@@ -9,9 +9,6 @@ import hashlib
 import itertools
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -160,9 +157,6 @@ TAMPERS = {
     "InvariantViolation: nonzero low bits after main loop": lambda p: p._replace(
         rx=(0, p.rx[1], p.rx[2] ^ 1, p.rx[3])
     ),
-    "InvariantViolation: squeeze exit above the shifted modulus": lambda p: p._replace(
-        modulus_shifted=p.modulus_shifted - 3
-    ),
     "InvariantViolation: shrink needed more than": lambda p: p._replace(
         rn=p.mask >> 1
     ),
@@ -176,10 +170,10 @@ TAMPERS = {
     "InvariantViolation: nonzero low bits after shrink": lambda p: p._replace(
         rn=p.rn ^ ((1 << p.shift) >> 1)
     ),
-    # raises the bound past every output and lets rule 3 add R*2**shift too
-    # much, so that outputs reach R without an invariant breach
-    "output not below modulus": lambda p: p._replace(
-        modulus_shifted=p.mask, rm=(p.rm + p.modulus_shifted) & (p.mask >> 1)
+    # lets rule 3 add R*2**shift too much, so that exits with clear low
+    # bits reach R
+    "InvariantViolation: squeeze exit not below the modulus": lambda p: p._replace(
+        rm=(p.rm + (p.modulus << p.shift)) & (p.mask >> 1)
     ),
 }
 # k=3..4 at n=k, and at n=7 for the shift path
@@ -188,31 +182,41 @@ TAMPERED = [(k, R) for k in (3, 4) for R in range(1 << (k - 1), 1 << k)] + [
 ]
 
 
-def scalar_raises(n, R, params):
-    """Per lane, the message ``mulmod_checked`` raises with, or None."""
+def scalar_outcomes(n, R, params):
+    """Per lane, (the message ``mulmod_checked`` raises with or None, the
+    ``ok`` it returns or False)."""
     out = []
     for A in range(R):
         for B in range(R):
             try:
-                mulmod_checked(A, B, R, n, params=params)
+                _, ok = mulmod_checked(A, B, R, n, params=params)
             except InvariantViolation as exc:
-                out.append(str(exc))
+                out.append((str(exc), False))
             else:
-                out.append(None)
+                out.append((None, ok))
     return out
+
+
+def scalar_raises(n, R, params):
+    """Per lane, the message ``mulmod_checked`` raises with, or None."""
+    return [message for message, _ in scalar_outcomes(n, R, params)]
 
 
 @pytest.mark.parametrize("reason", TAMPERS)
 def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason):
     for n, R in TAMPERED:
         params = TAMPERS[reason](precompute(R, n))
-        # a lane is flagged exactly when the scalar kernel raises on it
-        flagged = lane_values([run_moduli([params]).flagged], R * R)
-        raised = scalar_raises(n, R, params)
+        run = run_moduli([params])
+        rejected = set(exhaustive_mismatches(run.p, run.q, [R]))
+        # a lane is flagged or rejected by the oracle exactly when the
+        # scalar kernel raises on it or returns ok=False, and a flagged
+        # lane is one it raises on
         mismatched = [
             (n, R, lane, message)
-            for lane, (bit, message) in enumerate(zip(flagged, raised))
-            if bool(bit) != (message is not None)
+            for lane, (bit, (message, ok)) in enumerate(
+                zip(lane_values([run.flagged], R * R), scalar_outcomes(n, R, params))
+            )
+            if (bit or lane in rejected) == ok or (bit and message is None)
         ]
         assert mismatched == []
     # witnesses, failures and their caps run on across moduli as in a shard
@@ -226,20 +230,21 @@ def test_failures_are_recorded_as_the_scalar_kernel_records_them(reason):
 @pytest.mark.parametrize("reason", TAMPERS)
 def test_only_instances_that_raise_nothing_fill_a_bucket(reason):
     # an instance fills one cycle bucket and one rule count unless the
-    # kernel raises on it (a flagged lane), so a fifth cycle never reaches
-    # a bucket past the cap
-    flagged = sum(
-        run_moduli([TAMPERS[reason](precompute(R, n))]).flagged.bit_count()
+    # kernel raises on it, so a fifth cycle never reaches a bucket past
+    # the cap
+    raised = sum(
+        message is not None
         for n, R in TAMPERED
+        for message in scalar_raises(n, R, TAMPERS[reason](precompute(R, n)))
     )
     report, _ = tallies(TAMPERED, TAMPERS[reason])
     assert report.instances == sum(R * R for _, R in TAMPERED)
-    filled = report.instances - flagged
+    filled = report.instances - raised
     assert sum(report.cycle_histogram.values()) == sum(report.rule_usage.values()) == filled
     assert [report.cycle_histogram[c] for c in range(NORMAL_CYCLE_CAP + 1, HIST_BUCKETS)] == [
         0
     ] * (HIST_BUCKETS - NORMAL_CYCLE_CAP - 1)
-    assert flagged <= report.failures_total
+    assert raised <= report.failures_total
 
 def test_batch_equals_its_moduli_run_alone():
     for n, moduli in by_width(FULL_WIDTH + SHIFT_PATH):
@@ -365,70 +370,71 @@ def test_operand_planes_hold_each_lanes_operands(k):
             assert unslice(b[n - k :], lanes) == B, (n, moduli)
 
 
-def count_builds(monkeypatch):
-    """Empty the kept swap masks and guard patterns, and count from then on
-    how often each is built."""
-    monkeypatch.setattr(sliced, "_kept_swaps", (0, ()))
-    monkeypatch.setattr(oracle, "_kept_guards", {})
-    builds = collections.Counter()
-    swap_masks, guards = sliced._swap_masks, oracle._guards
+class CountedBuilds(dict):
+    """``oracle._kept`` counting how often each unit's pattern is built."""
 
-    def counted_swap_masks(words):
-        kept = sliced._kept_swaps
-        masks = swap_masks(words)
-        builds["masks"] += sliced._kept_swaps is not kept
-        return masks
+    def __init__(self):
+        super().__init__()
+        self.builds = collections.Counter()
 
-    def counted_guards(width, fields):
-        kept = oracle._kept_guards.get(width)
-        guard = guards(width, fields)
-        builds["guards"] += oracle._kept_guards[width] is not kept
-        return guard
-
-    monkeypatch.setattr(sliced, "_swap_masks", counted_swap_masks)
-    monkeypatch.setattr(oracle, "_guards", counted_guards)
-    return builds
+    def __setitem__(self, unit, kept):
+        self.builds[unit] += 1
+        super().__setitem__(unit, kept)
 
 
-def test_a_sweep_builds_masks_and_guards_only_for_a_new_largest_batch(monkeypatch):
+@pytest.fixture
+def kept(monkeypatch):
+    """An empty ``oracle._kept`` that counts its builds."""
+    kept = CountedBuilds()
+    monkeypatch.setattr(oracle, "_kept", kept)
+    return kept
+
+
+# the transpose's swap masks, whose top byte is 0, and the guards of
+# 1-byte and 2-byte fields
+UNITS = [unit for _, unit in sliced._DELTA_SWAPS] + [b"\x80", b"\x00\x80"]
+
+
+def test_repeated_builds_only_for_a_new_largest_count(kept):
+    # the count is rounded up to a power of two, and a kept pattern serves
+    # every count up to its own
+    unit = UNITS[0]
+    first = oracle.repeated(unit, 5)
+    assert first == int.from_bytes(unit * 8, "little")
+    assert all(oracle.repeated(unit, count) is first for count in (1, 5, 8))
+    assert oracle.repeated(unit, 9) == int.from_bytes(unit * 16, "little")
+    assert kept.builds == {unit: 2}
+
+
+def test_a_sweep_builds_patterns_only_for_a_new_largest_batch(kept):
     # the four batches of k=3..6 need four sizes of each; a second sweep
     # builds nothing
-    builds = count_builds(monkeypatch)
     config = SweepConfig(k_min=3, k_max=6, jobs=1)
     first = exhaustive_sweep(config)
-    assert 0 < builds["masks"] <= 4 and 0 < builds["guards"] <= 4
-    builds.clear()
+    assert set(kept.builds) == set(UNITS[:4])
+    assert all(0 < builds <= 4 for builds in kept.builds.values())
+    kept.builds.clear()
     again = exhaustive_sweep(config)
-    assert (builds["masks"], builds["guards"]) == (0, 0)
+    assert kept.builds == {}
     assert again.failures_total == first.failures_total == 0
 
 
-# a 16-lane batch's outputs and oracle verdicts, a clean run and one with
-# lane 5's p raised to R
-SMALL_BATCH = """
-from csmulmod import exhaustive_mismatches, precompute
-from csmulmod.sliced import run_moduli
-run = run_moduli([precompute(4, 3)])
-result = (
-    run.p,
-    run.q,
-    exhaustive_mismatches(run.p, run.q, [4]),
-    exhaustive_mismatches(run.p + (4 << 8 * 5), run.q, [4]),
-)
-"""
+@pytest.mark.parametrize("unit", UNITS)
+def test_a_pattern_cut_to_its_count_is_the_unit_repeated(unit, kept):
+    # after long patterns of every other unit (a 1-byte guard with as many
+    # bits as a 2-byte one needs among them), and then of its own
+    def cut(count):
+        return oracle.repeated(unit, count) & ((1 << 8 * len(unit) * count) - 1)
 
-
-@pytest.fixture(scope="module")
-def small_batch_in_a_fresh_process():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-c", SMALL_BATCH + "print(repr(result))"],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    ).stdout.strip()
+    for other in UNITS:
+        if other != unit:
+            oracle.repeated(other, 1 << 12)
+    for long in (False, True):
+        if long:
+            oracle.repeated(unit, 1 << 12)
+        assert [cut(count) for count in (1, 3, 9)] == [
+            int.from_bytes(unit * count, "little") for count in (1, 3, 9)
+        ]
 
 
 def run_k6_batch():
@@ -442,30 +448,20 @@ def run_two_byte_batch():
     assert exhaustive_mismatches(run.p, run.q, [128]) == []
 
 
-# the small batch builds only a guard of 1-byte fields, when none is kept
-@pytest.mark.parametrize("before, guards", ((run_k6_batch, 0), (run_two_byte_batch, 1)))
-def test_a_small_batch_after_a_large_one_is_as_in_a_fresh_process(
-    before, guards, monkeypatch, small_batch_in_a_fresh_process
-):
-    builds = count_builds(monkeypatch)
+@pytest.mark.parametrize("before", (run_k6_batch, run_two_byte_batch))
+def test_a_small_batch_after_a_large_one_is_as_with_nothing_kept(before, kept):
+    # a 16-lane batch's outputs and oracle verdicts, a clean run and one
+    # with lane 5's p raised to R
+    def small_batch():
+        run = run_moduli([precompute(4, 3)])
+        bad = exhaustive_mismatches(run.p + (4 << 8 * 5), run.q, [4])
+        return run, exhaustive_mismatches(run.p, run.q, [4]), bad
+
+    alone = small_batch()
+    kept.clear()
     before()
-    assert sliced._kept_swaps[0] >= 2048 and (builds["masks"], builds["guards"]) == (1, 1)
-    namespace = {}
-    exec(SMALL_BATCH, namespace)
-    assert (builds["masks"], builds["guards"]) == (1, 1 + guards)
-    assert namespace["result"][2:] == ([], [5])
-    assert repr(namespace["result"]) == small_batch_in_a_fresh_process
-
-
-def test_guards_are_kept_per_field_width(monkeypatch):
-    # the 1-byte guard of three R=127 segments (48,387 lanes) has as many
-    # bits as the 2-byte batch after it needs, and must not serve it
-    count_builds(monkeypatch)
-    wide = run_moduli([precompute(127, 7)] * 3)
-    assert exhaustive_mismatches(wide.p, wide.q, [127] * 3) == []
-    run = run_moduli([precompute(128, 8)])
-    assert exhaustive_mismatches(run.p, run.q, [128]) == []
-    assert exhaustive_mismatches(run.p + (128 << 16 * 7), run.q, [128]) == [7]
+    assert small_batch() == alone
+    assert alone[1:] == ([], [5])
 
 
 def test_two_byte_fields_of_k8():
@@ -584,6 +580,32 @@ def test_every_mode_lists_the_instances_that_needed_four_cycles(sweep, config, m
         assert listed == four
     assert report.max_cycles == NORMAL_CYCLE_CAP and not report.ok()
 
+def without_exit_shape(flagged, p, q):
+    """Lanes that leave ``_shrink`` with a top bit set, or with both
+    next-to-top bits set, and are not in its ``flagged`` mask."""
+    return (p[-1] | q[-1] | (p[-2] & q[-2])) & ~flagged
+
+
+@pytest.mark.parametrize("reason", TAMPERS)
+def test_shrink_flags_every_lane_it_leaves_without_its_exit_shape(reason, monkeypatch):
+    # _squeeze checks no entry shape: a lane leaves _shrink without it
+    # only if it still fired in the last cycle, and _shrink flags those
+    exits, inner = [], sliced._shrink
+
+    def shrink(*args):
+        exits.append(inner(*args))
+        return exits[-1]
+
+    monkeypatch.setattr(sliced, "_shrink", shrink)
+    for n, R in TAMPERED:
+        run_moduli([TAMPERS[reason](precompute(R, n))])
+    assert len(exits) == len(TAMPERED)
+    assert [without_exit_shape(flagged, p, q) for flagged, _, p, q in exits] == [0] * len(exits)
+    # the cycle tamper leaves lanes without it
+    shapeless = sum(without_exit_shape(0, p, q).bit_count() for _, _, p, q in exits)
+    assert shapeless or not reason.startswith("InvariantViolation: shrink needed")
+
+
 def scalar_reduction(p, q, params):
     """(shrink cycles, squeeze rule, p, q) of shrink then squeeze from the
     entry pair (p, q), with ``pipeline.mulmod``'s seam checks from the
@@ -593,9 +615,8 @@ def scalar_reduction(p, q, params):
         acc, shrink = run_shrink(Accumulator(p, q, params.n), params)
         check_low_bits(acc.p, acc.q, params, "shrink")
         acc, squeeze = qcu_apply(squeeze_topup(acc), params)
-        if max(acc.p, acc.q) >= params.modulus_shifted:
+        if max(shift_right_result(acc.p, acc.q, params)) >= params.modulus:
             return None
-        shift_right_result(acc.p, acc.q, params)
     except InvariantViolation:
         return None
     return shrink.cycles, squeeze.rule, acc.p, acc.q
@@ -623,12 +644,11 @@ def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k):
     rx1 = planes([params.rx[1] for params in batch])
     flagged = sliced._low_bits(p, q, shift)
     shrunk, cycles, p, q = sliced._shrink(p, q, rx1, rn, ones)
+    assert without_exit_shape(shrunk, p, q) == 0
     flagged |= shrunk | sliced._low_bits(p, q, shift)
     r_bit = sum(seg for params, seg in zip(batch, segments) if params.r_bit)
     rm = planes([params.rm for params in batch])
-    squeezed, rules, p, q = sliced._squeeze(p, q, rn, rm, r_bit, ones)
-    bound = planes([params.modulus_shifted for params in batch])
-    flagged |= squeezed | (ones & ~(sliced._below(p, bound, ones) & sliced._below(q, bound, ones)))
+    rules, p, q = sliced._squeeze(p, q, rn, rm, r_bit, ones)
     flagged |= sliced._low_bits(p, q, shift)
 
     got = zip(
@@ -643,7 +663,9 @@ def test_reduction_stages_match_the_scalar_ones_on_every_entry_pair(n, k):
         params, entry = batch[lane // size], lane % size
         expected = scalar_reduction(entry >> width, entry % (1 << width), params)
         outcome[1] += 1
-        if (flag, expected) != (0, tuple(outcome)) and not (flag and expected is None):
+        # the oracle's reject: an exit not below R once shifted back
+        rejected = flag or max(outcome[2:]) >> shift >= params.modulus
+        if (rejected, expected) != (0, tuple(outcome)) and not (rejected and expected is None):
             mismatched.append((params.modulus, entry, flag, outcome, expected))
     assert mismatched == []
     # at n = k no entry pair breaks a check; on the shift path, those with

@@ -93,7 +93,7 @@ class TestQcuRules:
 
 
 def run_squeeze_sweep(params, width, step=1):
-    rs = params.modulus_shifted
+    rs = params.modulus << params.shift
     for p in range(0, 1 << width, step):
         for q in range(0, 1 << width, step):
             if not entry_ok(width, p, q):
