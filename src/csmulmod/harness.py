@@ -70,6 +70,10 @@ WITNESS_CAP = 100
 # Eight histogram keys, "0".."7", because the benchmark's pinned report
 # digests hold them; only buckets 0..NORMAL_CYCLE_CAP can be non-zero.
 HIST_BUCKETS = 8
+# A new report's zero tallies are copies of these, which is cheaper than
+# building them (a one-instance random sweep builds one report).
+_NO_CYCLES = dict.fromkeys(range(HIST_BUCKETS), 0)
+_NO_RULES = dict.fromkeys(range(1, 7), 0)
 SLICED_DISAGREES = "sliced kernel disagrees with mulmod_checked"
 
 
@@ -96,45 +100,44 @@ class SweepConfig:
         """Check that each set field is an int, fill mode-dependent
         defaults, clear ``count`` and ``seed`` outside random mode, cap
         ``jobs`` at the CPU count and validate the result."""
-        # None leaves a field unset, except jobs, which has no unset value
-        for name in ("k_min", "k_max", "n", "count", "seed", "jobs"):
-            if getattr(self, name) is not None or name == "jobs":
-                check_int(name, getattr(self, name))
-        count, seed = self.count, self.seed
+        k_min, k_max, n, count, seed, jobs = (
+            self.k_min, self.k_max, self.n, self.count, self.seed, self.jobs
+        )
+        # None leaves a field unset, except jobs, which has no unset value.
+        # check_int passes every value whose type is int, so only the
+        # others need the call.
+        for name, value in (
+            ("k_min", k_min), ("k_max", k_max), ("n", n),
+            ("count", count), ("seed", seed), ("jobs", jobs),
+        ):
+            if type(value) is not int and (value is not None or name == "jobs"):
+                check_int(name, value)
         if mode == "random":
-            if self.n is None:
+            if n is None:
                 raise ContractViolation("random sweep requires n")
             if count is None or count < 1:
                 raise ContractViolation(f"count >= 1 violated (count={count})")
             if seed is None:
                 raise ContractViolation("random sweep requires a seed")
-            k_min = self.k_min if self.k_min is not None else self.n
-            k_max = self.k_max if self.k_max is not None else self.n
+            k_min = n if k_min is None else k_min
+            k_max = n if k_max is None else k_max
         else:
-            k_min = self.k_min if self.k_min is not None else 3
-            k_max = self.k_max if self.k_max is not None else 6
+            k_min = 3 if k_min is None else k_min
+            k_max = 6 if k_max is None else k_max
             # An exhaustive sweep draws nothing, so its report echoes neither.
             count = seed = None
         # The sweep cuts its shards for the workers it gets, not for more.
-        jobs = self.jobs
         if jobs > 1:
             jobs = min(jobs, os.cpu_count() or 1)
-        cfg = SweepConfig(
-            k_min=k_min, k_max=k_max, n=self.n, count=count, seed=seed, jobs=jobs
-        )
-        if cfg.k_min < 3:
-            raise ContractViolation(f"k >= 3 violated (k_min={cfg.k_min})")
-        if cfg.k_max < cfg.k_min:
-            raise ContractViolation(
-                f"k_min <= k_max violated ({cfg.k_min} > {cfg.k_max})"
-            )
-        if cfg.n is not None and cfg.n < cfg.k_max:
-            raise ContractViolation(
-                f"k <= n violated (k_max={cfg.k_max}, n={cfg.n})"
-            )
-        if cfg.jobs < 1:
-            raise ContractViolation(f"jobs >= 1 violated (jobs={cfg.jobs})")
-        return cfg
+        if k_min < 3:
+            raise ContractViolation(f"k >= 3 violated (k_min={k_min})")
+        if k_max < k_min:
+            raise ContractViolation(f"k_min <= k_max violated ({k_min} > {k_max})")
+        if n is not None and n < k_max:
+            raise ContractViolation(f"k <= n violated (k_max={k_max}, n={n})")
+        if jobs < 1:
+            raise ContractViolation(f"jobs >= 1 violated (jobs={jobs})")
+        return SweepConfig(k_min, k_max, n, count, seed, jobs)
 
     def canonical(self, mode: str) -> dict:
         # The parallelism degree shapes execution, not results, so it
@@ -178,9 +181,7 @@ def _check(n: int, R: int, A: int, B: int,
 
 
 def _witness(n: int, R: int, A: int, B: int, **extra) -> dict:
-    w = {"n": n, "r": format(R, "X"), "a": format(A, "X"), "b": format(B, "X")}
-    w.update(extra)
-    return w
+    return {"n": n, "r": f"{R:X}", "a": f"{A:X}", "b": f"{B:X}", **extra}
 
 
 def _lanes(mask: int):
@@ -205,12 +206,8 @@ class SweepReport:
     instances: int = 0
     failures_total: int = 0
     failures: list[dict] = field(default_factory=list)
-    cycle_histogram: dict[int, int] = field(
-        default_factory=lambda: dict.fromkeys(range(HIST_BUCKETS), 0)
-    )
-    rule_usage: dict[int, int] = field(
-        default_factory=lambda: dict.fromkeys(range(1, 7), 0)
-    )
+    cycle_histogram: dict[int, int] = field(default_factory=_NO_CYCLES.copy)
+    rule_usage: dict[int, int] = field(default_factory=_NO_RULES.copy)
     # The first instance reaching the maximum; None until one succeeds.
     max_cycles: int = 0
     max_cycles_witness: dict | None = None

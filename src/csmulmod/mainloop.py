@@ -33,6 +33,8 @@ class Accumulator(NamedTuple):
     The residue class of p + q modulo the shifted modulus is the meaning;
     the split between the two registers is free to change at any time.
     ``n`` is the working width, so bit n is each register's top bit.
+    Shrink and squeeze read it by position, so an untraced run hands them
+    the plain tuple ``(p, q, n)`` instead.
     """
 
     p: int

@@ -113,17 +113,9 @@ def precompute(R: int, n: int) -> ModulusParams:
         ((6 * beta_k) % R) << shift,
     )
     r_bit = (R >> (k - 2)) & 1
-    return ModulusParams(
-        n=n,
-        k=k,
-        shift=shift,
-        modulus=R,
-        mask=(2 << n) - 1,
-        rn=rn,
-        rm=rm,
-        rx=rx,
-        r_bit=r_bit,
-    )
+    # Positional, in field order: keyword arguments take about twice as
+    # long to build, and a random sweep builds one set per instance.
+    return ModulusParams(n, k, shift, R, (2 << n) - 1, rn, rm, rx, r_bit)
 
 
 def shift_left_operand(B: int, params: ModulusParams) -> int:

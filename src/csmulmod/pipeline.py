@@ -72,7 +72,10 @@ def mulmod(
     stage it enters; the seams between stages are checked on every call
     (cleared low bits after each stage, then both unshifted outputs below
     R), and shrink raises if it needs more than its 4 cycles. So a result
-    is always a pair below R.
+    is always a pair below R. An untraced call builds no stage record:
+    shrink and squeeze hand the pair on as a plain ``(p, q, n)`` tuple and
+    return only the cycle count and the rule, the two fields of
+    ``MulResult`` that an untraced run fills.
     """
     if params is None:
         params = precompute(R, n)
@@ -89,32 +92,23 @@ def mulmod(
     acc, steps = run_loop(A, b_shifted, params, trace=trace)
     check_low_bits(acc.p, acc.q, params, "main loop")
 
-    acc, shrink_report = run_shrink(acc, params)
-    check_low_bits(acc.p, acc.q, params, "shrink")
+    acc, shrink = run_shrink(acc, params, trace)
+    p, q, _ = acc
+    check_low_bits(p, q, params, "shrink")
 
-    acc, squeeze_report = qcu_apply(squeeze_topup(acc), params)
-    p_out, q_out = shift_right_result(acc.p, acc.q, params)
+    acc, squeeze = qcu_apply(squeeze_topup(acc, trace), params, trace)
+    p, q, _ = acc
+    p_out, q_out = shift_right_result(p, q, params)
     if p_out >= R or q_out >= R:
         raise InvariantViolation(
             f"squeeze exit not below the modulus (p={p_out:#x}, q={q_out:#x}, R={R:#x})"
         )
 
-    traces = (
-        RunTrace(
-            params=params,
-            steps=tuple(steps),
-            shrink=shrink_report,
-            squeeze=squeeze_report,
-        )
-        if trace
-        else None
-    )
+    if not trace:
+        return MulResult(p_out, q_out, shrink, squeeze, None)
     return MulResult(
-        p=p_out,
-        q=q_out,
-        shrink_cycles=shrink_report.cycles,
-        squeeze_rule=squeeze_report.rule,
-        traces=traces,
+        p_out, q_out, shrink.cycles, squeeze.rule,
+        RunTrace(params, tuple(steps), shrink, squeeze),
     )
 
 

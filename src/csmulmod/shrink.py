@@ -86,13 +86,16 @@ def shrink_rules(
 
 
 def shrink_cycle(
-    acc: Accumulator, params: ModulusParams
-) -> tuple[Accumulator, ShrinkCycle | None]:
+    acc: Accumulator, params: ModulusParams, trace: bool = True
+) -> tuple[Accumulator, ShrinkCycle | None] | tuple[tuple[int, int, int], int]:
     """Run one cycle: top-up the two top bit positions, then apply one rule.
 
     Returns the new accumulator and the record of the fired rule, or None
     when no rule matched (the accumulator then carries only the top-up,
-    which preserves the pair's sum). Every rule performs its addition in
+    which preserves the pair's sum). Untraced (``trace`` False, as
+    ``run_shrink`` passes it for an untraced ``mulmod``) it builds no
+    record: it returns the plain tuple ``(p, q, n)`` and the fired rule,
+    0 for none. Every rule performs its addition in
     the (n+1)-bit carry-save adder and clears bits afterwards. Rules 2-4
     must lose nothing in the adder, which is checked, and a bit cleared is
     then always set at clearing time: rules 2 and 3 have p_n=1 and q_n=0
@@ -106,51 +109,62 @@ def shrink_cycle(
     that fits them.
     """
     n = params.n
-    p, q = top_up(acc.p, acc.q, 3 << (n - 1))
+    p, q, _ = acc
+    p, q = top_up(p, q, 3 << (n - 1))
     rules, clear_p, clear_q = shrink_rules(
         (p >> n) & 1, (q >> n) & 1, ((p & q) >> (n - 1)) & 1
     )
-    if 1 not in rules:
-        return Accumulator(p, q, n), None
-    rule = rules.index(1) + 1
-
-    const = params.rx[1] if rule <= 2 else params.rn
-    s, c = csa(p, q, const, params.mask)
-    if rule != 1 and p + q + const != s + c:
-        raise InvariantViolation("adder lost a bit outside rule 1")
-    # Each bit cleared is set, so flipping it clears it.
-    out_p = s ^ (clear_p << n)
-    out_q = c ^ (clear_q << n)
-    return Accumulator(out_p, out_q, n), ShrinkCycle(
-        topup_p=p, topup_q=q, rule=rule, p=out_p, q=out_q
+    if 1 in rules:
+        rule = rules.index(1) + 1
+        const = params.rx[1] if rule <= 2 else params.rn
+        s, c = csa(p, q, const, params.mask)
+        if rule != 1 and p + q + const != s + c:
+            raise InvariantViolation("adder lost a bit outside rule 1")
+        # Each bit cleared is set, so flipping it clears it.
+        out_p = s ^ (clear_p << n)
+        out_q = c ^ (clear_q << n)
+    else:
+        rule, out_p, out_q = 0, p, q
+    if not trace:
+        return (out_p, out_q, n), rule
+    return Accumulator(out_p, out_q, n), (
+        ShrinkCycle(p, q, rule, out_p, out_q) if rule else None
     )
 
 
 def run_shrink(
-    acc: Accumulator, params: ModulusParams
-) -> tuple[Accumulator, ShrinkReport]:
+    acc: Accumulator, params: ModulusParams, trace: bool = True
+) -> tuple[Accumulator, ShrinkReport] | tuple[tuple[int, int, int], int]:
     """Cycle until the exit shape is reached.
 
     Needing more than ``NORMAL_CYCLE_CAP`` cycles, the proven worst case,
-    raises ``InvariantViolation``.
+    raises ``InvariantViolation``. Untraced (``trace`` False, as an
+    untraced ``mulmod`` passes it) the cycles build no record, and the
+    result is the plain tuple ``(p, q, n)`` and the cycle count in place
+    of the accumulator and the report.
     """
-    entry = acc
+    entry_p, entry_q, _ = acc
     snapshots: list[ShrinkCycle] = []
+    cycles = 0
     while True:
-        acc, cycle = shrink_cycle(acc, params)
-        if cycle is None:
+        acc, cycle = shrink_cycle(acc, params, trace)
+        if not cycle:
             break
-        if len(snapshots) >= NORMAL_CYCLE_CAP:
+        if cycles == NORMAL_CYCLE_CAP:
             raise InvariantViolation(
                 f"shrink needed more than {NORMAL_CYCLE_CAP} cycles "
-                f"(entry p={entry.p:#x}, q={entry.q:#x})"
+                f"(entry p={entry_p:#x}, q={entry_q:#x})"
             )
-        snapshots.append(cycle)
+        cycles += 1
+        if trace:
+            snapshots.append(cycle)
+    if not trace:
+        return acc, cycles
     report = ShrinkReport(
-        cycles=len(snapshots),
+        cycles=cycles,
         rules_fired=tuple(cycle.rule for cycle in snapshots),
-        entry_p=entry.p,
-        entry_q=entry.q,
+        entry_p=entry_p,
+        entry_q=entry_q,
         exit_p=acc.p,
         exit_q=acc.q,
         snapshots=tuple(snapshots),

@@ -44,14 +44,18 @@ class SqueezeReport(NamedTuple):
     exit_q: int
 
 
-def squeeze_topup(acc: Accumulator) -> Accumulator:
+def squeeze_topup(
+    acc: Accumulator, trace: bool = True
+) -> Accumulator | tuple[int, int, int]:
     """Migrate set bits into p at the two positions below the top bit.
 
     Entry contract (the previous stage's exit): both top bits clear, and
     bit n-1 not set in both registers at once. That makes the treated
     bit n-1 of q always end up clear, so q fits in n-1 bits afterwards.
+    Untraced (``trace`` False, as an untraced ``mulmod`` passes it) the
+    result is the plain tuple ``(p, q, n)``.
     """
-    n, p, q = acc.n, acc.p, acc.q
+    p, q, n = acc
     if (p | q) >> n:
         raise InvariantViolation(
             f"squeeze entered with a set top bit (p={p:#x}, q={q:#x})"
@@ -62,7 +66,7 @@ def squeeze_topup(acc: Accumulator) -> Accumulator:
             f"(p={p:#x}, q={q:#x})"
         )
     p, q = top_up(p, q, 3 << (n - 2))
-    return Accumulator(p, q, n)
+    return Accumulator(p, q, n) if trace else (p, q, n)
 
 
 def squeeze_rules(
@@ -101,18 +105,21 @@ def squeeze_rules(
 
 
 def qcu_apply(
-    acc: Accumulator, params: ModulusParams
-) -> tuple[Accumulator, SqueezeReport]:
+    acc: Accumulator, params: ModulusParams, trace: bool = True
+) -> tuple[Accumulator, SqueezeReport] | tuple[tuple[int, int, int], int]:
     """Apply exactly one of the six final reduction rules of
     ``squeeze_rules``: edit the three bits, then add rn (rule 2) or rm
     (rule 3).
 
     Rules 4 and 6 move weight between the registers without changing the
     pair's exact integer sum; rules 2 and 3 subtract a fixed amount via
-    the bit edits and add the constant congruent to it.
+    the bit edits and add the constant congruent to it. Untraced
+    (``trace`` False, as an untraced ``mulmod`` passes it) it builds no
+    record: the result is the plain tuple ``(p, q, n)`` and the rule in
+    place of the accumulator and the report.
     """
     n = params.n
-    p, q = acc.p, acc.q
+    p, q, _ = acc
     lo = n - 2
     p_top, q_lo = (p >> lo) & 3, (q >> lo) & 1
     rules, (p_hi, p_lo, q_lo_edited) = squeeze_rules(
@@ -128,13 +135,7 @@ def qcu_apply(
     else:
         out_p, out_q = edited_p, edited_q
 
-    report = SqueezeReport(
-        rule=rule,
-        entry_p=p,
-        entry_q=q,
-        edited_p=edited_p,
-        edited_q=edited_q,
-        exit_p=out_p,
-        exit_q=out_q,
-    )
+    if not trace:
+        return (out_p, out_q, n), rule
+    report = SqueezeReport(rule, p, q, edited_p, edited_q, out_p, out_q)
     return Accumulator(out_p, out_q, n), report

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from csmulmod import (
+    Accumulator,
     ContractViolation,
     InvariantViolation,
     fold_pair,
@@ -11,6 +12,8 @@ from csmulmod import (
     precompute,
     ref_mulmod,
 )
+from csmulmod import pipeline
+from test_sliced import TAMPERS
 
 
 class TestMulmod:
@@ -151,3 +154,76 @@ class TestMulmodChecked:
                 assert fold_pair(result.p, result.q, 13) == ref_mulmod(A, B, 13)
                 for st in result.traces.steps:
                     assert st.p_out & low == 0 and st.q_out & low == 0
+
+
+def outcome(A, B, R, n, trace, params):
+    """What ``mulmod`` gives: (p, q, shrink cycles, squeeze rule), or the
+    message of the ``InvariantViolation`` it raises."""
+    try:
+        result = mulmod(A, B, R, n, trace, params=params)
+    except InvariantViolation as exc:
+        return str(exc)
+    return result.p, result.q, result.shrink_cycles, result.squeeze_rule
+
+
+# every k=4 instance at n=k and on the shift path, and AC3's 3-cycle
+# instance at three widths
+K4 = [(n, R) for n in (4, 7) for R in range(8, 16)]
+AC3 = [(173, 63, 121, n) for n in (8, 64, 257)]
+
+
+class TestTracedAndUntracedAgree:
+    """An untraced run builds no shrink or squeeze record; it must return
+    and raise exactly what a traced run does."""
+
+    def outcomes(self, tamper=lambda params: params):
+        """Per instance, the traced and the untraced outcome."""
+        pairs = []
+        for n, R in K4:
+            params = tamper(precompute(R, n))
+            for A in range(R):
+                for B in range(R):
+                    pairs.append(tuple(outcome(A, B, R, n, t, params) for t in (True, False)))
+        for R, A, B, n in AC3:
+            params = tamper(precompute(R, n))
+            pairs.append(tuple(outcome(A, B, R, n, t, params) for t in (True, False)))
+        return pairs
+
+    def test_results_agree_over_every_cycle_count_and_rule(self):
+        pairs = self.outcomes()
+        assert all(traced == untraced for traced, untraced in pairs)
+        assert {cycles for (_, _, cycles, _), _ in pairs} == {0, 1, 2, 3}
+        assert {rule for (_, _, _, rule), _ in pairs} == {1, 2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("reason", TAMPERS)
+    def test_a_broken_check_raises_the_same_message(self, reason):
+        # each tamper of the sliced kernel's tests breaks one check, and
+        # some of these instances raise its message
+        pairs = self.outcomes(TAMPERS[reason])
+        assert all(traced == untraced for traced, untraced in pairs)
+        message = reason.removeprefix("InvariantViolation: ")
+        if message != reason:
+            assert any(isinstance(traced, str) and traced.startswith(message) for traced, _ in pairs)
+
+    @pytest.mark.parametrize(
+        "message, top_p, top_q",
+        [
+            ("squeeze entered with a set top bit", 2, 0),
+            ("squeeze entered with both next-to-top bits set", 1, 1),
+        ],
+    )
+    def test_a_broken_squeeze_entry_raises_the_same_message(self, monkeypatch, message, top_p, top_q):
+        # shrink never leaves either shape, so each is forced after it: the
+        # top bit n (2) or the next-to-top bit n-1 (1) of p and of q is set
+        real = pipeline.run_shrink
+
+        def broken(acc, params, trace=True):
+            acc, report = real(acc, params, trace)
+            p, q, n = acc
+            out = (p | top_p << (n - 1), q | top_q << (n - 1), n)
+            return (Accumulator(*out) if trace else out), report
+
+        monkeypatch.setattr(pipeline, "run_shrink", broken)
+        pairs = self.outcomes()
+        assert all(traced == untraced for traced, untraced in pairs)
+        assert all(traced.startswith(message) for traced, _ in pairs)
