@@ -19,6 +19,7 @@ from .harness import (
 )
 from .mainloop import Accumulator, StepTrace, lcu, run_loop
 from .modparams import (
+    MAX_WIDTH,
     ModulusParams,
     precompute,
     shift_left_operand,
@@ -45,6 +46,7 @@ __all__ = [
     "BitVec",
     "ContractViolation",
     "InvariantViolation",
+    "MAX_WIDTH",
     "ModulusParams",
     "MulResult",
     "NORMAL_CYCLE_CAP",

@@ -62,7 +62,15 @@ def _decimal(text: str) -> int:
     # digits such as "\u0668".
     if not digits or not _DECIMAL_DIGITS.issuperset(digits):
         raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
-    return int(t)
+    try:
+        return int(t)
+    except ValueError:
+        # past sys.get_int_max_str_digits(); argparse would name this
+        # function and echo every digit
+        raise argparse.ArgumentTypeError(
+            f"a {len(digits)}-digit integer is past the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        ) from None
 
 
 def format_worksheet(st: StepTrace, n: int, b_shifted: int) -> str:

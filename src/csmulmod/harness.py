@@ -29,10 +29,11 @@ import random
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from . import __version__
 from .errors import ContractViolation
-from .modparams import ModulusParams, check_int, precompute
+from .modparams import MAX_WIDTH, ModulusParams, check_int, int_text, precompute
 from .oracle import exhaustive_mismatches
 from .pipeline import MulResult, mulmod_checked
 from .shrink import NORMAL_CYCLE_CAP
@@ -45,7 +46,9 @@ __all__ = [
     "random_sweep",
 ]
 
-INSTANCE_CAP = 3_000_000_000  # k <= 11 runs 2,861,214,706 instances
+# The most instances one sweep may run, exhaustive or random; k <= 11 runs
+# 2,861,214,706.
+INSTANCE_CAP = 3_000_000_000
 # Exhaustive sweeps of fewer instances run in-process whatever ``jobs``
 # says. Measured on 2 vCPUs with 2**17-lane batches, in-process against a
 # 2-worker pool, medians of 24 alternating rounds: k=7 (605,536 instances,
@@ -99,7 +102,8 @@ class SweepConfig:
     def resolved(self, mode: str) -> "SweepConfig":
         """Check that each set field is an int, fill mode-dependent
         defaults, clear ``count`` and ``seed`` outside random mode, cap
-        ``jobs`` at the CPU count and validate the result."""
+        ``jobs`` at the CPU count and validate the result: widths up to
+        ``MAX_WIDTH`` and a random ``count`` up to ``INSTANCE_CAP``."""
         k_min, k_max, n, count, seed, jobs = (
             self.k_min, self.k_max, self.n, self.count, self.seed, self.jobs
         )
@@ -116,7 +120,9 @@ class SweepConfig:
             if n is None:
                 raise ContractViolation("random sweep requires n")
             if count is None or count < 1:
-                raise ContractViolation(f"count >= 1 violated (count={count})")
+                raise ContractViolation(f"count >= 1 violated (count={int_text(count)})")
+            if count > INSTANCE_CAP:
+                raise _over_cap(count)
             if seed is None:
                 raise ContractViolation("random sweep requires a seed")
             k_min = n if k_min is None else k_min
@@ -129,14 +135,22 @@ class SweepConfig:
         # The sweep cuts its shards for the workers it gets, not for more.
         if jobs > 1:
             jobs = min(jobs, os.cpu_count() or 1)
+        # precompute's width bound, checked before anything is drawn or
+        # enumerated; an exhaustive sweep without n runs at width k.
+        if n is not None and n > MAX_WIDTH:
+            raise ContractViolation(f"n <= {MAX_WIDTH} violated (n={int_text(n)})")
+        if k_max > MAX_WIDTH:
+            raise ContractViolation(f"k <= {MAX_WIDTH} violated (k_max={int_text(k_max)})")
         if k_min < 3:
-            raise ContractViolation(f"k >= 3 violated (k_min={k_min})")
+            raise ContractViolation(f"k >= 3 violated (k_min={int_text(k_min)})")
         if k_max < k_min:
-            raise ContractViolation(f"k_min <= k_max violated ({k_min} > {k_max})")
+            raise ContractViolation(
+                f"k_min <= k_max violated ({int_text(k_min)} > {int_text(k_max)})"
+            )
         if n is not None and n < k_max:
-            raise ContractViolation(f"k <= n violated (k_max={k_max}, n={n})")
+            raise ContractViolation(f"k <= n violated (k_max={k_max}, n={int_text(n)})")
         if jobs < 1:
-            raise ContractViolation(f"jobs >= 1 violated (jobs={jobs})")
+            raise ContractViolation(f"jobs >= 1 violated (jobs={int_text(jobs)})")
         return SweepConfig(k_min, k_max, n, count, seed, jobs)
 
     def canonical(self, mode: str) -> dict:
@@ -151,6 +165,13 @@ class SweepConfig:
             "seed": self.seed,
             "witness_cap": WITNESS_CAP,
         }
+
+
+def _over_cap(instances: int) -> ContractViolation:
+    return ContractViolation(
+        f"instance cap exceeded: sweep would run {int_text(instances)} instances, "
+        f"cap is {INSTANCE_CAP}"
+    )
 
 
 def _reason(exc: Exception) -> str:
@@ -208,9 +229,10 @@ class SweepReport:
     failures: list[dict] = field(default_factory=list)
     cycle_histogram: dict[int, int] = field(default_factory=_NO_CYCLES.copy)
     rule_usage: dict[int, int] = field(default_factory=_NO_RULES.copy)
-    # The first instance reaching the maximum; None until one succeeds.
+    # The first instance reaching the maximum, as (n, R, A, B); None until
+    # one succeeds. ``max_cycles_witness`` formats it when it is read.
     max_cycles: int = 0
-    max_cycles_witness: dict | None = None
+    max_cycles_instance: tuple[int, int, int, int] | None = None
     cycle_witnesses: list[dict] = field(default_factory=list)
     cycle_witnesses_total: int = 0
     wall_time_s: float = 0.0
@@ -227,9 +249,9 @@ class SweepReport:
             cycles = result.shrink_cycles
             self.cycle_histogram[cycles] += 1
             self.rule_usage[result.squeeze_rule] += 1
-            if self.max_cycles_witness is None or cycles > self.max_cycles:
+            if self.max_cycles_instance is None or cycles > self.max_cycles:
                 self.max_cycles = cycles
-                self.max_cycles_witness = _witness(n, R, A, B)
+                self.max_cycles_instance = (n, R, A, B)
             if cycles == NORMAL_CYCLE_CAP:
                 self.cycle_witnesses_total += 1
                 if len(self.cycle_witnesses) < WITNESS_CAP:
@@ -304,10 +326,10 @@ class SweepReport:
         for rule, mask in enumerate(rules, 1):
             self.rule_usage[rule] += mask.bit_count()
         most = max((count for count, mask in enumerate(cycles) if mask), default=None)
-        if most is not None and (self.max_cycles_witness is None or most > self.max_cycles):
+        if most is not None and (self.max_cycles_instance is None or most > self.max_cycles):
             self.max_cycles = most
             R, _, A, B = locate(next(_lanes(cycles[most])))
-            self.max_cycles_witness = _witness(n, R, A, B)
+            self.max_cycles_instance = (n, R, A, B)
         heavy = cycles[NORMAL_CYCLE_CAP]
         self.cycle_witnesses_total += heavy.bit_count()
         room = WITNESS_CAP - len(self.cycle_witnesses)
@@ -339,9 +361,17 @@ class SweepReport:
         self.cycle_witnesses.extend(
             other.cycle_witnesses[: WITNESS_CAP - len(self.cycle_witnesses)]
         )
-        if self.max_cycles_witness is None or other.max_cycles > self.max_cycles:
+        if self.max_cycles_instance is None or other.max_cycles > self.max_cycles:
             self.max_cycles = other.max_cycles
-            self.max_cycles_witness = other.max_cycles_witness
+            self.max_cycles_instance = other.max_cycles_instance
+
+    @property
+    def max_cycles_witness(self) -> dict | None:
+        """The report's witness of ``max_cycles_instance``, formatted when
+        read: most sweeps are never rendered, and most witnesses are
+        replaced before they are."""
+        instance = self.max_cycles_instance
+        return None if instance is None else _witness(*instance)
 
     def ok(self) -> bool:
         return self.failures_total == 0
@@ -396,7 +426,7 @@ def _run_batch_task(task: tuple) -> SweepReport:
 
 
 def _run_random_chunk(task: tuple) -> SweepReport:
-    """One random shard: a contiguous slice of the drawn instance list."""
+    """One random shard: a chunk of consecutive drawn instances."""
     n, instances = task
     shard = SweepReport()
     for R, A, B in instances:
@@ -404,12 +434,14 @@ def _run_random_chunk(task: tuple) -> SweepReport:
     return shard
 
 
-def _execute(tasks: list, worker, config: SweepConfig, mode: str,
-             started: float, jobs: int) -> SweepReport:
-    """Run the shards over ``jobs`` workers, never more than there are
-    shards (in-process for one). The first shard becomes the report and
-    the rest merge into it in task order; the header is set last."""
-    jobs = min(jobs, len(tasks))
+def _execute(tasks: Iterable, task_count: int, worker, config: SweepConfig,
+             mode: str, started: float, jobs: int) -> SweepReport:
+    """Run the ``task_count`` tasks over ``jobs`` workers, never more than
+    there are tasks (in-process for one). The first shard becomes the
+    report and the rest merge into it in task order; the header is set
+    last. In-process, a task is taken from ``tasks`` only when the one
+    before it has run."""
+    jobs = min(jobs, task_count)
     if jobs <= 1:
         shards = map(worker, tasks)
         report = next(shards)
@@ -455,16 +487,13 @@ def _sweep_moduli(config: SweepConfig, mode: str) -> SweepReport:
         (1 << (config.k_min - 1)) - 1
     )
     if expected > INSTANCE_CAP:
-        raise ContractViolation(
-            f"instance cap exceeded: sweep would run {expected} instances, "
-            f"cap is {INSTANCE_CAP}"
-        )
+        raise _over_cap(expected)
     tasks = []
     for k in range(config.k_min, config.k_max + 1):
         n = config.n if config.n is not None else k
         tasks += _batches(k, n)
     jobs = 1 if expected < SERIAL_BELOW else config.jobs
-    return _execute(tasks, _run_batch_task, config, mode, started, jobs)
+    return _execute(tasks, len(tasks), _run_batch_task, config, mode, started, jobs)
 
 
 def exhaustive_sweep(config: SweepConfig) -> SweepReport:
@@ -486,25 +515,37 @@ def hunt_shrink_cycles(config: SweepConfig) -> SweepReport:
     return _sweep_moduli(config, "hunt")
 
 
+def _random_chunks(config: SweepConfig, size: int) -> Iterator[tuple]:
+    """The random shards' tasks: ``(n, instances)`` with ``size``
+    consecutive draws each (the last may hold fewer), drawn from one
+    generator only when the task is asked for."""
+    n, k_min, k_max, count = config.n, config.k_min, config.k_max, config.count
+    rng = random.Random(config.seed)
+    full_width = k_min == k_max == n
+    for start in range(0, count, size):
+        instances = []
+        for _ in range(min(size, count - start)):
+            k = n if full_width else rng.randint(k_min, k_max)
+            R = rng.randrange(1 << (k - 1), 1 << k)
+            A = rng.randrange(R)
+            B = rng.randrange(R)
+            instances.append((R, A, B))
+        yield n, instances
+
+
 def random_sweep(config: SweepConfig) -> SweepReport:
     """Run seeded random instances at width n against the reference.
 
-    Instances are drawn up front from one generator, so the sequence is a
-    pure function of the seed and the config; chunking for parallel
-    execution cannot change it.
+    Instances come from one generator, drawn in chunk order one chunk at
+    a time, so the sequence is a pure function of the seed and the
+    config; chunking for parallel execution cannot change it. In-process,
+    a chunk is drawn only after the one before it has run, so a sweep
+    holds one chunk's instances at a time.
     """
     config = config.resolved("random")
     started = time.perf_counter()
-    n = config.n
-    rng = random.Random(config.seed)
-    full_width = config.k_min == config.k_max == n
-    instances = []
-    for _ in range(config.count):
-        k = n if full_width else rng.randint(config.k_min, config.k_max)
-        R = rng.randrange(1 << (k - 1), 1 << k)
-        A = rng.randrange(R)
-        B = rng.randrange(R)
-        instances.append((R, A, B))
-    chunk = max(1, min(500, -(-config.count // (config.jobs * 8))))
-    tasks = [(n, instances[i : i + chunk]) for i in range(0, len(instances), chunk)]
-    return _execute(tasks, _run_random_chunk, config, "random", started, config.jobs)
+    size = max(1, min(500, -(-config.count // (config.jobs * 8))))
+    return _execute(
+        _random_chunks(config, size), -(-config.count // size),
+        _run_random_chunk, config, "random", started, config.jobs,
+    )

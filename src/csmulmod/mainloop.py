@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 from itertools import product
+from operator import or_
 from typing import NamedTuple
 
 from .bitcore import maj2of3
 from .errors import ContractViolation
-from .modparams import ModulusParams, check_int
+from .modparams import ModulusParams, check_int, int_text
 
 __all__ = [
     "Accumulator",
@@ -107,13 +108,19 @@ def lcu(
 
 
 # The predicted overflow count for every seven-bit predictor input, as
-# _F_TABLE[b_top][p_n p_n-1 p_n-2][q_n q_n-1 q_n-2] with each register's top
-# three bits read as a binary number: the loop picks the b_top half once per
-# call and then indexes it with one shift of each register.
+# _F_TABLE[b_top][x3][a3], where x3 and a3 are the top three bits of p ^ q
+# and p & q read as binary numbers. ``predict`` reads each position only
+# through p ^ q and p & q, so every split of a pair gives the same count,
+# and the table is built at the split p = x | a, q = a. The loop computes
+# p ^ q and p & q anyway; it picks the b_top half once per call and then
+# indexes it with one shift of each.
 _F_TABLE = tuple(
     tuple(
-        tuple(lcu(p3, q3, b_top) for q3 in product((0, 1), repeat=3))
-        for p3 in product((0, 1), repeat=3)
+        tuple(
+            lcu(tuple(map(or_, x3, a3)), a3, b_top)
+            for a3 in product((0, 1), repeat=3)
+        )
+        for x3 in product((0, 1), repeat=3)
     )
     for b_top in (0, 1)
 )
@@ -143,22 +150,22 @@ def run_loop(
     Each step doubles the pair, adds the partial product (``B_shifted``,
     the n-bit register from shift_left_operand, or zero) in one carry-save
     addition masked to n+1 bits, then adds the reduction constant selected
-    by the overflow count that ``lcu`` predicts from the pair's top three
-    bits and the partial product's top bit. A zero constant makes the
-    second addition a half adder; the branch reads the constant's value,
-    not the count that chose it. The partial product's carry ANDs p ^ q
-    with ``B_shifted >> 1`` before one shift by two: the bit that right
-    shift drops would meet bit 0 of the doubled p ^ q, which is always
-    clear, so the carry is exact. A record of every step is built only
+    by the overflow count that ``_F_TABLE`` holds for the top three bits
+    of p ^ q and of p & q and the partial product's top bit. A zero
+    constant makes the second addition a half adder; the branch reads the
+    constant's value, not the count that chose it. The partial product's
+    carry ANDs p ^ q with ``B_shifted >> 1`` before one shift by two: the
+    bit that right shift drops would meet bit 0 of the doubled p ^ q,
+    which is always clear, so the carry is exact. A record of every step is built only
     when ``trace`` is set, through ``_make_step`` with a running step
     index; its ``discarded`` adds ``B_shifted`` or nothing, as the bit
     says, instead of multiplying by the bit.
     """
     check_int("A", A)
     if A < 0:
-        raise ContractViolation(f"A >= 0 violated (A={A})")
+        raise ContractViolation(f"A >= 0 violated (A={int_text(A)})")
     if A >= params.modulus:
-        raise ContractViolation(f"A < R violated (A={A}, R={params.modulus})")
+        raise ContractViolation(f"A < R violated (A={int_text(A)}, R={params.modulus})")
     n = params.n
     k = params.k
     mask = params.mask
@@ -174,28 +181,30 @@ def run_loop(
     # first. Both carry-save additions are written inline (the tests hold
     # them to ``csa``). Doubling commutes with ``^`` and ``&``, so the
     # doubled registers' sum and majority bits come from one shift of
-    # p ^ q and p & q; the majority's B_shifted & t term is b_half & x
-    # shifted once more, since bit 0 of t is clear. A clear bit adds a
-    # zero partial product: the first addition is then a half adder and
-    # the table is the b_top = 0 half. A zero constant makes the second
-    # addition a half adder too.
+    # x = p ^ q and a = p & q, which also index the table; the majority's
+    # B_shifted & (x << 1) term is b_half & x shifted once more, since
+    # bit 0 of x << 1 is clear. A clear bit adds a zero partial product:
+    # the first addition is then a half adder and the table is the
+    # b_top = 0 half. A zero constant makes the second addition a half
+    # adder too.
     # Every operation below is bitwise or a left shift, and neither moves
-    # a bit downwards, so the bits that t, s and c carry above bit n never
+    # a bit downwards, so the bits that s and c carry above bit n never
     # reach bits 0..n: masking only the two new registers gives the same
-    # bits as masking every intermediate, and keeps p >> top below 8. The
-    # one right shift, b_half, is taken once, before the loop, of the n-bit
-    # B_shifted, which has no bits above n to bring down.
+    # bits as masking every intermediate, and keeps x >> top and a >> top
+    # below 8. The one right shift, b_half, is taken once, before the
+    # loop, of the n-bit B_shifted, which has no bits above n to bring
+    # down.
     for bit in format(A, f"0{k}b"):
         x = p ^ q
-        t = x << 1
+        a = p & q
         if bit == "1":
-            f = f_one[p >> top][q >> top]
-            s = t ^ B_shifted
-            c = ((p & q) | (b_half & x)) << 2
+            f = f_one[x >> top][a >> top]
+            s = (x << 1) ^ B_shifted
+            c = (a | (b_half & x)) << 2
         else:
-            f = f_zero[p >> top][q >> top]
-            s = t
-            c = (p & q) << 2
+            f = f_zero[x >> top][a >> top]
+            s = x << 1
+            c = a << 2
         ry = rx[f]
         if ry:
             u = s ^ c

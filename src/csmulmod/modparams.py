@@ -16,13 +16,26 @@ from typing import NamedTuple
 from .errors import ContractViolation, InvariantViolation
 
 __all__ = [
+    "MAX_WIDTH",
     "ModulusParams",
     "check_int",
+    "int_text",
     "check_low_bits",
     "precompute",
     "shift_left_operand",
     "shift_right_result",
 ]
+
+# The widest working width ``precompute`` accepts, 2**13: the widest power
+# of two at which every value a run prints fits the interpreter's default
+# limit of 4,300 decimal digits (the worksheet prints a step's discarded
+# amount, up to 3 * 2**(n+1), in decimal; at 2**14 that is 4,933 digits).
+# It also bounds memory: a traced run keeps a record of several n-bit ints
+# per step, so it grows with n**2. Measured on 2 vCPUs with full-width
+# moduli, one untraced mulmod takes 17 ms at n = 2**13 and 565 ms at
+# 2**16, and a traced one peaks at 59 MiB of RSS at 2**13, 180 MiB at
+# 2**14 and would pass 600 MiB at 2**15; a width of 2**40 would not fit.
+MAX_WIDTH = 1 << 13
 
 
 class ModulusParams(NamedTuple):
@@ -69,6 +82,16 @@ def check_int(name: str, value: object) -> None:
         )
 
 
+def int_text(value: int) -> str:
+    """An int for an error message: decimal, or hex where its decimal text
+    would pass the interpreter's conversion limit (an input may be of any
+    size, and its message must not raise in its place)."""
+    try:
+        return str(value)
+    except ValueError:
+        return hex(value)
+
+
 def check_low_bits(p: int, q: int, params: ModulusParams, stage: str) -> None:
     """Raise unless the low ``shift`` bits of both registers are clear.
 
@@ -94,9 +117,11 @@ def precompute(R: int, n: int) -> ModulusParams:
     check_int("R", R)
     check_int("n", n)
     if n <= 2:
-        raise ContractViolation(f"n > 2 violated (n={n})")
+        raise ContractViolation(f"n > 2 violated (n={int_text(n)})")
+    if n > MAX_WIDTH:
+        raise ContractViolation(f"n <= {MAX_WIDTH} violated (n={int_text(n)})")
     if R < 4:
-        raise ContractViolation(f"R >= 4 violated (R={R})")
+        raise ContractViolation(f"R >= 4 violated (R={int_text(R)})")
     k = R.bit_length()
     if k > n:
         raise ContractViolation(
@@ -122,9 +147,9 @@ def shift_left_operand(B: int, params: ModulusParams) -> int:
     """Scale a multiplicand into the normalized domain as an n-bit register."""
     check_int("B", B)
     if B < 0:
-        raise ContractViolation(f"B >= 0 violated (B={B})")
+        raise ContractViolation(f"B >= 0 violated (B={int_text(B)})")
     if B >= params.modulus:
-        raise ContractViolation(f"B < R violated (B={B}, R={params.modulus})")
+        raise ContractViolation(f"B < R violated (B={int_text(B)}, R={params.modulus})")
     return B << params.shift
 
 

@@ -17,6 +17,7 @@ from .modparams import (
     ModulusParams,
     check_int,
     check_low_bits,
+    int_text,
     precompute,
     shift_left_operand,
     shift_right_result,
@@ -85,7 +86,8 @@ def mulmod(
         if params.modulus != R or params.n != n:
             raise ContractViolation(
                 "params built for "
-                f"(R={params.modulus}, n={params.n}), called with (R={R}, n={n})"
+                f"(R={params.modulus}, n={params.n}), "
+                f"called with (R={int_text(R)}, n={int_text(n)})"
             )
     b_shifted = shift_left_operand(B, params)
 

@@ -371,6 +371,18 @@ class TestIntegerOptions:
         assert out == ""
         assert err == f"error: argument {option}: {bad!r} is not a decimal integer\n"
 
+    @pytest.mark.parametrize("command, option, rest", INTEGER_OPTIONS)
+    def test_rejects_more_digits_than_int_reads(self, capsys, command, option, rest):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        code, out, err = run_cli(capsys, command, option, "-" + "9" * (limit + 1), *rest)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: argument {option}: a {limit + 1}-digit integer is past the "
+            f"{limit}-digit limit\n"
+        )
+
     def test_reads_ascii_digits_with_a_sign_and_spaces(self):
         _, commands = _build_parser()
         args = commands["random"].parse_args(

@@ -1,23 +1,27 @@
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from csmulmod import (
+    MAX_WIDTH,
     ContractViolation,
     SweepConfig,
     SweepReport,
     exhaustive_sweep,
     hunt_shrink_cycles,
+    mulmod,
     random_sweep,
 )
 from csmulmod import harness, sliced
 from csmulmod.cli import EXIT_VERIFICATION, main
-from csmulmod.harness import SLICED_DISAGREES, WITNESS_CAP
+from csmulmod.harness import INSTANCE_CAP, SLICED_DISAGREES, WITNESS_CAP
 from csmulmod.modparams import precompute
 
 
@@ -81,6 +85,12 @@ class TestExhaustiveSweep:
             exhaustive_sweep(SweepConfig(k_min=3, k_max=6, n=5))
         with pytest.raises(ContractViolation, match="jobs"):
             exhaustive_sweep(SweepConfig(k_min=3, k_max=3, jobs=0))
+        # precompute's width bound, checked before the sweep starts
+        with pytest.raises(ContractViolation, match=f"^n <= {MAX_WIDTH} violated"):
+            exhaustive_sweep(SweepConfig(k_min=3, k_max=3, n=MAX_WIDTH + 1))
+        with pytest.raises(ContractViolation, match=f"^k <= {MAX_WIDTH} violated"):
+            hunt_shrink_cycles(SweepConfig(k_max=MAX_WIDTH + 1))
+        assert SweepConfig(k_max=3, n=MAX_WIDTH).resolved("verify").n == MAX_WIDTH
         default = SweepConfig().resolved("verify")
         assert (default.k_min, default.k_max) == (3, 6)
         # a field that is not an int is the caller's error, named before
@@ -170,6 +180,8 @@ class TestDeterminism:
                 return False
 
             def imap(self, worker, tasks, chunksize=1):
+                # a random sweep hands the pool a generator of its chunks
+                tasks = list(tasks)
                 shards.append(len(tasks))
                 return map(worker, tasks)
 
@@ -282,6 +294,35 @@ class TestRandomSweep:
             random_sweep(SweepConfig(n=16, seed=1))
         with pytest.raises(ContractViolation, match="requires n"):
             random_sweep(SweepConfig(count=10, seed=1))
+        with pytest.raises(ContractViolation, match=f"^n <= {MAX_WIDTH} violated"):
+            random_sweep(SweepConfig(n=MAX_WIDTH + 1, count=1, seed=1))
+        # the exhaustive sweep's cap; a count at it is accepted (not run)
+        with pytest.raises(ContractViolation, match="^instance cap exceeded"):
+            random_sweep(SweepConfig(n=16, count=INSTANCE_CAP + 1, seed=1))
+        assert SweepConfig(n=16, count=INSTANCE_CAP, seed=1).resolved("random").count == INSTANCE_CAP
+
+    def test_each_chunk_runs_before_the_next_is_drawn(self, monkeypatch):
+        config = SweepConfig(n=16, count=40, seed=5)
+        expected = random_sweep(config).to_json_bytes()
+        draws = []
+
+        class Counted(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        seen = []
+        run_chunk = harness._run_random_chunk
+
+        def counted(task):
+            seen.append(len(draws))
+            return run_chunk(task)
+
+        monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Counted))
+        monkeypatch.setattr(harness, "_run_random_chunk", counted)
+        assert random_sweep(config).to_json_bytes() == expected
+        # 8 chunks of 5 full-width instances, three draws (R, A, B) each
+        assert seen == [15 * chunk for chunk in range(1, 9)]
 
 
 class TestHunt:
@@ -496,8 +537,8 @@ class TestImports:
 
 def _shard(start: int, count: int, max_cycles: int | None = None) -> SweepReport:
     """A fabricated shard: ``count`` failures and 4-cycle witnesses whose
-    ``a`` numbers them from ``start``, and a max-cycles witness at ``a=start``
-    unless ``max_cycles`` is None (every instance failed)."""
+    ``a`` numbers them from ``start``, and a max-cycles instance with
+    A = start unless ``max_cycles`` is None (every instance failed)."""
     shard = SweepReport(
         instances=count,
         failures_total=count,
@@ -507,11 +548,31 @@ def _shard(start: int, count: int, max_cycles: int | None = None) -> SweepReport
     )
     if max_cycles is not None:
         shard.max_cycles = max_cycles
-        shard.max_cycles_witness = {"a": start}
+        shard.max_cycles_instance = (8, 200, start, 0)
     return shard
 
 
 class TestTally:
+    def test_witness_reads_the_same_before_and_after_rendering(self):
+        report = random_sweep(SweepConfig(n=16, count=40, seed=5))
+        n, R, A, B = report.max_cycles_instance
+        witness = {"n": n, "r": f"{R:X}", "a": f"{A:X}", "b": f"{B:X}"}
+        assert report.max_cycles_witness == witness
+        body = json.loads(report.to_json_bytes())["body"]
+        assert body["max_cycles"]["witness"] == witness
+        assert report.max_cycles_witness == witness
+
+    def test_merge_keeps_the_earliest_maximal_instance(self):
+        config = SweepConfig(n=16, count=40, seed=5)
+        (n, instances), = harness._random_chunks(config.resolved("random"), 40)
+        cycles = [mulmod(A, B, R, n).shrink_cycles for R, A, B in instances]
+        maximal = [i for i, c in enumerate(cycles) if c == max(cycles)]
+        # the maximum is reached in more than one of the sweep's 8 chunks of 5
+        assert maximal[-1] // 5 > maximal[0] // 5
+        report = random_sweep(config)
+        assert report.max_cycles == max(cycles)
+        assert report.max_cycles_instance == (n, *instances[maximal[0]])
+
     def test_first_zero_cycle_instance_is_the_witness(self):
         report = SweepReport()
         for B in (0, 1):
@@ -532,9 +593,9 @@ class TestTally:
         for start in (0, 10, 20):
             total.merge(_shard(start, 1, max_cycles=3))
         assert total.max_cycles == 3
-        assert total.max_cycles_witness == {"a": 0}
+        assert total.max_cycles_instance == (8, 200, 0, 0)
         total.merge(_shard(30, 1, max_cycles=4))
-        assert total.max_cycles_witness == {"a": 30}
+        assert total.max_cycles_witness == {"n": 8, "r": "C8", "a": "1E", "b": "0"}
 
     def test_merging_an_all_failed_shard_keeps_the_witness(self):
         total = SweepReport()
@@ -543,7 +604,7 @@ class TestTally:
         # a zero-cycle instance after an all-failed shard is still the witness
         total.merge(_shard(10, 2, max_cycles=0))
         total.merge(_shard(20, 2))
-        assert (total.max_cycles, total.max_cycles_witness) == (0, {"a": 10})
+        assert (total.max_cycles, total.max_cycles_instance) == (0, (8, 200, 10, 0))
 
     def test_merged_counts_add_up(self):
         shards = [SweepReport() for _ in range(2)]

@@ -1,6 +1,7 @@
 import pytest
 
 from csmulmod import (
+    MAX_WIDTH,
     ContractViolation,
     InvariantViolation,
     precompute,
@@ -49,6 +50,11 @@ class TestPrecompute:
             precompute(3, 8)
         with pytest.raises(ContractViolation, match="bit-length"):
             precompute(173, 7)
+        # the width bound is checked before any constant is shifted
+        assert precompute(173, MAX_WIDTH).shift == MAX_WIDTH - 8
+        for n in (MAX_WIDTH + 1, 2**40, 10**20):
+            with pytest.raises(ContractViolation, match=f"^n <= {MAX_WIDTH} violated"):
+                precompute(173, n)
 
     def test_rejects_non_int_inputs_by_name(self):
         for bad in (173.0, True, "AD", None):

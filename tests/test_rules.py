@@ -54,10 +54,13 @@ def test_planes_give_what_each_lane_gives(name):
 
 def test_predictor_planes_equal_the_loop_table():
     (f0, f1), _ = on_every_input("predict")
-    # lane x spells (p_n p_n-1 p_n-2 q_n q_n-1 q_n-2 b_top)
+    # lane x spells (p_n p_n-1 p_n-2 q_n q_n-1 q_n-2 b_top); the loop reads
+    # the table at the top bits of p ^ q and p & q, so on all 128 inputs
+    # predict must depend on nothing else
     for x in range(128):
         f = ((f1 >> x) & 1) << 1 | ((f0 >> x) & 1)
-        assert _F_TABLE[x & 1][x >> 4][(x >> 1) & 7] == f, x
+        p3, q3 = x >> 4, (x >> 1) & 7
+        assert _F_TABLE[x & 1][p3 ^ q3][p3 & q3] == f, x
 
 
 def test_shrink_fires_at_most_one_rule_and_clears_as_its_table_says():
