@@ -126,6 +126,34 @@ _F_TABLE = tuple(
 )
 
 
+# The untraced loop at width n >= REVERSED_FROM runs in a bit-reversed
+# frame: register bit j is held at position n - j, so doubling is a right
+# shift, which drops the top bit as the (n+1)-bit register does, and no
+# step masks. _REV8 maps each byte to its bits in reverse order (built by
+# doubling: the reversal of an (m+1)-bit value is twice that of its low m
+# bits, plus its top bit), so one bytes.translate reverses every bit of a
+# little-endian byte string read back big-endian. The top three register
+# bits are then the low three, most significant lowest, and _F_REVERSED
+# is _F_TABLE with both of those indices reversed.
+_rev = [0]
+for _ in range(8):
+    _rev = [t << 1 for t in _rev] + [(t << 1) | 1 for t in _rev]
+_REV8 = bytes(_rev)
+_rev = [t >> 5 for t in _rev[:8]]
+_F_REVERSED = tuple(
+    tuple(tuple(half[_rev[x]][_rev[a]] for a in range(8)) for x in range(8))
+    for half in _F_TABLE
+)
+del _rev
+
+# The narrowest width whose untraced calls take the reversed frame, picked
+# by measurement: its entry and exit conversions cost ~1.5 us a call and
+# each step saves two masks, so the reversed frame lost at every width up
+# to 28 and won at 29 and above (2 vCPU, CPython 3.11.7;
+# BENCH_mainloop.json, section reversed_frame).
+REVERSED_FROM = 29
+
+
 # The traced loop builds each record from one tuple of its eleven fields
 # through tuple.__new__, called from C, so a step pays no Python frame:
 # StepTrace(...) runs a Python __new__ and StepTrace._make a Python
@@ -156,10 +184,16 @@ def run_loop(
     constant's value, not the count that chose it. The partial product's
     carry ANDs p ^ q with ``B_shifted >> 1`` before one shift by two: the
     bit that right shift drops would meet bit 0 of the doubled p ^ q,
-    which is always clear, so the carry is exact. A record of every step is built only
-    when ``trace`` is set, through ``_make_step`` with a running step
-    index; its ``discarded`` adds ``B_shifted`` or nothing, as the bit
-    says, instead of multiplying by the bit.
+    which is always clear, so the carry is exact. A record of every step
+    is built only when ``trace`` is set, through ``_make_step`` with a
+    running step index; its ``discarded`` adds ``B_shifted`` or nothing,
+    as the bit says, instead of multiplying by the bit.
+
+    The input checks run first. An untraced call at a width of at least
+    ``REVERSED_FROM`` then runs the same steps in the bit-reversed frame
+    (``_run_reversed``), where no step masks; every traced call, and an
+    untraced one below that width, runs the shared body here. Both end on
+    the same pair and return it as an ``Accumulator``.
     """
     check_int("A", A)
     if A < 0:
@@ -170,6 +204,8 @@ def run_loop(
     k = params.k
     mask = params.mask
     rx = params.rx
+    if not trace and n >= REVERSED_FROM:
+        return _run_reversed(A, B_shifted, n, k, mask, rx), None
     top = n - 2
     f_zero = _F_TABLE[0]
     f_one = _F_TABLE[(B_shifted >> (n - 1)) & 1]
@@ -229,3 +265,65 @@ def run_loop(
             )
         p, q = p2, q2
     return Accumulator(p, q, n), traces
+
+
+def _run_reversed(
+    A: int, B_shifted: int, n: int, k: int, mask: int, rx: tuple[int, ...]
+) -> Accumulator:
+    """The untraced loop of ``run_loop`` in the bit-reversed frame.
+
+    ``B_shifted`` and the four constants are masked to n+1 bits (the
+    shared body's masks drop their higher bits too) and reversed together:
+    packed into one int, n+1 bits apart, turned into little-endian bytes,
+    translated through _REV8 and read back big-endian. That reverses the
+    whole packed int, so the values come back in reverse order, each one
+    reversed within its own n+1 bits, above ``pad`` low bits, the packed
+    width's distance to a whole byte. The final pair goes back the same
+    way.
+    """
+    w = n + 1
+    size = (5 * w + 7) >> 3
+    pad = 8 * size - 5 * w
+    r0, r1, r2, r3 = rx
+    packed = (
+        ((((B_shifted & mask) << w | r3 & mask) << w | r2 & mask) << w | r1 & mask)
+        << w | r0 & mask
+    )
+    v = int.from_bytes(packed.to_bytes(size, "little").translate(_REV8), "big") >> pad
+    # v now holds the reversals of rx[0], rx[1], rx[2], rx[3] and B_shifted,
+    # from the top down.
+    z = v & mask
+    v >>= w
+    rx = (v >> 3 * w, (v >> 2 * w) & mask, (v >> w) & mask, v & mask)
+    f_zero = _F_REVERSED[0]
+    f_one = _F_REVERSED[(B_shifted >> (n - 1)) & 1]
+    z_half = z << 1
+    p = q = 0
+    # The shared body's step with each left shift turned into a right
+    # shift: every operation keeps a value within n+1 bits, so the two
+    # new registers need no mask. z_half is b_half of the shared body,
+    # B_shifted >> 1, in this frame: the bit that z << 1 moves above bit n
+    # meets x's clear bits there.
+    for bit in format(A, f"0{k}b"):
+        x = p ^ q
+        a = p & q
+        if bit == "1":
+            f = f_one[x & 7][a & 7]
+            s = (x >> 1) ^ z
+            c = (a | (z_half & x)) >> 2
+        else:
+            f = f_zero[x & 7][a & 7]
+            s = x >> 1
+            c = a >> 2
+        ry = rx[f]
+        if ry:
+            u = s ^ c
+            p = u ^ ry
+            q = ((s & c) | (ry & u)) >> 1
+        else:
+            p = s ^ c
+            q = (s & c) >> 1
+    size = (2 * w + 7) >> 3
+    v = int.from_bytes(((q << w) | p).to_bytes(size, "little").translate(_REV8), "big")
+    v >>= 8 * size - 2 * w
+    return Accumulator(v >> w, v & mask, n)

@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from csmulmod import (
+    MAX_WIDTH,
     ContractViolation,
     StepTrace,
     csa,
@@ -15,6 +18,7 @@ from csmulmod import (
     run_loop,
     shift_left_operand,
 )
+from csmulmod.mainloop import _F_REVERSED, _F_TABLE, _REV8, REVERSED_FROM
 
 
 def exclusion_identities_hold(pn, pn1, pn2, qn, qn1, qn2, bt):
@@ -202,11 +206,18 @@ class TestLoopDifferential:
                     shapes |= self.check(A, B, R, n, params)
         assert shapes == STEP_SHAPES
 
-    @pytest.mark.parametrize("n", [64, 256, 1024])
+    # Untraced calls at n >= REVERSED_FROM run the bit-reversed body and
+    # narrower ones the shared body: the widths on both sides of that
+    # crossover, widths where n+1 is a whole number of bytes (the
+    # reversal's packed width then needs no padding), and the widest width.
+    @pytest.mark.parametrize(
+        "n",
+        [7, 15, REVERSED_FROM - 1, REVERSED_FROM, 64, 255, 256, 1023, 1024, MAX_WIDTH],
+    )
     def test_random_wide(self, n):
         rng = random.Random(n)
         shapes = set()
-        for j in range(200):
+        for j in range(200 if n <= 1024 else 3):
             # every other instance has a shorter modulus (k < n)
             k = n if j % 2 == 0 else rng.randint(3, n - 1)
             R = rng.randrange(max(4, 1 << (k - 1)), 1 << k)
@@ -235,6 +246,58 @@ class TestLoopDifferential:
                 assert any(st.f == 0 and st.ry == v for st in traces)
 
 
+    @given(hst.data())
+    def test_bits_above_the_registers_are_dropped(self, data):
+        # Hand-built inputs with bits at or above n+1 end on the pair that
+        # the inputs without them give: the shared body's masks drop those
+        # bits, so the reversed body must mask before it reverses. rx[0]
+        # is among the constants; with only such bits it is non-zero but
+        # adds nothing.
+        n = data.draw(
+            hst.one_of(
+                hst.integers(3, 16),
+                hst.integers(REVERSED_FROM - 2, REVERSED_FROM + 40),
+                hst.sampled_from([63, 64, 255, 256]),
+            ),
+            label="n",
+        )
+        k = data.draw(hst.integers(3, n), label="k")
+        R = data.draw(hst.integers(max(4, 1 << (k - 1)), (1 << k) - 1), label="R")
+        params = precompute(R, n)
+        b = shift_left_operand(data.draw(hst.integers(0, R - 1), label="B"), params)
+        A = data.draw(hst.integers(0, R - 1), label="A")
+        above = hst.integers(1, 4095).map(lambda v: v << (n + 1))
+        rx = tuple(
+            r | data.draw(above, label=f"rx[{f}]") for f, r in enumerate(params.rx)
+        )
+        wide_b = b | data.draw(above, label="B_shifted")
+        wide = params._replace(rx=rx)
+        expected, _ = run_loop(A, b, params, trace=True)
+        plain, none = run_loop(A, wide_b, wide)
+        traced, traces = run_loop(A, wide_b, wide, trace=True)
+        assert none is None
+        assert plain == traced == expected == (traces[-1].p_out, traces[-1].q_out, n)
+
+    @pytest.mark.parametrize("n", [REVERSED_FROM, 64, 256])
+    def test_each_input_is_masked_on_its_own(self, n):
+        # f = 3 is rare, so the property above seldom reads rx[3]: here an
+        # instance whose steps select all four constants takes bits above
+        # n+1 on one input at a time, and each must leave the pair alone.
+        rng = random.Random(n)
+        while True:
+            R = rng.randrange((1 << (n - 1)) + 1, 1 << n)
+            params = precompute(R, n)
+            A, b = rng.randrange(R), shift_left_operand(rng.randrange(R), params)
+            expected, traces = run_loop(A, b, params, trace=True)
+            if {rec.f for rec in traces} == {0, 1, 2, 3}:
+                break
+        above = 0xABC << (n + 1)
+        assert run_loop(A, b | above, params)[0] == expected
+        for f in range(4):
+            rx = list(params.rx)
+            rx[f] |= above
+            assert run_loop(A, b, params._replace(rx=tuple(rx)))[0] == expected, f
+
     @pytest.mark.parametrize("n", [8, 64, 256, 1024])
     def test_edge_operands(self, n):
         # Both step branches at their edges: A all zeros, all ones below the
@@ -254,6 +317,17 @@ class TestLoopDifferential:
                     for B in operands:
                         shapes |= self.check(A, B, R, n, params)
         assert shapes == STEP_SHAPES
+
+
+class TestReversedFrame:
+    def test_byte_table_reverses_every_byte(self):
+        assert _REV8 == bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+    def test_table_is_indexed_by_the_reversed_top_bits(self):
+        # _F_REVERSED[b][x][a] reads x and a with bit n at bit 0
+        rev3 = [int(f"{v:03b}"[::-1], 2) for v in range(8)]
+        for b_top, x3, a3 in itertools.product((0, 1), range(8), range(8)):
+            assert _F_REVERSED[b_top][rev3[x3]][rev3[a3]] == _F_TABLE[b_top][x3][a3]
 
 
 class TestRunLoop:
