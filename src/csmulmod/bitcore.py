@@ -12,8 +12,8 @@ well as on packed registers (there a top-up mask of -1 treats every lane).
 The two hot loops do not call ``csa``: ``mainloop.run_loop`` and
 ``sliced._csa``, which every stage of the sliced kernel calls, write the
 carry-save addition inline. ``run_loop`` has two bodies: the shared one,
-which masks its two new registers, and, for untraced calls at widths of
-at least ``mainloop.REVERSED_FROM``, one in a bit-reversed frame, where
+which masks its two new registers, and, for untraced calls of at least
+``mainloop.REVERSED_FROM`` steps, one in a bit-reversed frame, where
 doubling is a right shift and no step masks. Differential tests pin them
 all to ``csa``: ``tests/test_mainloop.py`` compares every record of the
 shared body with a loop of ``csa`` calls and the reversed body's final

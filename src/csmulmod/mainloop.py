@@ -126,7 +126,7 @@ _F_TABLE = tuple(
 )
 
 
-# The untraced loop at width n >= REVERSED_FROM runs in a bit-reversed
+# An untraced loop of k >= REVERSED_FROM steps runs in a bit-reversed
 # frame: register bit j is held at position n - j, so doubling is a right
 # shift, which drops the top bit as the (n+1)-bit register does, and no
 # step masks. _REV8 maps each byte to its bits in reverse order (built by
@@ -146,11 +146,14 @@ _F_REVERSED = tuple(
 )
 del _rev
 
-# The narrowest width whose untraced calls take the reversed frame, picked
-# by measurement: its entry and exit conversions cost ~1.5 us a call and
-# each step saves two masks, so the reversed frame lost at every width up
-# to 28 and won at 29 and above (2 vCPU, CPython 3.11.7;
-# BENCH_mainloop.json, section reversed_frame).
+# The fewest steps (k, the modulus length) for which an untraced call
+# takes the reversed frame, picked by measurement. Its entry and exit
+# conversions cost ~1.5 us a call and more at wide n; each step saves two
+# masks. Full-width calls (k = n) lost up to n = 28 and won from 29; with
+# k < n, k >= 29 won at every n measured from 29 to 8192, and k <= 8 lost
+# at every n (2 vCPU, CPython 3.11.7; BENCH_mainloop.json, section
+# reversed_frame). The step count, not the width, decides, since the
+# saving is per step: `mulmod --n 64 --mod 5` runs three steps.
 REVERSED_FROM = 29
 
 
@@ -189,10 +192,10 @@ def run_loop(
     running step index; its ``discarded`` adds ``B_shifted`` or nothing,
     as the bit says, instead of multiplying by the bit.
 
-    The input checks run first. An untraced call at a width of at least
-    ``REVERSED_FROM`` then runs the same steps in the bit-reversed frame
-    (``_run_reversed``), where no step masks; every traced call, and an
-    untraced one below that width, runs the shared body here. Both end on
+    The input checks run first. An untraced call of at least
+    ``REVERSED_FROM`` steps then runs the same steps in the bit-reversed
+    frame (``_run_reversed``), where no step masks; every traced call, and
+    an untraced one of fewer steps, runs the shared body here. Both end on
     the same pair and return it as an ``Accumulator``.
     """
     check_int("A", A)
@@ -204,7 +207,7 @@ def run_loop(
     k = params.k
     mask = params.mask
     rx = params.rx
-    if not trace and n >= REVERSED_FROM:
+    if not trace and k >= REVERSED_FROM:
         return _run_reversed(A, B_shifted, n, k, mask, rx), None
     top = n - 2
     f_zero = _F_TABLE[0]
@@ -274,22 +277,18 @@ def _run_reversed(
 
     ``B_shifted`` and the four constants are masked to n+1 bits (the
     shared body's masks drop their higher bits too) and reversed together:
-    packed into one int, n+1 bits apart, turned into little-endian bytes,
-    translated through _REV8 and read back big-endian. That reverses the
-    whole packed int, so the values come back in reverse order, each one
-    reversed within its own n+1 bits, above ``pad`` low bits, the packed
-    width's distance to a whole byte. The final pair goes back the same
+    packed into one int, n+1 bits apart, and reversed as a whole by
+    ``_reversed``, so the values come back in reverse order, each one
+    reversed within its own n+1 bits. The final pair goes back the same
     way.
     """
     w = n + 1
-    size = (5 * w + 7) >> 3
-    pad = 8 * size - 5 * w
     r0, r1, r2, r3 = rx
     packed = (
         ((((B_shifted & mask) << w | r3 & mask) << w | r2 & mask) << w | r1 & mask)
         << w | r0 & mask
     )
-    v = int.from_bytes(packed.to_bytes(size, "little").translate(_REV8), "big") >> pad
+    v = _reversed(packed, 5 * w)
     # v now holds the reversals of rx[0], rx[1], rx[2], rx[3] and B_shifted,
     # from the top down.
     z = v & mask
@@ -323,7 +322,19 @@ def _run_reversed(
         else:
             p = s ^ c
             q = (s & c) >> 1
-    size = (2 * w + 7) >> 3
-    v = int.from_bytes(((q << w) | p).to_bytes(size, "little").translate(_REV8), "big")
-    v >>= 8 * size - 2 * w
+    v = _reversed((q << w) | p, 2 * w)
     return Accumulator(v >> w, v & mask, n)
+
+
+def _reversed(v: int, bits: int) -> int:
+    """``v``, which fits in ``bits`` bits, with those bits in reverse order.
+
+    ``v`` is turned into little-endian bytes, translated through _REV8 and
+    read back big-endian, which reverses every bit of the byte string; the
+    shift drops the low bits that the byte string's padding above ``bits``
+    became.
+    """
+    size = (bits + 7) >> 3
+    return int.from_bytes(v.to_bytes(size, "little").translate(_REV8), "big") >> (
+        8 * size - bits
+    )

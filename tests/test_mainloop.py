@@ -206,10 +206,13 @@ class TestLoopDifferential:
                     shapes |= self.check(A, B, R, n, params)
         assert shapes == STEP_SHAPES
 
-    # Untraced calls at n >= REVERSED_FROM run the bit-reversed body and
-    # narrower ones the shared body: the widths on both sides of that
-    # crossover, widths where n+1 is a whole number of bytes (the
-    # reversal's packed width then needs no padding), and the widest width.
+    # Untraced calls of at least REVERSED_FROM steps (k) run the
+    # bit-reversed body and shorter ones the shared body. Each width cycles
+    # k through n, the step counts on both sides of that crossover (at most
+    # n) and a random shorter modulus, so every width above REVERSED_FROM
+    # runs both bodies with k < n. At 255 and 1023, n+1 is a whole number
+    # of bytes, so the reversal's packed widths need no padding; 7 and 15
+    # are such widths too, but run only the shared body.
     @pytest.mark.parametrize(
         "n",
         [7, 15, REVERSED_FROM - 1, REVERSED_FROM, 64, 255, 256, 1023, 1024, MAX_WIDTH],
@@ -217,9 +220,8 @@ class TestLoopDifferential:
     def test_random_wide(self, n):
         rng = random.Random(n)
         shapes = set()
-        for j in range(200 if n <= 1024 else 3):
-            # every other instance has a shorter modulus (k < n)
-            k = n if j % 2 == 0 else rng.randint(3, n - 1)
+        for j in range(200 if n <= 1024 else 4):
+            k = min(n, (n, REVERSED_FROM - 1, REVERSED_FROM, rng.randint(3, n))[j % 4])
             R = rng.randrange(max(4, 1 << (k - 1)), 1 << k)
             params = precompute(R, n)
             shapes |= self.check(rng.randrange(R), rng.randrange(R), R, n, params)
