@@ -163,6 +163,8 @@ REVERSED_FROM = 29
 # classmethod. What it gives up is _make's field-count check (the tests
 # hold every record to StepTrace's type and length).
 _make_step = functools.partial(tuple.__new__, StepTrace)
+# The same for the pair each call returns: a (p, q, n) tuple.
+_make_acc = functools.partial(tuple.__new__, Accumulator)
 
 
 def run_loop(
@@ -267,7 +269,7 @@ def run_loop(
                 ))
             )
         p, q = p2, q2
-    return Accumulator(p, q, n), traces
+    return _make_acc((p, q, n)), traces
 
 
 def _run_reversed(
@@ -323,7 +325,7 @@ def _run_reversed(
             p = s ^ c
             q = (s & c) >> 1
     v = _reversed((q << w) | p, 2 * w)
-    return Accumulator(v >> w, v & mask, n)
+    return _make_acc((v >> w, v & mask, n))
 
 
 def _reversed(v: int, bits: int) -> int:

@@ -11,6 +11,7 @@ check that they commute.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .errors import ContractViolation, InvariantViolation
@@ -68,6 +69,14 @@ class ModulusParams(NamedTuple):
     rm: int
     rx: tuple[int, int, int, int]
     r_bit: int
+
+
+# precompute builds its record from one tuple through tuple.__new__,
+# called from C: ModulusParams(...) runs a Python __new__, which takes
+# about twice as long, and a random sweep builds one set per instance.
+# It gives up the field-count check (the tests hold the record to
+# ModulusParams's type and length).
+_make_params = functools.partial(tuple.__new__, ModulusParams)
 
 
 def check_int(name: str, value: object) -> None:
@@ -138,9 +147,8 @@ def precompute(R: int, n: int) -> ModulusParams:
         ((6 * beta_k) % R) << shift,
     )
     r_bit = (R >> (k - 2)) & 1
-    # Positional, in field order: keyword arguments take about twice as
-    # long to build, and a random sweep builds one set per instance.
-    return ModulusParams(n, k, shift, R, (2 << n) - 1, rn, rm, rx, r_bit)
+    # In field order.
+    return _make_params((n, k, shift, R, (2 << n) - 1, rn, rm, rx, r_bit))
 
 
 def shift_left_operand(B: int, params: ModulusParams) -> int:

@@ -9,6 +9,7 @@ arithmetic instead).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .errors import ContractViolation, InvariantViolation
@@ -55,6 +56,12 @@ class MulResult(NamedTuple):
     shrink_cycles: int
     squeeze_rule: int
     traces: RunTrace | None
+
+
+# An untraced call builds its result from one tuple through tuple.__new__,
+# called from C, as run_loop builds its records: MulResult(...) runs a
+# Python __new__. The tests hold the record to MulResult's type and length.
+_make_result = functools.partial(tuple.__new__, MulResult)
 
 
 def mulmod(
@@ -107,7 +114,7 @@ def mulmod(
         )
 
     if not trace:
-        return MulResult(p_out, q_out, shrink, squeeze, None)
+        return _make_result((p_out, q_out, shrink, squeeze, None))
     return MulResult(
         p_out, q_out, shrink.cycles, squeeze.rule,
         RunTrace(params, tuple(steps), shrink, squeeze),

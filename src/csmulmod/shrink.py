@@ -10,6 +10,7 @@ Each rule adds first and clears second.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .bitcore import csa, top_up
@@ -85,6 +86,18 @@ def shrink_rules(
     return (pn & qn, r2, r3, r4), r2 | r3, r2 | r4
 
 
+def _shrink_entry(pn: int, qn: int, pq_next: int) -> tuple[int, int, int]:
+    """``shrink_rules`` on 0/1 bits as ``(rule or 0, clear_p, clear_q)``."""
+    rules, clear_p, clear_q = shrink_rules(pn, qn, pq_next)
+    return (rules.index(1) + 1 if 1 in rules else 0), clear_p, clear_q
+
+
+# shrink_rules on every input, as _SHRINK_TABLE[p_n << 2 | q_n << 1 |
+# (p & q)_{n-1}]: the fired rule (0 for none) and the top bits it clears.
+# shrink_cycle reads its rule here, so a cycle scans no masks.
+_SHRINK_TABLE = tuple(_shrink_entry(*bits) for bits in product((0, 1), repeat=3))
+
+
 def shrink_cycle(
     acc: Accumulator, params: ModulusParams, trace: bool = True
 ) -> tuple[Accumulator, ShrinkCycle | None] | tuple[tuple[int, int, int], int]:
@@ -95,8 +108,11 @@ def shrink_cycle(
     which preserves the pair's sum). Untraced (``trace`` False, as
     ``run_shrink`` passes it for an untraced ``mulmod``) it builds no
     record: it returns the plain tuple ``(p, q, n)`` and the fired rule,
-    0 for none. Every rule performs its addition in
-    the (n+1)-bit carry-save adder and clears bits afterwards. Rules 2-4
+    0 for none. The rule comes from ``_SHRINK_TABLE``, ``shrink_rules``
+    tabulated at import; after the top-up q's top bit and the ANDed
+    next-to-top bit are bits n and n-1 of p & q, so one shift of it reads
+    both. Every rule performs its addition in the (n+1)-bit carry-save
+    adder and clears bits afterwards. Rules 2-4
     must lose nothing in the adder, which is checked, and a bit cleared is
     then always set at clearing time: rules 2 and 3 have p_n=1 and q_n=0
     after the top-up, so their sum bit n is unset only where the
@@ -111,11 +127,10 @@ def shrink_cycle(
     n = params.n
     p, q, _ = acc
     p, q = top_up(p, q, 3 << (n - 1))
-    rules, clear_p, clear_q = shrink_rules(
-        (p >> n) & 1, (q >> n) & 1, ((p & q) >> (n - 1)) & 1
-    )
-    if 1 in rules:
-        rule = rules.index(1) + 1
+    rule, clear_p, clear_q = _SHRINK_TABLE[
+        ((p >> n) & 1) << 2 | (((p & q) >> (n - 1)) & 3)
+    ]
+    if rule:
         const = params.rx[1] if rule <= 2 else params.rn
         s, c = csa(p, q, const, params.mask)
         if rule != 1 and p + q + const != s + c:
@@ -124,7 +139,7 @@ def shrink_cycle(
         out_p = s ^ (clear_p << n)
         out_q = c ^ (clear_q << n)
     else:
-        rule, out_p, out_q = 0, p, q
+        out_p, out_q = p, q
     if not trace:
         return (out_p, out_q, n), rule
     return Accumulator(out_p, out_q, n), (

@@ -11,6 +11,7 @@ the rule just fixed.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .bitcore import csa, top_up
@@ -104,6 +105,20 @@ def squeeze_rules(
     )
 
 
+def _squeeze_entry(p_hi: int, p_lo: int, q_lo: int, r_bit: int) -> tuple[int, int, int]:
+    """``squeeze_rules`` on 0/1 bits as ``(rule, edited p bits, edited q
+    bit)``, p's two bits read as one binary number."""
+    rules, (e_hi, e_lo, e_q) = squeeze_rules(p_hi, p_lo, q_lo, r_bit, 1)
+    return rules.index(1) + 1, e_hi << 1 | e_lo, e_q
+
+
+# squeeze_rules on every input, as _SQUEEZE_TABLE[p_top << 2 | q_lo << 1 |
+# r_bit], with p_top p's bits n-1 and n-2 and q_lo q's bit n-2 after the
+# top-up: the rule and the bits its edits leave. qcu_apply reads its rule
+# here, so a call scans no masks.
+_SQUEEZE_TABLE = tuple(_squeeze_entry(*bits) for bits in product((0, 1), repeat=4))
+
+
 def qcu_apply(
     acc: Accumulator, params: ModulusParams, trace: bool = True
 ) -> tuple[Accumulator, SqueezeReport] | tuple[tuple[int, int, int], int]:
@@ -111,9 +126,11 @@ def qcu_apply(
     ``squeeze_rules``: edit the three bits, then add rn (rule 2) or rm
     (rule 3).
 
-    Rules 4 and 6 move weight between the registers without changing the
-    pair's exact integer sum; rules 2 and 3 subtract a fixed amount via
-    the bit edits and add the constant congruent to it. Untraced
+    The rule and its edited bits come from ``_SQUEEZE_TABLE``,
+    ``squeeze_rules`` tabulated at import. Rules 4 and 6 move weight
+    between the registers without changing the pair's exact integer sum;
+    rules 2 and 3 subtract a fixed amount via the bit edits and add the
+    constant congruent to it. Untraced
     (``trace`` False, as an untraced ``mulmod`` passes it) it builds no
     record: the result is the plain tuple ``(p, q, n)`` and the rule in
     place of the accumulator and the report.
@@ -122,12 +139,9 @@ def qcu_apply(
     p, q, _ = acc
     lo = n - 2
     p_top, q_lo = (p >> lo) & 3, (q >> lo) & 1
-    rules, (p_hi, p_lo, q_lo_edited) = squeeze_rules(
-        p_top >> 1, p_top & 1, q_lo, params.r_bit, 1
-    )
-    rule = rules.index(1) + 1
+    rule, p_edited, q_lo_edited = _SQUEEZE_TABLE[p_top << 2 | q_lo << 1 | params.r_bit]
     # The edits touch bits n-1 and n-2 only: flip those that changed.
-    edited_p = p ^ ((p_top ^ ((p_hi << 1) | p_lo)) << lo)
+    edited_p = p ^ ((p_top ^ p_edited) << lo)
     edited_q = q ^ ((q_lo ^ q_lo_edited) << lo)
     if rule == 2 or rule == 3:
         const = params.rn if rule == 2 else params.rm

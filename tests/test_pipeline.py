@@ -6,11 +6,15 @@ from csmulmod import (
     Accumulator,
     ContractViolation,
     InvariantViolation,
+    ModulusParams,
+    MulResult,
     fold_pair,
     mulmod,
     mulmod_checked,
     precompute,
     ref_mulmod,
+    run_loop,
+    shift_left_operand,
 )
 from csmulmod import pipeline
 from test_sliced import TAMPERS
@@ -204,6 +208,25 @@ class TestTracedAndUntracedAgree:
         message = reason.removeprefix("InvariantViolation: ")
         if message != reason:
             assert any(isinstance(traced, str) and traced.startswith(message) for traced, _ in pairs)
+
+    @pytest.mark.parametrize("n", [8, 64, 257])
+    def test_records_built_from_c_have_their_type_and_length(self, n):
+        # precompute, run_loop and an untraced mulmod build their records
+        # through tuple.__new__, which checks no field count; a full-width
+        # modulus takes the loop's reversed frame from k = 29 steps, and
+        # R = 173 its shared body
+        rng = random.Random(n)
+        for R in (173, rng.randrange(1 << (n - 1), 1 << n)):
+            params = precompute(R, n)
+            A, B = rng.randrange(R), rng.randrange(R)
+            b = shift_left_operand(B, params)
+            acc, steps = run_loop(A, b, params)
+            result = mulmod(A, B, R, n, params=params)
+            for record, cls in ((params, ModulusParams), (acc, Accumulator), (result, MulResult)):
+                assert type(record) is cls and len(record) == len(cls._fields), cls
+            assert steps is None and result.traces is None
+            assert acc == run_loop(A, b, params, trace=True)[0]
+            assert result[:4] == mulmod(A, B, R, n, True, params=params)[:4]
 
     @pytest.mark.parametrize(
         "message, top_p, top_q",

@@ -12,8 +12,8 @@ from itertools import product
 import pytest
 
 from csmulmod.mainloop import _F_TABLE, predict
-from csmulmod.shrink import shrink_rules
-from csmulmod.squeeze import squeeze_rules
+from csmulmod.shrink import _SHRINK_TABLE, shrink_rules
+from csmulmod.squeeze import _SQUEEZE_TABLE, squeeze_rules
 
 # name: (input bits, the rule called with ``ones`` and the input bits)
 RULES = {
@@ -61,6 +61,24 @@ def test_predictor_planes_equal_the_loop_table():
         f = ((f1 >> x) & 1) << 1 | ((f0 >> x) & 1)
         p3, q3 = x >> 4, (x >> 1) & 7
         assert _F_TABLE[x & 1][p3 ^ q3][p3 & q3] == f, x
+
+
+def test_stage_tables_equal_their_rules():
+    # the scalar stages read each rule from a table indexed by its input
+    # bits in argument order; on all 8 and 16 inputs an entry holds the
+    # fired rule (0 for none in shrink), then the clear bits or the edited
+    # bits (p's two read as one number)
+    shrink_planes, _ = on_every_input("shrink_rules")
+    assert len(_SHRINK_TABLE) == 8
+    for x, entry in enumerate(_SHRINK_TABLE):
+        *rules, clear_p, clear_q = lane(shrink_planes, x)
+        rule = rules.index(1) + 1 if 1 in rules else 0
+        assert entry == (rule, clear_p, clear_q), x
+    squeeze_planes, _ = on_every_input("squeeze_rules")
+    assert len(_SQUEEZE_TABLE) == 16
+    for x, entry in enumerate(_SQUEEZE_TABLE):
+        *rules, e_hi, e_lo, e_q = lane(squeeze_planes, x)
+        assert entry == (rules.index(1) + 1, e_hi << 1 | e_lo, e_q), x
 
 
 def test_shrink_fires_at_most_one_rule_and_clears_as_its_table_says():
