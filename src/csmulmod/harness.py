@@ -2,13 +2,15 @@
 verification at large widths. A hunt is an exhaustive sweep whose report
 says ``hunt``.
 
-Work is sharded into runs of moduli (exhaustive) or into contiguous
-instance chunks (random) so the precomputed constants are reused and the
-merged report is identical for any parallelism degree: shards are merged in
-enumeration order and every aggregate (counts, histograms, first-N
-witness lists) is order-independent or order-preserving. An exhaustive
-sweep smaller than ``SERIAL_BELOW`` instances runs its shards in-process,
-where a worker pool would cost more than it saves.
+Work is sharded into runs of moduli (exhaustive) or, on a pool, into
+contiguous instance chunks (random) so the precomputed constants are
+reused and the merged report is identical for any parallelism degree:
+shards are merged in enumeration order and every aggregate (counts,
+histograms, first-N witness lists) is order-independent or
+order-preserving. An exhaustive sweep smaller than ``SERIAL_BELOW``
+instances runs its shards in-process, where a worker pool would cost more
+than it saves. An in-process random sweep cuts no shards: it draws, runs
+and tallies one instance at a time, straight into the report it returns.
 
 An exhaustive shard is a batch of consecutive moduli of one width, up to
 ``BATCH_LANES`` instances in all (a bigger modulus is a batch alone),
@@ -16,12 +18,13 @@ whose instances all run through one call of the bit-sliced kernel, one
 lane each. One oracle call checks every lane's outputs against the
 reference arithmetic, and the report tallies the batch once; a lane that
 fails either is run again through the scalar kernel, whose verdict the
-report records. Random shards run each instance through the scalar
-kernel.
+report records. A random sweep runs each instance through the scalar
+kernel, by one body (``_tally``) in-process and in a shard.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -109,13 +112,22 @@ class SweepConfig:
         )
         # None leaves a field unset, except jobs, which has no unset value.
         # check_int passes every value whose type is int, so only the
-        # others need the call.
-        for name, value in (
-            ("k_min", k_min), ("k_max", k_max), ("n", n),
-            ("count", count), ("seed", seed), ("jobs", jobs),
+        # others need the call, and a config whose fields all pass this one
+        # test needs none.
+        if not (
+            type(jobs) is int
+            and (k_min is None or type(k_min) is int)
+            and (k_max is None or type(k_max) is int)
+            and (n is None or type(n) is int)
+            and (count is None or type(count) is int)
+            and (seed is None or type(seed) is int)
         ):
-            if type(value) is not int and (value is not None or name == "jobs"):
-                check_int(name, value)
+            for name, value in (
+                ("k_min", k_min), ("k_max", k_max), ("n", n),
+                ("count", count), ("seed", seed), ("jobs", jobs),
+            ):
+                if type(value) is not int and (value is not None or name == "jobs"):
+                    check_int(name, value)
         if mode == "random":
             if n is None:
                 raise ContractViolation("random sweep requires n")
@@ -151,7 +163,12 @@ class SweepConfig:
             raise ContractViolation(f"k <= n violated (k_max={k_max}, n={int_text(n)})")
         if jobs < 1:
             raise ContractViolation(f"jobs >= 1 violated (jobs={int_text(jobs)})")
-        return SweepConfig(k_min, k_max, n, count, seed, jobs)
+        config = _bare_config()
+        object.__setattr__(config, "__dict__", {
+            "k_min": k_min, "k_max": k_max, "n": n,
+            "count": count, "seed": seed, "jobs": jobs,
+        })
+        return config
 
     def canonical(self, mode: str) -> dict:
         # The parallelism degree shapes execution, not results, so it
@@ -165,6 +182,12 @@ class SweepConfig:
             "seed": self.seed,
             "witness_cap": WITNESS_CAP,
         }
+
+
+# ``resolved`` builds its result from C, a bare instance given its field
+# dict: the frozen dataclass's __init__ sets each field through a
+# Python-level object.__setattr__ call.
+_bare_config = functools.partial(object.__new__, SweepConfig)
 
 
 def _over_cap(instances: int) -> ContractViolation:
@@ -220,7 +243,8 @@ class SweepReport:
     Each shard fills one, an exhaustive shard with ``add_moduli`` and a
     random one with ``add`` per instance. The entry point returns the
     first shard as the report, with the later shards merged into it in
-    enumeration order and ``config`` set to the sweep's header.
+    enumeration order and ``config`` set to the sweep's header; an
+    in-process random sweep fills one report, header first.
     """
 
     config: dict = field(default_factory=dict)
@@ -425,13 +449,18 @@ def _run_batch_task(task: tuple) -> SweepReport:
     return shard
 
 
-def _run_random_chunk(task: tuple) -> SweepReport:
-    """One random shard: a chunk of consecutive drawn instances."""
-    n, instances = task
-    shard = SweepReport()
+def _tally(report: SweepReport, n: int, instances: Iterable) -> SweepReport:
+    """Run each drawn (R, A, B) of width n through ``add``, in order: the
+    one per-instance body of a random sweep, in-process or in a shard."""
     for R, A, B in instances:
-        shard.add(n, R, A, B, _params(R, n))
-    return shard
+        report.add(n, R, A, B, _params(R, n))
+    return report
+
+
+def _run_random_chunk(task: tuple) -> SweepReport:
+    """One pooled random shard: a chunk of consecutive drawn instances."""
+    n, instances = task
+    return _tally(SweepReport(), n, instances)
 
 
 def _execute(tasks: Iterable, task_count: int, worker, config: SweepConfig,
@@ -515,37 +544,49 @@ def hunt_shrink_cycles(config: SweepConfig) -> SweepReport:
     return _sweep_moduli(config, "hunt")
 
 
-def _random_chunks(config: SweepConfig, size: int) -> Iterator[tuple]:
-    """The random shards' tasks: ``(n, instances)`` with ``size``
-    consecutive draws each (the last may hold fewer), drawn from one
-    generator only when the task is asked for."""
-    n, k_min, k_max, count = config.n, config.k_min, config.k_max, config.count
+def _draws(config: SweepConfig) -> Iterator[tuple[int, int, int]]:
+    """The sweep's ``count`` instances (R, A, B), in order, from one
+    generator seeded with ``seed``; each is drawn only when asked for."""
+    n, k_min, k_max = config.n, config.k_min, config.k_max
     rng = random.Random(config.seed)
+    randrange = rng.randrange
     full_width = k_min == k_max == n
-    for start in range(0, count, size):
-        instances = []
-        for _ in range(min(size, count - start)):
-            k = n if full_width else rng.randint(k_min, k_max)
-            R = rng.randrange(1 << (k - 1), 1 << k)
-            A = rng.randrange(R)
-            B = rng.randrange(R)
-            instances.append((R, A, B))
-        yield n, instances
+    for _ in range(config.count):
+        k = n if full_width else rng.randint(k_min, k_max)
+        R = randrange(1 << (k - 1), 1 << k)
+        yield R, randrange(R), randrange(R)
+
+
+def _random_chunks(config: SweepConfig, size: int) -> Iterator[tuple]:
+    """The pooled shards' tasks: ``(n, instances)`` with ``size``
+    consecutive draws each (the last may hold fewer), cut from ``_draws``
+    only when the task is asked for."""
+    draws = _draws(config)
+    while instances := list(itertools.islice(draws, size)):
+        yield config.n, instances
 
 
 def random_sweep(config: SweepConfig) -> SweepReport:
     """Run seeded random instances at width n against the reference.
 
-    Instances come from one generator, drawn in chunk order one chunk at
-    a time, so the sequence is a pure function of the seed and the
-    config; chunking for parallel execution cannot change it. In-process,
-    a chunk is drawn only after the one before it has run, so a sweep
-    holds one chunk's instances at a time.
+    Instances come from one generator, so the sequence is a pure function
+    of the seed and the config. In-process, each instance is drawn only
+    after the one before it has been run and tallied, straight into the
+    report returned. On a pool, consecutive draws are cut into chunks, one
+    shard each, and the shards merge in draw order, so the report is the
+    same bytes at any parallelism degree.
     """
     config = config.resolved("random")
     started = time.perf_counter()
-    size = max(1, min(500, -(-config.count // (config.jobs * 8))))
-    return _execute(
-        _random_chunks(config, size), -(-config.count // size),
-        _run_random_chunk, config, "random", started, config.jobs,
-    )
+    count, jobs = config.count, config.jobs
+    if jobs > 1 and count > 1:
+        # two chunks or more, so two workers or more: one chunk would run
+        # in-process anyway
+        size = max(1, min(500, -(-count // (jobs * 8))))
+        return _execute(
+            _random_chunks(config, size), -(-count // size), _run_random_chunk,
+            config, "random", started, jobs,
+        )
+    report = _tally(SweepReport(config.canonical("random")), config.n, _draws(config))
+    report.wall_time_s = time.perf_counter() - started
+    return report

@@ -274,7 +274,10 @@ class TestSweepCommands:
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
+        # an exhaustive or pooled sweep runs through _execute, an
+        # in-process random sweep draws its instances from _draws
         monkeypatch.setattr(harness, "_execute", no_sweep)
+        monkeypatch.setattr(harness, "_draws", no_sweep)
         bad = str(tmp_path / "missing" / "report.json")
         for argv in (
             ("sweep", "--k-max", "3"),

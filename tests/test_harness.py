@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -28,6 +29,32 @@ from csmulmod.modparams import precompute
 def _instances(k_min: int, k_max: int) -> int:
     """How many instances an exhaustive sweep of the k range runs."""
     return sum(R * R for k in range(k_min, k_max + 1) for R in range(1 << (k - 1), 1 << k))
+
+
+def _in_process_pool(monkeypatch) -> tuple[list, list]:
+    """Replace the pool with a fake that records its size and how many
+    shards it gets, and runs them in-process: no process is started at
+    any jobs value."""
+    sizes, shards = [], []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, tasks, chunksize=1):
+            # a random sweep hands the pool a generator of its chunks
+            tasks = list(tasks)
+            shards.append(len(tasks))
+            return map(worker, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return sizes, shards
 
 
 class TestExhaustiveSweep:
@@ -162,34 +189,8 @@ class TestDeterminism:
             assert serial.to_json_bytes() == parallel.to_json_bytes()
         assert pools == [{"processes": 2}] * 2
 
-    @staticmethod
-    def _in_process_pool(monkeypatch) -> tuple[list, list]:
-        """Replace the pool with a fake that records its size and how many
-        shards it gets, and runs them in-process: no process is started at
-        any jobs value."""
-        sizes, shards = [], []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, worker, tasks, chunksize=1):
-                # a random sweep hands the pool a generator of its chunks
-                tasks = list(tasks)
-                shards.append(len(tasks))
-                return map(worker, tasks)
-
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        return sizes, shards
-
     def test_pool_never_gets_more_workers_than_shards(self, monkeypatch):
-        sizes, _ = self._in_process_pool(monkeypatch)
+        sizes, _ = _in_process_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 1 << 20)
         monkeypatch.setattr(harness, "SERIAL_BELOW", 0)
         sweeps = (
@@ -205,7 +206,7 @@ class TestDeterminism:
             sizes.clear()
 
     def test_pool_never_gets_more_workers_than_cpus(self, monkeypatch):
-        sizes, shards = self._in_process_pool(monkeypatch)
+        sizes, shards = _in_process_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = dict(n=8, count=20000, seed=1)
         serial = random_sweep(SweepConfig(**config, jobs=1)).to_json_bytes()
@@ -243,28 +244,65 @@ class TestDeterminism:
         assert len(payloads) == 1
 
     def test_random_shards_fold_into_the_first(self, monkeypatch):
-        # count=40 at jobs=1 cuts 8 chunks run in-process; at jobs=2 they
-        # run on the pool. The first shard becomes the report, so it must
-        # be tallied once and carry the sweep's header.
+        # count=40 at jobs=2 cuts 14 chunks of at most 3 draws for the
+        # pool. The first shard becomes the report, each later one merges
+        # into it once in draw order, and the report carries the sweep's
+        # header and the bytes of the in-process run, which makes no shards.
         config = dict(n=16, count=40, seed=5)
-        chunks = []
-        run_chunk = harness._run_random_chunk
-
-        def counted(task):
-            chunks.append(len(task[1]))
-            return run_chunk(task)
-
-        monkeypatch.setattr(harness, "_run_random_chunk", counted)
-        serial = random_sweep(SweepConfig(**config, jobs=1))
-        assert chunks == [5] * 8
-        monkeypatch.undo()
-        pooled = random_sweep(SweepConfig(**config, jobs=2))
         header = SweepConfig(**config).resolved("random").canonical("random")
+        serial = random_sweep(SweepConfig(**config, jobs=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+        pooled = random_sweep(SweepConfig(**config, jobs=2))
         for report in (serial, pooled):
             assert report.instances == 40
             assert report.config == header
             assert json.loads(report.to_json_bytes())["header"]["config"] == header
         assert serial.to_json_bytes() == pooled.to_json_bytes()
+
+        sizes, shards = _in_process_pool(monkeypatch)
+        chunks, made, merged = [], [], []
+        run_chunk, merge = harness._run_random_chunk, SweepReport.merge
+
+        def made_shard(task):
+            chunks.append(len(task[1]))
+            made.append(run_chunk(task))
+            return made[-1]
+
+        def counted_merge(report, shard):
+            merged.append((report, shard))
+            merge(report, shard)
+
+        monkeypatch.setattr(harness, "_run_random_chunk", made_shard)
+        monkeypatch.setattr(SweepReport, "merge", counted_merge)
+        report = random_sweep(SweepConfig(**config, jobs=2))
+        assert (sizes, shards) == ([2], [14])
+        assert chunks == [3] * 13 + [1]
+        assert report is made[0]
+        assert merged == [(report, shard) for shard in made[1:]]
+        assert report.to_json_bytes() == serial.to_json_bytes()
+
+        # in-process, the sweep neither cuts nor merges shards
+        for calls in (chunks, made, merged, sizes):
+            calls.clear()
+        assert random_sweep(SweepConfig(**config, jobs=1)).to_json_bytes() == serial.to_json_bytes()
+        assert chunks == made == merged == sizes == []
+
+    def test_header_is_the_resolved_config(self, monkeypatch):
+        # the header echoes the resolved config, whichever of k_min, k_max
+        # and jobs are set; jobs=2 runs on the pool, here in-process
+        sizes, _ = _in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for k_min, k_max, jobs in itertools.product((None, 4), (None, 16), (None, 2)):
+            config = dict(n=16, count=6, seed=3, k_min=k_min, k_max=k_max)
+            if jobs is not None:
+                config["jobs"] = jobs
+            header = SweepConfig(**config).resolved("random").canonical("random")
+            assert (header["k_min"], header["k_max"]) == (k_min or 16, 16)
+            report = random_sweep(SweepConfig(**config))
+            assert report.config == header
+            doc = json.loads(report.to_json_bytes())["header"]
+            assert (doc["config"], doc["seed"]) == (header, 3)
+        assert sizes == [2] * 4
 
     def test_different_seeds_differ(self):
         a = random_sweep(SweepConfig(n=16, count=100, seed=1))
@@ -301,28 +339,32 @@ class TestRandomSweep:
             random_sweep(SweepConfig(n=16, count=INSTANCE_CAP + 1, seed=1))
         assert SweepConfig(n=16, count=INSTANCE_CAP, seed=1).resolved("random").count == INSTANCE_CAP
 
-    def test_each_chunk_runs_before_the_next_is_drawn(self, monkeypatch):
-        config = SweepConfig(n=16, count=40, seed=5)
-        expected = random_sweep(config).to_json_bytes()
-        draws = []
+    def test_each_instance_runs_before_the_next_is_drawn(self, monkeypatch):
+        # in-process, an instance's draws (R, A and B, after k for a k
+        # range) are made only after the instance before it has run
+        configs = (SweepConfig(n=16, count=40, seed=5), SweepConfig(n=16, k_min=3, count=40, seed=5))
+        expected = [random_sweep(config).to_json_bytes() for config in configs]
+        draws, seen = [], []
 
         class Counted(random.Random):
             def randrange(self, *args):
                 draws.append(args)
                 return super().randrange(*args)
 
-        seen = []
-        run_chunk = harness._run_random_chunk
+        checked = harness.mulmod_checked
 
-        def counted(task):
+        def counted(*args, **kwargs):
             seen.append(len(draws))
-            return run_chunk(task)
+            return checked(*args, **kwargs)
 
         monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Counted))
-        monkeypatch.setattr(harness, "_run_random_chunk", counted)
-        assert random_sweep(config).to_json_bytes() == expected
-        # 8 chunks of 5 full-width instances, three draws (R, A, B) each
-        assert seen == [15 * chunk for chunk in range(1, 9)]
+        monkeypatch.setattr(harness, "mulmod_checked", counted)
+        for config, report, per_instance in zip(configs, expected, (3, 4)):
+            draws.clear()
+            seen.clear()
+            assert random_sweep(config).to_json_bytes() == report
+            assert seen == [per_instance * i for i in range(1, 41)]
+            assert len(draws) == 40 * per_instance
 
 
 class TestHunt:
@@ -389,7 +431,8 @@ class TestUnexpectedErrors:
             return inner(A, B, R, n, **kwargs)
 
         monkeypatch.setattr(harness, "mulmod_checked", faulty)
-        report = random_sweep(SweepConfig(n=3, count=60, seed=4))  # draws (5, 2, 3) once
+        config = dict(n=3, count=60, seed=4)
+        report = random_sweep(SweepConfig(**config))  # draws (5, 2, 3) once
         assert report.instances == 60
         assert report.failures_total == 1
         assert not report.ok()
@@ -397,6 +440,11 @@ class TestUnexpectedErrors:
             {"n": 3, "r": "5", "a": "2", "b": "3", "reason": "ValueError: synthetic fault"}
         ]
         assert sum(report.cycle_histogram.values()) == 59
+        # the pooled path fails the same instance with the same reason
+        _in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = random_sweep(SweepConfig(**config, jobs=2))
+        assert pooled.to_json_bytes() == report.to_json_bytes()
         argv = ["random", "--n", "3", "--count", "60", "--seed", "4"]
         assert main(argv) == EXIT_VERIFICATION
         assert "failures=1 " in capsys.readouterr().out
@@ -493,6 +541,11 @@ class TestUnexpectedErrors:
         assert 0 < report.failures_total == calls.count(5)
         assert all(w["r"] == "5" for w in report.failures)
         assert sum(report.cycle_histogram.values()) == 60 - calls.count(5)
+        # the pooled path fails the same instances with the same reason
+        _in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = random_sweep(SweepConfig(n=3, count=60, seed=4, jobs=2))
+        assert pooled.to_json_bytes() == report.to_json_bytes()
 
         assert main(["sweep", "--k-max", "3"]) == EXIT_VERIFICATION
         assert "failures=25 " in capsys.readouterr().out
@@ -562,16 +615,20 @@ class TestTally:
         assert body["max_cycles"]["witness"] == witness
         assert report.max_cycles_witness == witness
 
-    def test_merge_keeps_the_earliest_maximal_instance(self):
-        config = SweepConfig(n=16, count=40, seed=5)
-        (n, instances), = harness._random_chunks(config.resolved("random"), 40)
+    def test_merge_keeps_the_earliest_maximal_instance(self, monkeypatch):
+        config = dict(n=16, count=40, seed=5)
+        (n, instances), = harness._random_chunks(SweepConfig(**config).resolved("random"), 40)
         cycles = [mulmod(A, B, R, n).shrink_cycles for R, A, B in instances]
         maximal = [i for i, c in enumerate(cycles) if c == max(cycles)]
-        # the maximum is reached in more than one of the sweep's 8 chunks of 5
-        assert maximal[-1] // 5 > maximal[0] // 5
-        report = random_sweep(config)
-        assert report.max_cycles == max(cycles)
-        assert report.max_cycles_instance == (n, *instances[maximal[0]])
+        # the maximum is reached in more than one of the pooled sweep's
+        # 14 chunks of at most 3, so the merge must keep the first
+        assert maximal[-1] // 3 > maximal[0] // 3
+        _in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):
+            report = random_sweep(SweepConfig(**config, jobs=jobs))
+            assert report.max_cycles == max(cycles)
+            assert report.max_cycles_instance == (n, *instances[maximal[0]])
 
     def test_first_zero_cycle_instance_is_the_witness(self):
         report = SweepReport()

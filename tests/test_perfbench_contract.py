@@ -14,9 +14,11 @@ import pytest
 
 from csmulmod import (
     BitVec,
+    SweepConfig,
     fold_pair,
     precompute,
     qcu_apply,
+    random_sweep,
     ref_mulmod,
     run_loop,
     run_shrink,
@@ -24,6 +26,7 @@ from csmulmod import (
     shift_right_result,
     squeeze_topup,
 )
+from csmulmod import harness
 from csmulmod.cli import main as cli_main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,6 +78,27 @@ def test_every_imported_name_resolves():
 )
 def test_swapped_globals_exist(module_name, name):
     assert callable(getattr(importlib.import_module(module_name), name))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(n=256, count=1, seed=9), dict(n=16, count=40, seed=5), dict(n=64, k_min=3, count=25, seed=7)],
+    ids=("n256-one", "n16-full-width", "n64-k-range"),
+)
+def test_random_sweep_calls_the_swapped_global_once_per_instance(monkeypatch, config):
+    # perfbench/tracing.py times a jobs=1 random sweep by swapping
+    # harness.mulmod_checked for a timer: every instance must pass through
+    # the module global, once
+    calls = []
+    inner = harness.mulmod_checked
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "mulmod_checked", counted)
+    report = random_sweep(SweepConfig(**config))
+    assert len(calls) == len(set(calls)) == report.instances == config["count"]
 
 
 def test_bitvec_init_is_swappable():
