@@ -17,7 +17,7 @@ from .harness import (
     hunt_shrink_cycles,
     random_sweep,
 )
-from .mainloop import Accumulator, StepTrace, lcu, run_loop
+from .mainloop import Accumulator, StepTrace, run_loop
 from .modparams import (
     MAX_WIDTH,
     ModulusParams,
@@ -32,13 +32,7 @@ from .oracle import (
     replay_step_wide,
 )
 from .pipeline import MulResult, RunTrace, mulmod, mulmod_checked
-from .shrink import (
-    NORMAL_CYCLE_CAP,
-    ShrinkCycle,
-    ShrinkReport,
-    run_shrink,
-    shrink_cycle,
-)
+from .shrink import NORMAL_CYCLE_CAP, ShrinkCycle, ShrinkReport, run_shrink
 from .squeeze import SqueezeReport, qcu_apply, squeeze_topup
 
 __all__ = [
@@ -62,7 +56,6 @@ __all__ = [
     "exhaustive_sweep",
     "fold_pair",
     "hunt_shrink_cycles",
-    "lcu",
     "maj2of3",
     "mulmod",
     "mulmod_checked",
@@ -75,7 +68,6 @@ __all__ = [
     "run_shrink",
     "shift_left_operand",
     "shift_right_result",
-    "shrink_cycle",
     "squeeze_topup",
     "top_up",
 ]

@@ -22,7 +22,6 @@ from .modparams import ModulusParams, check_int, int_text
 __all__ = [
     "Accumulator",
     "StepTrace",
-    "lcu",
     "predict",
     "run_loop",
 ]
@@ -34,8 +33,8 @@ class Accumulator(NamedTuple):
     The residue class of p + q modulo the shifted modulus is the meaning;
     the split between the two registers is free to change at any time.
     ``n`` is the working width, so bit n is each register's top bit.
-    Shrink and squeeze read it by position, so an untraced run hands them
-    the plain tuple ``(p, q, n)`` instead.
+    Every scalar stage hands the pair on as one, traced or not; the
+    stages build it through ``_make_acc`` and read it by position.
     """
 
     p: int
@@ -96,29 +95,19 @@ def predict(
     return q5 ^ s5 ^ c4, (pn & qn) ^ maj2of3(s5, c4, q5)
 
 
-def lcu(
-    p_top3: tuple[int, int, int],
-    q_top3: tuple[int, int, int],
-    b_top: int,
-) -> int:
-    """The count ``predict`` gives for the top three bits of each register
-    and the partial product's top bit, as one int; it is always below 4."""
-    f0, f1 = predict(*p_top3, *q_top3, b_top)
-    return (f1 << 1) | f0
-
-
-# The predicted overflow count for every seven-bit predictor input, as
-# _F_TABLE[b_top][x3][a3], where x3 and a3 are the top three bits of p ^ q
-# and p & q read as binary numbers. ``predict`` reads each position only
-# through p ^ q and p & q, so every split of a pair gives the same count,
-# and the table is built at the split p = x | a, q = a. The loop computes
-# p ^ q and p & q anyway; it picks the b_top half once per call and then
-# indexes it with one shift of each.
+# The overflow count 2*f1 + f0 that ``predict`` gives for every
+# seven-bit input, as _F_TABLE[b_top][x3][a3], where x3 and a3 are the
+# top three bits of p ^ q and p & q read as binary numbers. ``predict``
+# reads each position only through p ^ q and p & q, so every split of a
+# pair gives the same count, and the table is built at the split
+# p = x | a, q = a. The loop computes p ^ q and p & q anyway; it picks the
+# b_top half once per call and then indexes it with one shift of each.
 _F_TABLE = tuple(
     tuple(
         tuple(
-            lcu(tuple(map(or_, x3, a3)), a3, b_top)
+            f1 << 1 | f0
             for a3 in product((0, 1), repeat=3)
+            for f0, f1 in [predict(*map(or_, x3, a3), *a3, b_top)]
         )
         for x3 in product((0, 1), repeat=3)
     )
@@ -163,7 +152,7 @@ REVERSED_FROM = 29
 # classmethod. What it gives up is _make's field-count check (the tests
 # hold every record to StepTrace's type and length).
 _make_step = functools.partial(tuple.__new__, StepTrace)
-# The same for the pair each call returns: a (p, q, n) tuple.
+# The same for the Accumulator each scalar stage returns, from its (p, q, n).
 _make_acc = functools.partial(tuple.__new__, Accumulator)
 
 

@@ -81,9 +81,8 @@ def mulmod(
     (cleared low bits after each stage, then both unshifted outputs below
     R), and shrink raises if it needs more than its 4 cycles. So a result
     is always a pair below R. An untraced call builds no stage record:
-    shrink and squeeze hand the pair on as a plain ``(p, q, n)`` tuple and
-    return only the cycle count and the rule, the two fields of
-    ``MulResult`` that an untraced run fills.
+    shrink and squeeze return only the cycle count and the rule, the two
+    fields of ``MulResult`` that an untraced run fills.
     """
     if params is None:
         params = precompute(R, n)
@@ -105,7 +104,7 @@ def mulmod(
     p, q, _ = acc
     check_low_bits(p, q, params, "shrink")
 
-    acc, squeeze = qcu_apply(squeeze_topup(acc, trace), params, trace)
+    acc, squeeze = qcu_apply(squeeze_topup(acc), params, trace)
     p, q, _ = acc
     p_out, q_out = shift_right_result(p, q, params)
     if p_out >= R or q_out >= R:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .bitcore import csa, top_up
 from .errors import InvariantViolation
-from .mainloop import Accumulator
+from .mainloop import Accumulator, _make_acc
 from .modparams import ModulusParams
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "ShrinkCycle",
     "ShrinkReport",
     "run_shrink",
-    "shrink_cycle",
     "shrink_rules",
 ]
 
@@ -94,94 +93,73 @@ def _shrink_entry(pn: int, qn: int, pq_next: int) -> tuple[int, int, int]:
 
 # shrink_rules on every input, as _SHRINK_TABLE[p_n << 2 | q_n << 1 |
 # (p & q)_{n-1}]: the fired rule (0 for none) and the top bits it clears.
-# shrink_cycle reads its rule here, so a cycle scans no masks.
+# run_shrink reads its rule here, so a cycle scans no masks.
 _SHRINK_TABLE = tuple(_shrink_entry(*bits) for bits in product((0, 1), repeat=3))
-
-
-def shrink_cycle(
-    acc: Accumulator, params: ModulusParams, trace: bool = True
-) -> tuple[Accumulator, ShrinkCycle | None] | tuple[tuple[int, int, int], int]:
-    """Run one cycle: top-up the two top bit positions, then apply one rule.
-
-    Returns the new accumulator and the record of the fired rule, or None
-    when no rule matched (the accumulator then carries only the top-up,
-    which preserves the pair's sum). Untraced (``trace`` False, as
-    ``run_shrink`` passes it for an untraced ``mulmod``) it builds no
-    record: it returns the plain tuple ``(p, q, n)`` and the fired rule,
-    0 for none. The rule comes from ``_SHRINK_TABLE``, ``shrink_rules``
-    tabulated at import; after the top-up q's top bit and the ANDed
-    next-to-top bit are bits n and n-1 of p & q, so one shift of it reads
-    both. Every rule performs its addition in the (n+1)-bit carry-save
-    adder and clears bits afterwards. Rules 2-4
-    must lose nothing in the adder, which is checked, and a bit cleared is
-    then always set at clearing time: rules 2 and 3 have p_n=1 and q_n=0
-    after the top-up, so their sum bit n is unset only where the
-    constant's bit n is set, and then the adder drops maj(1, 0, 1) = 1;
-    rules 2 and 4 have p_{n-1}=q_{n-1}=1, so their carry bit n is always
-    set. Rule 1 needs no check: it fires only on p_n = q_n = 1, so the
-    adder's majority at bit n is maj(1, 1, x) = 1 for any constant, and it
-    always drops exactly 2**(n+1), the doubled span its constant pays for.
-    That holds for every pair of (n+1)-bit registers and every constant
-    that fits them.
-    """
-    n = params.n
-    p, q, _ = acc
-    p, q = top_up(p, q, 3 << (n - 1))
-    rule, clear_p, clear_q = _SHRINK_TABLE[
-        ((p >> n) & 1) << 2 | (((p & q) >> (n - 1)) & 3)
-    ]
-    if rule:
-        const = params.rx[1] if rule <= 2 else params.rn
-        s, c = csa(p, q, const, params.mask)
-        if rule != 1 and p + q + const != s + c:
-            raise InvariantViolation("adder lost a bit outside rule 1")
-        # Each bit cleared is set, so flipping it clears it.
-        out_p = s ^ (clear_p << n)
-        out_q = c ^ (clear_q << n)
-    else:
-        out_p, out_q = p, q
-    if not trace:
-        return (out_p, out_q, n), rule
-    return Accumulator(out_p, out_q, n), (
-        ShrinkCycle(p, q, rule, out_p, out_q) if rule else None
-    )
 
 
 def run_shrink(
     acc: Accumulator, params: ModulusParams, trace: bool = True
-) -> tuple[Accumulator, ShrinkReport] | tuple[tuple[int, int, int], int]:
+) -> tuple[Accumulator, ShrinkReport | int]:
     """Cycle until the exit shape is reached.
 
-    Needing more than ``NORMAL_CYCLE_CAP`` cycles, the proven worst case,
-    raises ``InvariantViolation``. Untraced (``trace`` False, as an
-    untraced ``mulmod`` passes it) the cycles build no record, and the
-    result is the plain tuple ``(p, q, n)`` and the cycle count in place
-    of the accumulator and the report.
+    Each cycle tops up the two top bit positions, then applies one rule.
+    The rule comes from ``_SHRINK_TABLE``, ``shrink_rules`` tabulated at
+    import; after the top-up q's top bit and the ANDed next-to-top bit
+    are bits n and n-1 of p & q, so one shift of it reads both. A cycle
+    that fires no rule ends the stage, and the pair then carries only its
+    top-up, which preserves the pair's sum. Needing more than
+    ``NORMAL_CYCLE_CAP`` cycles, the proven worst case, raises
+    ``InvariantViolation``.
+
+    Every rule performs its addition in the (n+1)-bit carry-save adder
+    and clears bits afterwards. Rules 2-4 must lose nothing in the adder,
+    which is checked, and a bit cleared is then always set at clearing
+    time: rules 2 and 3 have p_n=1 and q_n=0 after the top-up, so their
+    sum bit n is unset only where the constant's bit n is set, and then
+    the adder drops maj(1, 0, 1) = 1; rules 2 and 4 have
+    p_{n-1}=q_{n-1}=1, so their carry bit n is always set. Rule 1 needs
+    no check: it fires only on p_n = q_n = 1, so the adder's majority at
+    bit n is maj(1, 1, x) = 1 for any constant, and it always drops
+    exactly 2**(n+1), the doubled span its constant pays for. That holds
+    for every pair of (n+1)-bit registers and every constant that fits
+    them.
+
+    Returns the exit pair and the report, with one ``ShrinkCycle`` per
+    fired rule. Untraced (``trace`` False, as an untraced ``mulmod``
+    passes it) the cycles build no record, and the cycle count stands in
+    place of the report.
     """
+    n = params.n
     entry_p, entry_q, _ = acc
+    p, q = entry_p, entry_q
+    tops = 3 << (n - 1)
     snapshots: list[ShrinkCycle] = []
     cycles = 0
     while True:
-        acc, cycle = shrink_cycle(acc, params, trace)
-        if not cycle:
+        p, q = top_up(p, q, tops)
+        rule, clear_p, clear_q = _SHRINK_TABLE[
+            ((p >> n) & 1) << 2 | (((p & q) >> (n - 1)) & 3)
+        ]
+        if not rule:
             break
+        const = params.rx[1] if rule <= 2 else params.rn
+        s, c = csa(p, q, const, params.mask)
+        if rule != 1 and p + q + const != s + c:
+            raise InvariantViolation("adder lost a bit outside rule 1")
         if cycles == NORMAL_CYCLE_CAP:
             raise InvariantViolation(
                 f"shrink needed more than {NORMAL_CYCLE_CAP} cycles "
                 f"(entry p={entry_p:#x}, q={entry_q:#x})"
             )
         cycles += 1
+        # Each bit cleared is set, so flipping it clears it.
+        s ^= clear_p << n
+        c ^= clear_q << n
         if trace:
-            snapshots.append(cycle)
+            snapshots.append(ShrinkCycle(p, q, rule, s, c))
+        p, q = s, c
+    acc = _make_acc((p, q, n))
     if not trace:
         return acc, cycles
-    report = ShrinkReport(
-        cycles=cycles,
-        rules_fired=tuple(cycle.rule for cycle in snapshots),
-        entry_p=entry_p,
-        entry_q=entry_q,
-        exit_p=acc.p,
-        exit_q=acc.q,
-        snapshots=tuple(snapshots),
-    )
-    return acc, report
+    rules_fired = tuple(cycle.rule for cycle in snapshots)
+    return acc, ShrinkReport(cycles, rules_fired, entry_p, entry_q, p, q, tuple(snapshots))

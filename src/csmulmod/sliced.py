@@ -262,7 +262,7 @@ def _shrink(
     which ``_squeeze`` reads as p&q and tops up before reading it alone
     (``_low_bits`` reads only bits below ``shift`` <= n-3). Rule 1 needs
     no flag: it always drops the doubled span its constant pays for (the
-    proofs are in ``shrink.shrink_cycle``'s docstring).
+    proofs are in ``shrink.run_shrink``'s docstring).
     """
     flagged, cycles, cycling = 0, [0] * (NORMAL_CYCLE_CAP + 1), ones
     for cycle in range(NORMAL_CYCLE_CAP + 1):

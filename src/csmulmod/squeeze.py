@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bitcore import csa, top_up
 from .errors import InvariantViolation
-from .mainloop import Accumulator
+from .mainloop import Accumulator, _make_acc
 from .modparams import ModulusParams
 
 __all__ = [
@@ -45,16 +45,12 @@ class SqueezeReport(NamedTuple):
     exit_q: int
 
 
-def squeeze_topup(
-    acc: Accumulator, trace: bool = True
-) -> Accumulator | tuple[int, int, int]:
+def squeeze_topup(acc: Accumulator) -> Accumulator:
     """Migrate set bits into p at the two positions below the top bit.
 
     Entry contract (the previous stage's exit): both top bits clear, and
     bit n-1 not set in both registers at once. That makes the treated
     bit n-1 of q always end up clear, so q fits in n-1 bits afterwards.
-    Untraced (``trace`` False, as an untraced ``mulmod`` passes it) the
-    result is the plain tuple ``(p, q, n)``.
     """
     p, q, n = acc
     if (p | q) >> n:
@@ -67,7 +63,7 @@ def squeeze_topup(
             f"(p={p:#x}, q={q:#x})"
         )
     p, q = top_up(p, q, 3 << (n - 2))
-    return Accumulator(p, q, n) if trace else (p, q, n)
+    return _make_acc((p, q, n))
 
 
 def squeeze_rules(
@@ -121,7 +117,7 @@ _SQUEEZE_TABLE = tuple(_squeeze_entry(*bits) for bits in product((0, 1), repeat=
 
 def qcu_apply(
     acc: Accumulator, params: ModulusParams, trace: bool = True
-) -> tuple[Accumulator, SqueezeReport] | tuple[tuple[int, int, int], int]:
+) -> tuple[Accumulator, SqueezeReport | int]:
     """Apply exactly one of the six final reduction rules of
     ``squeeze_rules``: edit the three bits, then add rn (rule 2) or rm
     (rule 3).
@@ -130,10 +126,9 @@ def qcu_apply(
     ``squeeze_rules`` tabulated at import. Rules 4 and 6 move weight
     between the registers without changing the pair's exact integer sum;
     rules 2 and 3 subtract a fixed amount via the bit edits and add the
-    constant congruent to it. Untraced
-    (``trace`` False, as an untraced ``mulmod`` passes it) it builds no
-    record: the result is the plain tuple ``(p, q, n)`` and the rule in
-    place of the accumulator and the report.
+    constant congruent to it. Untraced (``trace`` False, as an untraced
+    ``mulmod`` passes it) it builds no report: the rule stands in its
+    place.
     """
     n = params.n
     p, q, _ = acc
@@ -148,8 +143,7 @@ def qcu_apply(
         out_p, out_q = csa(edited_p, edited_q, const, params.mask)
     else:
         out_p, out_q = edited_p, edited_q
-
+    acc = _make_acc((out_p, out_q, n))
     if not trace:
-        return (out_p, out_q, n), rule
-    report = SqueezeReport(rule, p, q, edited_p, edited_q, out_p, out_q)
-    return Accumulator(out_p, out_q, n), report
+        return acc, rule
+    return acc, SqueezeReport(rule, p, q, edited_p, edited_q, out_p, out_q)

@@ -17,7 +17,6 @@ from csmulmod import (
     SweepConfig,
     csa,
     exhaustive_sweep,
-    lcu,
     maj2of3,
     mulmod,
     precompute,
@@ -26,6 +25,7 @@ from csmulmod import (
     replay_step_wide,
     top_up,
 )
+from csmulmod.mainloop import predict
 
 JOBS = min(4, os.cpu_count() or 1)
 K_MAX = 11 if os.environ.get("CSMULMOD_NIGHTLY") else 6
@@ -67,7 +67,7 @@ def _verify_instance_deep(A, B, R, n, params, agg):
         pt = _bits_top3(st.p_in, n)
         qt = _bits_top3(st.q_in, n)
         bt = st.a_i & ((b >> (n - 1)) & 1)
-        if st.f >= 4 or st.f != lcu(pt, qt, bt):
+        if st.f >= 4 or predict(*pt, *qt, bt) != (st.f & 1, st.f >> 1):
             bad.append(("predictor", n, R, A, B, st.i))
         if st.discarded != st.f * span2:
             bad.append(("drop-accounting", n, R, A, B, st.i))
@@ -204,7 +204,7 @@ class TestAcceptance:
 
     def test_ac5_loop_predictor_properties(self):
         for bits in itertools.product((0, 1), repeat=7):
-            assert lcu(bits[0:3], bits[3:6], bits[6]) < 4
+            assert set(predict(*bits)) <= {0, 1}
             assert _exclusions_hold(bits[0:3], bits[3:6], bits[6])
         agg = deep_exhaustive()
         step_faults = [v for v in agg["violations"] if v[0] in (

@@ -10,7 +10,6 @@ from csmulmod import (
     ContractViolation,
     StepTrace,
     csa,
-    lcu,
     mulmod,
     precompute,
     ref_mulmod,
@@ -18,7 +17,7 @@ from csmulmod import (
     run_loop,
     shift_left_operand,
 )
-from csmulmod.mainloop import _F_REVERSED, _F_TABLE, _REV8, REVERSED_FROM
+from csmulmod.mainloop import _F_REVERSED, _F_TABLE, _REV8, REVERSED_FROM, predict
 
 
 def exclusion_identities_hold(pn, pn1, pn2, qn, qn1, qn2, bt):
@@ -33,19 +32,20 @@ def exclusion_identities_hold(pn, pn1, pn2, qn, qn1, qn2, bt):
     return first == 0 and second == 0
 
 
-class TestLcu:
+class TestPredict:
     def test_zero_state(self):
-        assert lcu((0, 0, 0), (0, 0, 0), 0) == 0
+        assert predict(0, 0, 0, 0, 0, 0, 0) == (0, 0)
 
     def test_double_top_bits(self):
-        assert lcu((1, 0, 0), (1, 0, 0), 0) == 2
+        assert predict(1, 0, 0, 1, 0, 0, 0) == (0, 1)
 
     def test_double_next_bits(self):
-        assert lcu((0, 1, 0), (0, 1, 0), 0) == 1
+        assert predict(0, 1, 0, 0, 1, 0, 0) == (1, 0)
 
-    def test_all_128_inputs_stay_below_four(self):
+    def test_all_128_inputs_give_two_bits(self):
         for bits in itertools.product((0, 1), repeat=7):
-            assert lcu(bits[0:3], bits[3:6], bits[6]) < 4
+            f0, f1 = predict(*bits)
+            assert f0 in (0, 1) and f1 in (0, 1)
 
     def test_prediction_matches_wide_replay_on_all_128_inputs(self):
         # realize each bit combination as an actual register state at n=4
@@ -55,9 +55,9 @@ class TestLcu:
             p = (pn << 4) | (pn1 << 3) | (pn2 << 2)
             q = (qn << 4) | (qn1 << 3) | (qn2 << 2)
             b = bt << 3
-            f = lcu((pn, pn1, pn2), (qn, qn1, qn2), bt)
+            f0, f1 = predict(*bits)
             drops = replay_step_wide(p, q, 1, b, params.rx, 4)
-            assert set(drops) == {f << 5}
+            assert set(drops) == {f0 << 5 | f1 << 6}
             assert exclusion_identities_hold(*bits)
 
 
@@ -66,8 +66,8 @@ def top3(v, n):
 
 
 def reference_loop(A, b, params):
-    """The loop written step by step from ``lcu`` on explicit bit triples
-    and two ``csa`` calls, as the reference the table-driven, inline
+    """The loop written step by step from ``predict`` on explicit bit
+    triples and two ``csa`` calls, as the reference the table-driven, inline
     ``run_loop`` must match. Returns each step's record fields as
     (i, a_i, p_in, q_in, s, c, f, ry, p_out, q_out)."""
     n, mask = params.n, params.mask
@@ -75,7 +75,8 @@ def reference_loop(A, b, params):
     steps = []
     for i in range(params.k - 1, -1, -1):
         a_i = (A >> i) & 1
-        f = lcu(top3(p, n), top3(q, n), a_i & (b >> (n - 1)))
+        f0, f1 = predict(*top3(p, n), *top3(q, n), a_i & (b >> (n - 1)))
+        f = f1 << 1 | f0
         s, c = csa((p << 1) & mask, (q << 1) & mask, b if a_i else 0, mask)
         ry = params.rx[f]
         p_out, q_out = csa(s, c, ry, mask)

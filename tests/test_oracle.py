@@ -8,12 +8,12 @@ from csmulmod import (
     exhaustive_mismatches,
     exhaustive_sweep,
     fold_pair,
-    lcu,
     oracle,
     precompute,
     ref_mulmod,
     replay_step_wide,
 )
+from csmulmod.mainloop import predict
 
 
 def ref_mulmod_by_addition(A: int, B: int, R: int) -> int:
@@ -369,10 +369,10 @@ class TestReplayStepWide:
             q = rng.randrange(1 << (n + 1))
             a_i = rng.randint(0, 1)
             b = rng.randrange(params.modulus)
-            f = lcu(
-                ((p >> n) & 1, (p >> (n - 1)) & 1, (p >> (n - 2)) & 1),
-                ((q >> n) & 1, (q >> (n - 1)) & 1, (q >> (n - 2)) & 1),
+            f0, f1 = predict(
+                (p >> n) & 1, (p >> (n - 1)) & 1, (p >> (n - 2)) & 1,
+                (q >> n) & 1, (q >> (n - 1)) & 1, (q >> (n - 2)) & 1,
                 a_i & ((b >> (n - 1)) & 1),
             )
             drops = replay_step_wide(p, q, a_i, b, params.rx, n)
-            assert set(drops) == {f << (n + 1)}
+            assert set(drops) == {f0 << (n + 1) | f1 << (n + 2)}

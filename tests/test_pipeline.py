@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import csmulmod
 from csmulmod import (
     Accumulator,
     ContractViolation,
@@ -11,13 +14,35 @@ from csmulmod import (
     fold_pair,
     mulmod,
     mulmod_checked,
+    ShrinkReport,
+    SqueezeReport,
     precompute,
+    qcu_apply,
     ref_mulmod,
     run_loop,
+    run_shrink,
     shift_left_operand,
+    squeeze_topup,
 )
 from csmulmod import pipeline
 from test_sliced import TAMPERS
+
+
+def test_every_export_is_defined():
+    # a function that is removed must leave no name behind in the
+    # package's __all__ or in any of its modules'
+    modules = [csmulmod] + [
+        importlib.import_module(f"csmulmod.{info.name}")
+        for info in pkgutil.iter_modules(csmulmod.__path__)
+        if info.name != "__main__"
+    ]
+    missing = [
+        (module.__name__, name)
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
 
 
 class TestMulmod:
@@ -228,6 +253,32 @@ class TestTracedAndUntracedAgree:
             assert acc == run_loop(A, b, params, trace=True)[0]
             assert result[:4] == mulmod(A, B, R, n, True, params=params)[:4]
 
+    @pytest.mark.parametrize("n", [8, 64, 257])
+    def test_every_stage_hands_on_an_accumulator(self, n):
+        # traced or not, the loop, shrink, squeeze_topup and qcu_apply each
+        # return the pair as exactly an Accumulator, the same pair on both
+        # paths; only a traced stage builds its report
+        rng = random.Random(n)
+        for R in (173, rng.randrange(1 << (n - 1), 1 << n)):
+            params = precompute(R, n)
+            A, B = rng.randrange(R), rng.randrange(R)
+            paths = {}
+            for trace in (True, False):
+                acc, _ = run_loop(A, shift_left_operand(B, params), params, trace=trace)
+                pairs = [acc]
+                acc, shrink = run_shrink(acc, params, trace)
+                pairs.append(acc)
+                pairs.append(squeeze_topup(acc))
+                acc, squeeze = qcu_apply(pairs[-1], params, trace)
+                pairs.append(acc)
+                for pair in pairs:
+                    assert type(pair) is Accumulator and len(pair) == 3
+                paths[trace] = pairs, shrink, squeeze
+            (traced, shrink, squeeze), (untraced, cycles, rule) = paths[True], paths[False]
+            assert traced == untraced
+            assert type(shrink) is ShrinkReport and type(squeeze) is SqueezeReport
+            assert (shrink.cycles, squeeze.rule) == (cycles, rule)
+
     @pytest.mark.parametrize(
         "message, top_p, top_q",
         [
@@ -243,8 +294,7 @@ class TestTracedAndUntracedAgree:
         def broken(acc, params, trace=True):
             acc, report = real(acc, params, trace)
             p, q, n = acc
-            out = (p | top_p << (n - 1), q | top_q << (n - 1), n)
-            return (Accumulator(*out) if trace else out), report
+            return Accumulator(p | top_p << (n - 1), q | top_q << (n - 1), n), report
 
         monkeypatch.setattr(pipeline, "run_shrink", broken)
         pairs = self.outcomes()

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from csmulmod import (
@@ -7,7 +9,6 @@ from csmulmod import (
     run_loop,
     run_shrink,
     shift_left_operand,
-    shrink_cycle,
     top_up,
 )
 from csmulmod.shrink import shrink_rules
@@ -60,27 +61,30 @@ class TestShrinkRules:
 
 class TestShrinkCycle:
     def test_worked_example_rule2(self):
-        acc, cycle = shrink_cycle(acc5(24, 8), P13)
+        acc, report = run_shrink(acc5(24, 8), P13)
+        cycle = report.snapshots[0]
         assert cycle.rule == 2
         assert (acc.p, acc.q) == (cycle.p, cycle.q) == (6, 0)
         assert (cycle.topup_p, cycle.topup_q) == (24, 8)
         assert (24 + 8) % 13 == (6 + 0) % 13
 
     def test_zero_state_is_done(self):
-        acc, cycle = shrink_cycle(acc5(0, 0), P13)
-        assert cycle is None
+        acc, report = run_shrink(acc5(0, 0), P13)
+        assert report.cycles == 0
         assert (acc.p, acc.q) == (0, 0)
 
     def test_rule1_discards_one_double_span(self):
         # both top bits set: the adder's erased carry bit pays exactly 2**5
-        acc, cycle = shrink_cycle(acc5(16, 16), P13)
+        _, report = run_shrink(acc5(16, 16), P13)
+        cycle = report.snapshots[0]
         assert cycle.rule == 1
-        assert (acc.p + acc.q) % 13 == (16 + 16) % 13
-        assert 16 + 16 + P13.rx[1] - (acc.p + acc.q) == 32
+        assert (cycle.p + cycle.q) % 13 == (16 + 16) % 13
+        assert 16 + 16 + P13.rx[1] - (cycle.p + cycle.q) == 32
 
     def test_topup_runs_before_selection(self):
         # a lone top bit in q migrates to p and still triggers rule 3
-        acc, cycle = shrink_cycle(acc5(0, 0b10000), P13)
+        _, report = run_shrink(acc5(0, 0b10000), P13)
+        cycle = report.snapshots[0]
         assert cycle.rule == 3
         assert (cycle.topup_p, cycle.topup_q) == (0b10000, 0)
 
@@ -90,29 +94,34 @@ class TestShrinkCycle:
         # sum by exactly what its rule accounts for: plus the constant, minus
         # the doubled span rule 1 drops, minus 2**n per cleared top bit. A
         # cleared bit that was unset would add 2**n instead, so the drop
-        # check alone keeps every cleared bit set.
+        # check alone keeps every cleared bit set. Each cycle starts from the
+        # top-up of the one before, and the exit pair is the top-up of the
+        # last.
         base = precompute((1 << n) - 1, n)
+        tops = 3 << (n - 1)
         cleared = {1: 0, 2: 2, 3: 1, 4: 1}
-        raised = kept = 0
+        raised = cycles = 0
         for const in range(1 << (n + 1)):
             for params in (base._replace(rn=const), base._replace(rx=(0, const, *base.rx[2:]))):
-                for p in range(1 << (n + 1)):
-                    for q in range(1 << (n + 1)):
-                        try:
-                            acc, cycle = shrink_cycle(Accumulator(p, q, n), params)
-                        except InvariantViolation:
-                            raised += 1
-                            continue
-                        if cycle is None:
-                            continue
+                for p, q in itertools.product(range(1 << (n + 1)), repeat=2):
+                    try:
+                        acc, report = run_shrink(Accumulator(p, q, n), params)
+                    except InvariantViolation:
+                        raised += 1
+                        continue
+                    prev = p, q
+                    for cycle in report.snapshots:
+                        assert (cycle.topup_p, cycle.topup_q) == top_up(*prev, tops)
                         added = params.rx[1] if cycle.rule <= 2 else params.rn
                         dropped = 1 << (n + 1) if cycle.rule == 1 else 0
-                        assert acc.p + acc.q == (
+                        assert cycle.p + cycle.q == (
                             cycle.topup_p + cycle.topup_q + added - dropped
                             - (cleared[cycle.rule] << n)
                         ), (p, q, params.rx[1], params.rn)
-                        kept += 1
-        assert raised and kept
+                        prev = cycle.p, cycle.q
+                    assert (acc.p, acc.q) == top_up(*prev, tops)
+                    cycles += report.cycles
+        assert raised and cycles
 
 
 class TestRunShrink:
